@@ -1,17 +1,21 @@
 """Gaussian data containers and estimators.
 
 Datasets hold an n x (p+1) sample with one designated response column.
-Covariance matrices double as population objects through the n=None
-sentinel, so every estimator here can run either on data or on an exact
-covariance.  Conventions: sample covariance and correlation use the n-1
-denominator; the per-vertex DAG maximum likelihood fit uses 1/n residual
-variances, as maximum likelihood requires.
+Under the linear Gaussian model the covariance is a sufficient statistic,
+so the estimators read a dataset only through its covariance, computed
+once per dataset (`Dataset.covariance`).  Covariance matrices double as
+population objects through the n=None sentinel, so every estimator here
+runs the same code on data or on an exact covariance.  Conventions:
+sample covariance and correlation use the n-1 denominator; the per-vertex
+DAG maximum likelihood fit uses 1/n residual variances, as maximum
+likelihood requires.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -74,6 +78,12 @@ class Dataset:
     def covariates(self) -> tuple[int, ...]:
         return tuple(i for i in range(self.n_columns) if i != self.response)
 
+    @cached_property
+    def covariance(self) -> "CovMatrix":
+        """The sample covariance, computed on first use; `values` is
+        read-only, so the cached matrix cannot go stale."""
+        return sample_covariance(self)
+
     def standardize(self) -> "Dataset":
         """Center every column; rescale covariates to unit sample variance.
 
@@ -131,13 +141,19 @@ class CovMatrix:
         return self.values.shape[1]
 
     def correlation(self) -> "CovMatrix":
-        d = np.sqrt(np.diag(self.values))
-        if np.any(d <= 0):
-            bad = int(np.nonzero(d <= 0)[0][0])
-            raise DegenerateDataError(f"column {bad} has zero variance")
-        c = self.values / np.outer(d, d)
-        np.fill_diagonal(c, 1.0)
-        return CovMatrix((c + c.T) / 2.0, n=self.n)
+        return CovMatrix(_unit_diagonal(self.values, range(self.n_columns)), n=self.n)
+
+
+def _unit_diagonal(v: np.ndarray, columns) -> np.ndarray:
+    """Rescale the covariance block v to unit diagonal; `columns` names
+    the block's columns for the zero-variance error."""
+    d = np.sqrt(np.diag(v))
+    if np.any(d <= 0):
+        bad = columns[int(np.nonzero(d <= 0)[0][0])]
+        raise DegenerateDataError(f"column {bad} has zero variance")
+    c = v / np.outer(d, d)
+    np.fill_diagonal(c, 1.0)
+    return (c + c.T) / 2.0
 
 
 @dataclass(frozen=True)
@@ -167,7 +183,7 @@ def correlation_matrix(d: Dataset) -> CovMatrix:
         raise DegenerateDataError(
             f"column '{d.names[int(bad[0])]}' is constant; correlations undefined"
         )
-    return sample_covariance(d).correlation()
+    return d.covariance.correlation()
 
 
 def _solve_checked(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
@@ -186,7 +202,7 @@ def partial_correlation(c: CovMatrix, i: int, j: int, s: tuple[int, ...] = ()) -
     if len({i, j, *s}) != len(s) + 2:
         raise ValueError("i, j and s must be distinct")
     idx = [i, j, *s]
-    sub = c.correlation().values[np.ix_(idx, idx)]
+    sub = _unit_diagonal(c.values[np.ix_(idx, idx)], idx)
     if np.linalg.cond(sub) > CONDITION_LIMIT:
         raise NumericalRankError(
             f"correlation submatrix for ({i}, {j} | {s}) is singular"
@@ -219,9 +235,12 @@ def beta_given_s(
     source: Dataset | CovMatrix, i: int, s: tuple[int, ...], y: int
 ) -> float:
     """Coefficient of column i in the least-squares regression of y on
-    {i} union s (with intercept).  Returns 0.0 when y is in s: a response
-    that appears among the regressors indicates y is upstream of i, so the
-    effect of i on y is zero.
+    {i} union s (with intercept), solved from the covariance: a dataset's
+    cached `covariance`, or the matrix itself.  Returns 0.0 when y is in s:
+    a response that appears among the regressors indicates y is upstream
+    of i, so the effect of i on y is zero.  Rank deficiency is decided by
+    the condition number of the {i} union s covariance block
+    (CONDITION_LIMIT) and raises NumericalRankError.
     """
     s = tuple(int(x) for x in s)
     if i == y:
@@ -230,21 +249,10 @@ def beta_given_s(
         raise ValueError("covariate must not appear in the adjustment set")
     if y in s:
         return 0.0
-    if isinstance(source, Dataset):
-        cols = [i, *sorted(s)]
-        x = np.column_stack(
-            [np.ones(source.n), source.values[:, cols]]
-        )
-        yv = source.values[:, y]
-        if np.linalg.matrix_rank(x) < x.shape[1]:
-            raise NumericalRankError(
-                f"regression design for ({i} | {s}) is rank deficient"
-            )
-        coef, *_ = np.linalg.lstsq(x, yv, rcond=None)
-        return float(coef[1])
+    cov = source.covariance if isinstance(source, Dataset) else source
     idx = [i, *sorted(s)]
-    a = source.values[np.ix_(idx, idx)]
-    b = source.values[idx, y]
+    a = cov.values[np.ix_(idx, idx)]
+    b = cov.values[idx, y]
     coef = _solve_checked(a, b, f"regression ({i} | {s})")
     return float(coef[0])
 

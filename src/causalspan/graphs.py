@@ -187,14 +187,6 @@ class PDGraph:
                 amat[s, i] = False
         return PDGraph._from_amat(amat)
 
-    def with_directed(self, u: int, v: int) -> "PDGraph":
-        """Turn the undirected edge u - v into u -> v."""
-        if not self.has_undirected(u, v):
-            raise ValueError(f"no undirected edge between {u} and {v}")
-        amat = self.amat_copy()
-        amat[v, u] = False
-        return PDGraph._from_amat(amat)
-
     # -- value semantics ---------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -574,29 +566,17 @@ def cpdag_from_dag(d: PDGraph) -> PDGraph:
 # -- chordal utilities ---------------------------------------------------------
 
 
-def perfect_elimination_order(
-    g: PDGraph, last_clique: Iterable[int] | None = None
-) -> list[int] | None:
+def perfect_elimination_order(g: PDGraph) -> list[int] | None:
     """A perfect elimination order of a fully undirected graph, or None if
     the graph is not chordal.
 
     Each vertex in the returned order is simplicial (its later neighbours
     form a clique) in the subgraph induced by it and the vertices after it.
-    With `last_clique` given (its members must be pairwise adjacent), all
-    other vertices are eliminated first, so the clique occupies the final
-    positions; the first listed clique member comes right before the rest.
     """
     if not g.is_fully_undirected():
         raise ValueError("perfect elimination order requires an undirected graph")
     n = g.n
     adj = g.amat_copy()
-    clique: list[int] = []
-    if last_clique is not None:
-        clique = [int(x) for x in last_clique]
-        for a, b in itertools.combinations(clique, 2):
-            if not adj[a, b]:
-                raise ValueError("last_clique members must be pairwise adjacent")
-    clique_set = set(clique)
     alive = np.ones(n, dtype=bool)
     order: list[int] = []
 
@@ -611,23 +591,11 @@ def perfect_elimination_order(
     while remaining:
         pick = -1
         for x in range(n):
-            if alive[x] and x not in clique_set and simplicial(x):
+            if alive[x] and simplicial(x):
                 pick = x
                 break
         if pick < 0:
-            # only clique vertices are allowed now; they must all be
-            # simplicial (the leftover graph must be chordal)
-            left = [x for x in range(n) if alive[x]]
-            if set(left) != clique_set & set(left):
-                return None
-            ordered = [x for x in clique if alive[x]]
-            for x in ordered:
-                if not simplicial(x):
-                    return None
-                alive[x] = False
-                order.append(x)
-                remaining -= 1
-            continue
+            return None
         alive[pick] = False
         order.append(pick)
         remaining -= 1

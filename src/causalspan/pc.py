@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InsufficientSampleError
+from .errors import CausalSpanError
 from .gauss import (
     CITestConfig,
     CovMatrix,
@@ -137,12 +137,7 @@ def estimate_skeleton(
                 if len(candidates) < level:
                     continue
                 for s in itertools.combinations(candidates, level):
-                    try:
-                        verdict = independent(i, j, s, level)
-                    except InsufficientSampleError:
-                        diag.skipped_insufficient_n += 1
-                        continue
-                    if verdict:
+                    if independent(i, j, s, level):
                         adj[i].discard(j)
                         adj[j].discard(i)
                         sepsets[(min(i, j), max(i, j))] = s

@@ -109,6 +109,15 @@ def recursive_partial_correlation(cov: np.ndarray, i: int, j: int, s: tuple[int,
     return (rij - rik * rjk) / np.sqrt((1 - rik**2) * (1 - rjk**2))
 
 
+def ols_coefficient(values: np.ndarray, i: int, s: tuple[int, ...], y: int) -> float:
+    """Coefficient of column i in the least-squares fit of column y on an
+    intercept, column i and the columns in s, solved on the raw rows.
+    Independent of the package's covariance route."""
+    x = np.column_stack([np.ones(values.shape[0]), values[:, [i, *s]]])
+    coef, *_ = np.linalg.lstsq(x, values[:, y], rcond=None)
+    return float(coef[1])
+
+
 # ---------------------------------------------------------------------------
 # model fixtures
 

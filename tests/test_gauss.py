@@ -24,7 +24,7 @@ from causalspan import (
     sample_covariance,
     structural_covariance,
 )
-from conftest import recursive_partial_correlation, weighted_cov
+from conftest import ols_coefficient, recursive_partial_correlation, weighted_cov
 
 
 def make_dataset(values, names=None, response=None):
@@ -210,6 +210,7 @@ class TestBetaGivenS:
             a = beta_given_s(d, i, s, 3)
             b = beta_given_s(c, i, s, 3)
             assert a == pytest.approx(b, abs=1e-8)
+            assert a == pytest.approx(ols_coefficient(vals, i, s, 3), abs=1e-10)
 
     def test_known_adjusted_coefficients(self, hub_direct_model):
         w, evars = hub_direct_model

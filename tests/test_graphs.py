@@ -422,12 +422,6 @@ class TestChordality:
                         assert g.has_undirected(a, b)
             remaining.discard(v)
 
-    def test_clique_last_constraint(self):
-        g = PDGraph(4, undirected=[(0, 1), (1, 2), (0, 2), (2, 3)])
-        order = perfect_elimination_order(g, last_clique=frozenset({0, 1, 2}))
-        assert order is not None
-        assert set(order[-3:]) == {0, 1, 2}
-
     def test_cpdag_undirected_part_always_chordal(self):
         rng = np.random.default_rng(41)
         for _ in range(40):

@@ -133,6 +133,17 @@ class TestPipeline:
         res = pc_cpdag(d, CITestConfig(0.01))
         assert res.graph == cpdag_from_dag(w.graph)
 
+    def test_dataset_and_its_covariance_give_identical_runs(self):
+        rng = np.random.default_rng(31)
+        for _ in range(4):
+            w = random_weighted_dag(9, 3.0, rng)
+            d = generate_data(w, 300, rng)
+            a = pc_cpdag(d, CITestConfig(0.05))
+            b = pc_cpdag(d.covariance, CITestConfig(0.05))
+            assert a.graph == b.graph
+            assert a.sepsets == b.sepsets
+            assert a.diagnostics == b.diagnostics
+
     def test_never_raises_on_incoherent_sample(self):
         # Small-sample runs can produce conflicted or non-extendable
         # graphs; the pipeline must still return with diagnostics.
@@ -236,3 +247,16 @@ class TestAlphaSelection:
         best, scores = bic_select_alpha(d, (0.001, 0.01, 0.1), seed=0)
         assert best in (0.001, 0.01, 0.1)
         assert all(np.isfinite(v) for v in scores.values())
+
+    def test_package_errors_score_infinite(self):
+        # A duplicated column makes PC's conditioning blocks singular, so
+        # every alpha fails with a package error and scores infinity.
+        rng = np.random.default_rng(37)
+        x = rng.normal(size=(200, 3))
+        x[:, 1] += x[:, 0]
+        x[:, 2] += x[:, 1]
+        vals = np.column_stack([x[:, 0], x[:, 0], x[:, 1], x[:, 2]])
+        d = Dataset(vals, ("a", "a_copy", "b", "y"), 3)
+        best, scores = bic_select_alpha(d, (0.05, 0.01, 0.1), seed=0)
+        assert scores == {0.05: float("inf"), 0.01: float("inf"), 0.1: float("inf")}
+        assert best == 0.01
