@@ -225,6 +225,8 @@ def global_effects(
     adjustments: list[tuple[tuple[int, ...] | None, ...]] = []
     for r, i in enumerate(covariates):
         row_adjs: list[tuple[int, ...] | None] = []
+        # Class members share most parent sets of i: solve each S once.
+        betas: dict[tuple[int, ...], float] = {}
         for j, d in enumerate(dags):
             if MOD_ZERO_PATH in mods and not has_directed_path(d, i, y):
                 matrix[r, j] = 0.0
@@ -234,7 +236,9 @@ def global_effects(
             if MOD_PRUNE_Y in mods:
                 pa = frozenset(p for p in pa if p in connected)
             s = tuple(sorted(pa))
-            matrix[r, j] = beta_given_s(source, i, s, y)
+            if s not in betas:
+                betas[s] = beta_given_s(source, i, s, y)
+            matrix[r, j] = betas[s]
             row_adjs.append(s)
         adjustments.append(tuple(row_adjs))
     return ThetaMatrix(covariates, y, matrix, tuple(adjustments), tuple(dags), mods)

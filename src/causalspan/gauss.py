@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -194,6 +194,19 @@ def _solve_checked(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
+def _partial_correlations(blocks: np.ndarray) -> np.ndarray:
+    """Partial correlation of the first two columns given the rest for each
+    unit-diagonal block of an (m, k, k) stack, clipped to [-1, 1].  NaN
+    marks a block singular beyond CONDITION_LIMIT (kept out of the batched
+    inverse, which would fail on it) or not positive definite."""
+    rho = np.full(len(blocks), np.nan)
+    ok = ~(np.linalg.cond(blocks) > CONDITION_LIMIT)
+    om = np.linalg.inv(blocks[ok])
+    with np.errstate(invalid="ignore"):
+        rho[ok] = np.clip(-om[:, 0, 1] / np.sqrt(om[:, 0, 0] * om[:, 1, 1]), -1.0, 1.0)
+    return rho
+
+
 def partial_correlation(c: CovMatrix, i: int, j: int, s: tuple[int, ...] = ()) -> float:
     """Correlation of columns i and j after removing the linear effect of
     the columns in s, computed from the precision of the (i, j, s)
@@ -203,20 +216,25 @@ def partial_correlation(c: CovMatrix, i: int, j: int, s: tuple[int, ...] = ()) -
         raise ValueError("i, j and s must be distinct")
     idx = [i, j, *s]
     sub = _unit_diagonal(c.values[np.ix_(idx, idx)], idx)
-    if np.linalg.cond(sub) > CONDITION_LIMIT:
+    r = float(_partial_correlations(sub[None])[0])
+    if math.isnan(r):
         raise NumericalRankError(
             f"correlation submatrix for ({i}, {j} | {s}) is singular"
         )
-    om = np.linalg.inv(sub)
-    r = -om[0, 1] / math.sqrt(om[0, 0] * om[1, 1])
-    return float(min(1.0, max(-1.0, r)))
+    return r
+
+
+@lru_cache(maxsize=None)
+def _z_quantile(alpha: float) -> float:
+    return float(norm.ppf(1.0 - alpha / 2.0))
 
 
 def fisher_z_dependent(rho: float, n: int, s_size: int, alpha: float) -> bool:
     """Decide dependence from a sample partial correlation.
 
     Uses the z-transform z = atanh(rho); dependent when
-    |z| * sqrt(n - s_size - 3) exceeds the 1 - alpha/2 normal quantile.
+    |z| * sqrt(n - s_size - 3) exceeds the 1 - alpha/2 normal quantile,
+    which is computed once per alpha and cached for the process.
     |rho| = 1 is dependent outright.  Requires n - s_size - 3 >= 1.
     """
     if not (0.0 < alpha < 1.0):
@@ -228,7 +246,7 @@ def fisher_z_dependent(rho: float, n: int, s_size: int, alpha: float) -> bool:
     if abs(rho) >= 1.0:
         return True
     stat = abs(math.atanh(rho)) * math.sqrt(n - s_size - 3)
-    return bool(stat > norm.ppf(1.0 - alpha / 2.0))
+    return bool(stat > _z_quantile(alpha))
 
 
 def beta_given_s(

@@ -2,29 +2,33 @@
 
 The skeleton search tests conditional independence level by level with
 adjacency sets snapshotted at the start of each level, so results do not
-depend on incidental edge-removal order within a level.  Collider
-orientation walks candidate triples in lexicographic order and lets later
-triples overwrite earlier arrowheads; every overwrite is recorded, because
-on finite samples the oriented graph can fail to admit a consistent
-extension.  `repair_cpdag` restores validity in three escalating stages.
+depend on incidental edge-removal order within a level; it also fixes each
+pair's conditioning sets, which are solved in stacks and read in order,
+so tests, separating sets and errors are those of one test at a time.
+Collider orientation walks candidate triples in lexicographic order and
+lets later triples overwrite earlier arrowheads; every overwrite is
+recorded, because on finite samples the oriented graph can fail to admit
+a consistent extension.  `repair_cpdag` restores validity in three
+escalating stages.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Iterable, Iterator
 
 import numpy as np
 
-from .errors import CausalSpanError
+from .errors import CausalSpanError, NumericalRankError
 from .gauss import (
     CITestConfig,
     CovMatrix,
     Dataset,
+    _partial_correlations,
     correlation_matrix,
     fisher_z_dependent,
-    partial_correlation,
 )
 from .graphs import (
     CpdagValidation,
@@ -39,6 +43,10 @@ from . import gauss
 # Partial correlations at or below this magnitude count as zero when
 # testing against a population covariance.
 POPULATION_RHO_TOL = 1e-9
+
+# Conditioning sets per stacked solve; fixed, so memory stays bounded at
+# high levels, where a pair can have a huge number of them.
+_CHUNK = 256
 
 SepsetTable = dict[tuple[int, int], tuple[int, ...]]
 
@@ -71,33 +79,21 @@ class PcResult:
     validation: CpdagValidation
 
 
-def _make_ci_test(source: Dataset | CovMatrix, cfg: CITestConfig, diag: PcDiagnostics):
-    """Build an independence oracle over column indices.
-
-    Data or a finite-n covariance uses the z-transform test at cfg.alpha; a
-    population covariance (n=None) declares independence exactly when the
-    partial correlation vanishes.  Tests whose sample size is too small are
-    skipped conservatively: the edge stays.
-    """
-    if isinstance(source, Dataset):
-        corr = correlation_matrix(source)
-    elif isinstance(source, CovMatrix):
-        corr = source.correlation()
-    else:
-        raise TypeError("source must be a Dataset or CovMatrix")
-    n = corr.n
-
-    def independent(i: int, j: int, s: tuple[int, ...], level: int) -> bool:
-        if n is not None and n - len(s) - 3 < 1:
-            diag.skipped_insufficient_n += 1
-            return False
-        rho = partial_correlation(corr, i, j, s)
-        diag.tests_per_level[level] = diag.tests_per_level.get(level, 0) + 1
-        if n is None:
-            return abs(rho) <= POPULATION_RHO_TOL
-        return not fisher_z_dependent(rho, n, len(s), cfg.alpha)
-
-    return independent, corr.n_columns
+def _stacked_partial_correlations(
+    corr: np.ndarray, i: int, j: int, sets: Iterator[tuple[int, ...]]
+) -> Iterator[tuple[tuple[int, ...], float]]:
+    """(S, partial correlation of i and j given S) for each of `sets` in
+    order, solved in stacks of _CHUNK blocks; a singular block raises when
+    the caller reaches it, as a test of that block alone would."""
+    while chunk := list(itertools.islice(sets, _CHUNK)):
+        idx = np.array([(i, j, *s) for s in chunk])
+        rhos = _partial_correlations(corr[idx[:, :, None], idx[:, None, :]])
+        for s, rho in zip(chunk, rhos.tolist()):
+            if math.isnan(rho):
+                raise NumericalRankError(
+                    f"correlation submatrix for ({i}, {j} | {s}) is singular"
+                )
+            yield s, rho
 
 
 def estimate_skeleton(
@@ -113,9 +109,22 @@ def estimate_skeleton(
     in lexicographic order; on an independence verdict the edge goes and
     the separating set is recorded.  Stops when no adjacency set is large
     enough, or past max_level.
+
+    A pair's subsets are solved in stacked chunks and their verdicts read
+    in order, so `tests_per_level` counts the tests up to the first
+    independent one.  Data or a finite-n covariance uses the z-transform
+    test at cfg.alpha; a population covariance (n=None) declares
+    independence when |rho| <= POPULATION_RHO_TOL.  When n - l - 3 < 1
+    every subset counts in `skipped_insufficient_n` and the edge stays.
     """
+    if isinstance(source, Dataset):
+        corr = correlation_matrix(source)
+    elif isinstance(source, CovMatrix):
+        corr = source.correlation()
+    else:
+        raise TypeError("source must be a Dataset or CovMatrix")
+    n, p1 = corr.n, corr.n_columns
     diag = PcDiagnostics()
-    independent, p1 = _make_ci_test(source, cfg, diag)
     adj: list[set[int]] = [set(range(p1)) - {i} for i in range(p1)]
     sepsets: SepsetTable = {}
     level = 0
@@ -136,8 +145,17 @@ def estimate_skeleton(
                 candidates = sorted(snapshot[i] - {j})
                 if len(candidates) < level:
                     continue
-                for s in itertools.combinations(candidates, level):
-                    if independent(i, j, s, level):
+                if n is not None and n - level - 3 < 1:
+                    diag.skipped_insufficient_n += math.comb(len(candidates), level)
+                    continue
+                sets = itertools.combinations(candidates, level)
+                for s, rho in _stacked_partial_correlations(corr.values, i, j, sets):
+                    diag.tests_per_level[level] = diag.tests_per_level.get(level, 0) + 1
+                    if n is None:
+                        independent = abs(rho) <= POPULATION_RHO_TOL
+                    else:
+                        independent = not fisher_z_dependent(rho, n, level, cfg.alpha)
+                    if independent:
                         adj[i].discard(j)
                         adj[j].discard(i)
                         sepsets[(min(i, j), max(i, j))] = s

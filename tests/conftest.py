@@ -1,23 +1,28 @@
 """Shared fixtures and independent oracles for the test suite.
 
 The oracles here deliberately avoid the package's own algorithms: class
-enumeration is re-derived by filtering all edge orientations, and partial
-correlations are re-derived by the classic recursion, so agreement is
-evidence rather than tautology.
+enumeration is re-derived by filtering all edge orientations, partial
+correlations are re-derived by the classic recursion, and the skeleton
+search by a one-test-at-a-time loop, so agreement is evidence rather than
+tautology.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 import causalspan
 from causalspan import (
     CovMatrix,
+    Dataset,
+    NumericalRankError,
     PDGraph,
     WeightedDag,
     find_v_structures,
@@ -116,6 +121,59 @@ def ols_coefficient(values: np.ndarray, i: int, s: tuple[int, ...], y: int) -> f
     x = np.column_stack([np.ones(values.shape[0]), values[:, [i, *s]]])
     coef, *_ = np.linalg.lstsq(x, values[:, y], rcond=None)
     return float(coef[1])
+
+
+def reference_skeleton(source, alpha: float, max_level: int | None = None):
+    """PC-stable skeleton search one test at a time: each block's own
+    inverse, its own normal quantile, no package CI helpers.  Returns
+    (undirected edges, sepsets, tests per level, skipped tests)."""
+    cov = source.covariance if isinstance(source, Dataset) else source
+    sd = np.sqrt(np.diag(cov.values))
+    corr = cov.values / np.outer(sd, sd)
+    np.fill_diagonal(corr, 1.0)
+    corr = (corr + corr.T) / 2.0
+    n, p = cov.n, corr.shape[0]
+    quantile = norm.ppf(1.0 - alpha / 2.0)
+
+    def independent(i, j, s):
+        idx = [i, j, *s]
+        block = corr[np.ix_(idx, idx)]
+        if np.linalg.cond(block) > 1e12:
+            raise NumericalRankError(
+                f"correlation submatrix for ({i}, {j} | {s}) is singular"
+            )
+        om = np.linalg.inv(block)
+        rho = min(1.0, max(-1.0, -om[0, 1] / math.sqrt(om[0, 0] * om[1, 1])))
+        if n is None:
+            return abs(rho) <= 1e-9
+        if abs(rho) >= 1.0:
+            return False
+        return abs(math.atanh(rho)) * math.sqrt(n - len(s) - 3) <= quantile
+
+    adj = [set(range(p)) - {i} for i in range(p)]
+    sepsets, tests, skipped = {}, {}, 0
+    level = 0
+    while max_level is None or level <= max_level:
+        snapshot = [frozenset(a) for a in adj]
+        if not any(len(snapshot[i]) - 1 >= level for i in range(p) if snapshot[i]):
+            break
+        for i in range(p):
+            for j in sorted(snapshot[i]):
+                if j not in adj[i]:
+                    continue
+                for s in itertools.combinations(sorted(snapshot[i] - {j}), level):
+                    if n is not None and n - level - 3 < 1:
+                        skipped += 1
+                        continue
+                    tests[level] = tests.get(level, 0) + 1
+                    if independent(i, j, s):
+                        adj[i].discard(j)
+                        adj[j].discard(i)
+                        sepsets[(min(i, j), max(i, j))] = s
+                        break
+        level += 1
+    edges = {(i, j) for i in range(p) for j in adj[i] if i < j}
+    return edges, sepsets, tests, skipped
 
 
 # ---------------------------------------------------------------------------

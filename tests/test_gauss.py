@@ -131,6 +131,22 @@ class TestPartialCorrelation:
                         want = recursive_partial_correlation(cov.values, i, j, s)
                         assert got == pytest.approx(want, abs=1e-9)
 
+    def test_rescales_a_non_unit_diagonal_block(self):
+        # The stacked helper expects unit-diagonal blocks; the public
+        # function must rescale a covariance's block first.
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            a = rng.normal(size=(5, 12))
+            scale = np.diag(rng.uniform(0.1, 10.0, 5))
+            cov = CovMatrix(scale @ (a @ a.T / 12) @ scale)
+            for i, j in itertools.combinations(range(5), 2):
+                others = [k for k in range(5) if k not in (i, j)]
+                for size in range(len(others) + 1):
+                    for s in itertools.combinations(others, size):
+                        got = partial_correlation(cov, i, j, s)
+                        want = recursive_partial_correlation(cov.values, i, j, s)
+                        assert abs(got - want) <= 1e-12
+
     def test_clipped_to_unit_interval(self):
         near = 1.0 - 1e-9
         c = CovMatrix(np.array([[1.0, near], [near, 1.0]]))

@@ -4,11 +4,14 @@ repair, and alpha selection."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalspan import (
     CITestConfig,
     CovMatrix,
     Dataset,
+    NumericalRankError,
     PcResult,
     PDGraph,
     bic_select_alpha,
@@ -22,7 +25,7 @@ from causalspan import (
     structural_covariance,
     validate_cpdag,
 )
-from conftest import weighted_cov
+from conftest import reference_skeleton, weighted_cov
 
 
 class TestSkeleton:
@@ -66,6 +69,57 @@ class TestSkeleton:
         assert diag.skipped_insufficient_n > 0
         assert g.undirected_edges() == {(0, 1), (0, 2), (1, 2)}
         assert set(diag.tests_per_level) == {0}
+
+
+    @pytest.mark.parametrize("max_level", [None, 1])
+    @pytest.mark.parametrize(
+        "kind", ["data-4", "data-6", "data-30", "data-500", "cov-30", "population"]
+    )
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(2, 9),
+        alpha=st.sampled_from([0.01, 0.05, 0.3]),
+    )
+    def test_matches_one_test_at_a_time_reference(self, kind, max_level, seed, p, alpha):
+        # The stacked search must consult the same tests, in the same
+        # order, as the sequential loop: same graph, sepsets and counts.
+        rng = np.random.default_rng(seed)
+        w = random_weighted_dag(p, float(rng.uniform(1.0, 4.0)), rng)
+        if kind == "population":
+            source = CovMatrix(structural_covariance(w.weights))
+        else:
+            d = generate_data(w, int(kind.split("-")[1]), rng)
+            source = d if kind.startswith("data") else d.covariance
+
+        def run(search):
+            try:
+                return search()
+            except NumericalRankError as e:
+                return str(e)
+
+        def stacked():
+            g, sepsets, diag = estimate_skeleton(source, CITestConfig(alpha), max_level)
+            return (g.undirected_edges(), sepsets, diag.tests_per_level,
+                    diag.skipped_insufficient_n)
+
+        assert run(stacked) == run(lambda: reference_skeleton(source, alpha, max_level))
+
+    def test_singular_block_raises_with_its_pair_and_set(self):
+        # A duplicated column: the first level-0 test is already singular.
+        rng = np.random.default_rng(37)
+        x = rng.normal(size=(200, 2))
+        d = Dataset(np.column_stack([x[:, 0], x[:, 0], x[:, 1]]), ("a", "a_copy", "y"), 2)
+        with pytest.raises(NumericalRankError) as e:
+            pc_cpdag(d, CITestConfig(0.01))
+        assert str(e.value) == "correlation submatrix for (0, 1 | ()) is singular"
+        # c = a + b: level 0 separates a and b, then the first level-1 test
+        # of (c, a) given b is singular.
+        a, b = rng.normal(size=(2, 200))
+        d = Dataset(np.column_stack([a, b, a + b]), ("a", "b", "c"), 2)
+        with pytest.raises(NumericalRankError) as e:
+            pc_cpdag(d, CITestConfig(0.01))
+        assert str(e.value) == "correlation submatrix for (2, 0 | (1,)) is singular"
 
 
 class TestColliderOrientation:
