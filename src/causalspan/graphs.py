@@ -6,6 +6,12 @@ combinatorics this package needs: collider (v-structure) detection, Meek's
 orientation rules, consistent extension to a DAG, enumeration of all DAGs
 sharing a graph's skeleton and colliders, the completed partially directed
 graph (CPDAG) of a DAG, and chordal-graph utilities.
+
+Enumeration is a depth-first search on per-vertex bitmasks (children,
+parents, adjacency) rather than on the adjacency matrix: each step orients
+one undirected edge only if that makes no new collider and no directed
+cycle, and each leaf is checked once more before it becomes a `PDGraph`.
+Meek's rules live only in `meek_closure`.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -172,21 +178,6 @@ class PDGraph:
     def skeleton(self) -> "PDGraph":
         return PDGraph._from_amat(self._amat | self._amat.T)
 
-    def orient_siblings(self, i: int, toward: Iterable[int]) -> "PDGraph":
-        """Orient every undirected edge at i: members of `toward` become
-        parents of i, all other siblings become children of i."""
-        toward = frozenset(int(s) for s in toward)
-        sibs = self.siblings(i)
-        if not toward <= sibs:
-            raise ValueError(f"{sorted(toward - sibs)} are not siblings of {i}")
-        amat = self.amat_copy()
-        for s in sibs:
-            if s in toward:
-                amat[i, s] = False
-            else:
-                amat[s, i] = False
-        return PDGraph._from_amat(amat)
-
     # -- value semantics ---------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
@@ -241,14 +232,6 @@ class PDGraph:
     @classmethod
     def from_json(cls, text: str) -> "PDGraph":
         return cls.from_json_dict(json.loads(text))
-
-    def to_edgelist_text(self, names: list[str] | None = None) -> str:
-        """Plain-text edge list, one edge per line: "a -> b" or "a -- b"."""
-        if names is None:
-            names = [f"V{i}" for i in range(self._n)]
-        lines = [f"{names[u]} -> {names[v]}" for u, v in sorted(self.directed_edges())]
-        lines += [f"{names[u]} -- {names[v]}" for u, v in sorted(self.undirected_edges())]
-        return "\n".join(lines)
 
 
 # -- colliders and orientation rules ----------------------------------------
@@ -442,45 +425,26 @@ def _undirected_components(g: PDGraph) -> list[list[tuple[int, int]]]:
     return [comp[r] for r in sorted(comp)]
 
 
-def _try_orient(amat: np.ndarray, a: int, b: int) -> bool:
-    """Orient the undirected edge a - b as a -> b if that creates neither a
-    new collider at b nor a directed cycle.  Returns False and leaves the
-    matrix untouched when the orientation is inconsistent."""
-    adj = amat | amat.T
-    pa_b = amat[:, b] & ~amat[b, :]
-    for w in np.nonzero(pa_b)[0]:
-        if w != a and not adj[w, a]:
-            return False  # new collider w -> b <- a
-    amat[b, a] = False
-    if _directed_path_exists(amat, b, a):
-        amat[b, a] = True
-        return False
-    return True
+def _bits(mask: int) -> Iterator[int]:
+    """Vertices of a bitmask, smallest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
-def _force_closure(amat: np.ndarray) -> bool:
-    """Propagate orientations forced by rules R1 and R2 during enumeration.
-    Returns False if a forced orientation is inconsistent."""
-    changed = True
-    while changed:
-        changed = False
-        d = amat & ~amat.T
-        u = amat & amat.T
-        adj = amat | amat.T
-        for a, b in zip(*np.nonzero(d)):
-            for c in np.nonzero(u[b, :])[0]:
-                if c != a and not adj[a, c] and amat[c, b]:
-                    if not _try_orient(amat, int(b), int(c)):
-                        return False
-                    changed = True
-        d = amat & ~amat.T
-        u = amat & amat.T
-        for a, c in map(tuple, np.argwhere(u)):
-            if amat[a, c] and amat[c, a] and np.any(d[a, :] & d[:, c]):
-                if not _try_orient(amat, a, c):
-                    return False
-                changed = True
-    return True
+def _reaches(children: list[int], src: int, dst: int) -> bool:
+    """True if a directed path src -> ... -> dst exists over child masks."""
+    seen = frontier = children[src]
+    while frontier:
+        if frontier >> dst & 1:
+            return True
+        step = 0
+        for v in _bits(frontier):
+            step |= children[v]
+        frontier = step & ~seen
+        seen |= frontier
+    return False
 
 
 def enumerate_dags(
@@ -490,6 +454,13 @@ def enumerate_dags(
 ) -> list[PDGraph]:
     """All DAGs with g's skeleton and collider set, obtained by orienting
     g's undirected edges.  Existing directed edges are kept as they are.
+
+    A depth-first search on per-vertex bitmasks orients the undirected
+    edges one at a time in sorted order, trying (u, v) before (v, u).  An
+    orientation a -> b is admitted only if it creates no new collider at b
+    (every parent of b is adjacent to a) and no directed cycle (no path
+    b -> ... -> a).  Each leaf is checked once more: it must be acyclic
+    with exactly g's colliders.
 
     The output order is deterministic: DAGs are sorted by their orientation
     vector over the sorted undirected edge list (0 = kept as (u, v) with
@@ -509,42 +480,49 @@ def enumerate_dags(
             )
     und = sorted(g.undirected_edges())
     base_vs = find_v_structures(g)
+    n = g.n
+    adj = [sum(1 << v for v in g.adjacent(u)) for u in range(n)]
+    children, parents = [0] * n, [0] * n
+    for u, v in g.directed_edges():
+        children[u] |= 1 << v
+        parents[v] |= 1 << u
     results: list[tuple[tuple[int, ...], PDGraph]] = []
 
-    def leaf_ok(amat: np.ndarray) -> PDGraph | None:
-        d = PDGraph._from_amat(amat)
-        if not d.is_dag():
-            return None
-        if find_v_structures(d) != base_vs:
-            return None
-        return d
+    def leaf_ok() -> bool:
+        left = (1 << n) - 1
+        while left:
+            sources = sum(1 << v for v in _bits(left) if not parents[v] & left)
+            if not sources:
+                return False  # directed cycle
+            left &= ~sources
+        return base_vs == {
+            (a, j, c)
+            for j in range(n)
+            for a, c in itertools.combinations(_bits(parents[j]), 2)
+            if not adj[a] >> c & 1
+        }
 
-    def rec(amat: np.ndarray) -> None:
-        first = None
-        for u, v in und:
-            if amat[u, v] and amat[v, u]:
-                first = (u, v)
-                break
-        if first is None:
-            d = leaf_ok(amat)
-            if d is not None:
-                vec = tuple(0 if d.has_directed(u, v) else 1 for u, v in und)
-                results.append((vec, d))
+    def rec(k: int, vec: tuple[int, ...]) -> None:
+        if k == len(und):
+            if leaf_ok():
+                amat = g.amat_copy()
+                for (u, v), flip in zip(und, vec):
+                    amat[(u, v) if flip else (v, u)] = False
+                results.append((vec, PDGraph._from_amat(amat)))
                 if len(results) > max_dags:
-                    raise ResourceCapError(
-                        f"equivalence class exceeds {max_dags} DAGs"
-                    )
+                    raise ResourceCapError(f"equivalence class exceeds {max_dags} DAGs")
             return
-        u, v = first
-        for a, b in ((u, v), (v, u)):
-            trial = amat.copy()
-            if not _try_orient(trial, a, b):
-                continue
-            if not _force_closure(trial):
-                continue
-            rec(trial)
+        u, v = und[k]
+        for a, b, flip in ((u, v, 0), (v, u, 1)):
+            if parents[b] & ~adj[a] or _reaches(children, b, a):
+                continue  # new collider at b, or a directed cycle
+            children[a] |= 1 << b
+            parents[b] |= 1 << a
+            rec(k + 1, vec + (flip,))
+            children[a] &= ~(1 << b)
+            parents[b] &= ~(1 << a)
 
-    rec(g.amat_copy())
+    rec(0, ())
     results.sort(key=lambda t: t[0])
     return [d for _, d in results]
 

@@ -3,8 +3,9 @@
 The skeleton search tests conditional independence level by level with
 adjacency sets snapshotted at the start of each level, so results do not
 depend on incidental edge-removal order within a level; it also fixes each
-pair's conditioning sets, which are solved in stacks and read in order,
-so tests, separating sets and errors are those of one test at a time.
+pair's conditioning sets, which are solved in stacks (one for all pairs at
+level 0) and read in order, so tests, separating sets and errors are those
+of one test at a time.
 Collider orientation walks candidate triples in lexicographic order and
 lets later triples overwrite earlier arrowheads; every overwrite is
 recorded, because on finite samples the oriented graph can fail to admit
@@ -83,17 +84,23 @@ def _stacked_partial_correlations(
     corr: np.ndarray, i: int, j: int, sets: Iterator[tuple[int, ...]]
 ) -> Iterator[tuple[tuple[int, ...], float]]:
     """(S, partial correlation of i and j given S) for each of `sets` in
-    order, solved in stacks of _CHUNK blocks; a singular block raises when
-    the caller reaches it, as a test of that block alone would."""
+    order, solved in stacks of _CHUNK blocks; NaN marks a singular block."""
     while chunk := list(itertools.islice(sets, _CHUNK)):
         idx = np.array([(i, j, *s) for s in chunk])
         rhos = _partial_correlations(corr[idx[:, :, None], idx[:, None, :]])
-        for s, rho in zip(chunk, rhos.tolist()):
-            if math.isnan(rho):
-                raise NumericalRankError(
-                    f"correlation submatrix for ({i}, {j} | {s}) is singular"
-                )
-            yield s, rho
+        yield from zip(chunk, rhos.tolist())
+
+
+def _marginal_correlations(corr: np.ndarray) -> list[list[float]]:
+    """Level-0 partial correlations of every pair, from one stack of the
+    2 x 2 blocks (i, j) with i < j; the matrix is exactly symmetric, so the
+    block (j, i) equals (i, j) and the result is mirrored."""
+    p = len(corr)
+    rho = np.full((p, p), np.nan)
+    iu, ju = np.triu_indices(p, 1)
+    idx = np.stack([iu, ju], axis=1)
+    rho[iu, ju] = rho[ju, iu] = _partial_correlations(corr[idx[:, :, None], idx[:, None, :]])
+    return rho.tolist()
 
 
 def estimate_skeleton(
@@ -110,12 +117,14 @@ def estimate_skeleton(
     the separating set is recorded.  Stops when no adjacency set is large
     enough, or past max_level.
 
-    A pair's subsets are solved in stacked chunks and their verdicts read
-    in order, so `tests_per_level` counts the tests up to the first
-    independent one.  Data or a finite-n covariance uses the z-transform
-    test at cfg.alpha; a population covariance (n=None) declares
-    independence when |rho| <= POPULATION_RHO_TOL.  When n - l - 3 < 1
-    every subset counts in `skipped_insufficient_n` and the edge stays.
+    Level 0 solves the blocks of all pairs in one stack; at higher levels a
+    pair's subsets are solved in stacked chunks.  Verdicts are read in
+    order, so `tests_per_level` counts the tests up to the first
+    independent one, and a singular block raises only when it is reached.
+    Data or a finite-n covariance uses the z-transform test at cfg.alpha;
+    a population covariance (n=None) declares independence when
+    |rho| <= POPULATION_RHO_TOL.  When n - l - 3 < 1 every subset counts
+    in `skipped_insufficient_n` and the edge stays.
     """
     if isinstance(source, Dataset):
         corr = correlation_matrix(source)
@@ -138,6 +147,8 @@ def estimate_skeleton(
             for j in snapshot[i]
         ):
             break
+        if level == 0 and (n is None or n - 3 >= 1):
+            marginal = _marginal_correlations(corr.values)
         for i in range(p1):
             for j in sorted(snapshot[i]):
                 if j not in adj[i]:
@@ -148,8 +159,16 @@ def estimate_skeleton(
                 if n is not None and n - level - 3 < 1:
                     diag.skipped_insufficient_n += math.comb(len(candidates), level)
                     continue
-                sets = itertools.combinations(candidates, level)
-                for s, rho in _stacked_partial_correlations(corr.values, i, j, sets):
+                if level == 0:
+                    tests = [((), marginal[i][j])]
+                else:
+                    sets = itertools.combinations(candidates, level)
+                    tests = _stacked_partial_correlations(corr.values, i, j, sets)
+                for s, rho in tests:
+                    if math.isnan(rho):
+                        raise NumericalRankError(
+                            f"correlation submatrix for ({i}, {j} | {s}) is singular"
+                        )
                     diag.tests_per_level[level] = diag.tests_per_level.get(level, 0) + 1
                     if n is None:
                         independent = abs(rho) <= POPULATION_RHO_TOL

@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalspan import (
     NotExtendableError,
@@ -101,12 +103,6 @@ class TestConstruction:
     def test_is_dag_requires_fully_directed(self):
         assert not PDGraph(2, undirected=[(0, 1)]).is_dag()
         assert PDGraph(2, directed=[(0, 1)]).is_dag()
-
-    def test_orient_siblings(self):
-        g = PDGraph(3, undirected=[(0, 1), (1, 2)])
-        h = g.orient_siblings(1, toward=[0, 2])
-        assert h.parents(1) == {0, 2}
-        assert g.siblings(1) == {0, 2}, "original untouched"
 
 
 class TestVStructures:
@@ -310,6 +306,50 @@ class TestEnumerateDags:
         with pytest.raises(ResourceCapError, match="12"):
             enumerate_dags(g, max_component_edges=12)
 
+    @pytest.mark.parametrize("kind", ["cpdag", "partial"])
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_brute_force_in_order_and_caps(self, kind, seed):
+        # Random CPDAGs, and random DAGs with a random subset of the edges
+        # outside their colliders left undirected: the DAG still extends
+        # such a graph, which is in general not completed.  Vertices are
+        # relabeled so edges do not all point from lower to higher index.
+        # Sizes come from the seed, so they do not shrink toward trivia.
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(3, 8))
+        dag = random_pdgraph_dag(rng, p, float(rng.uniform(0.25, 0.8)))
+        dag = relabel(dag, list(rng.permutation(p)))
+        if kind == "cpdag":
+            g = cpdag_from_dag(dag)
+        else:
+            vs = find_v_structures(dag)
+            fixed = {(a, j) for a, j, _ in vs} | {(c, j) for _, j, c in vs}
+            loose = [
+                e for e in sorted(dag.directed_edges() - fixed) if rng.random() < 0.8
+            ]
+            g = PDGraph(
+                p,
+                directed=dag.directed_edges() - set(loose),
+                undirected=[(min(u, v), max(u, v)) for u, v in loose],
+            )
+        und = sorted(g.undirected_edges())
+        if len(und) > 10:
+            return  # keeps the brute force at most 2**10 orientations
+        oracle = sorted(
+            brute_force_class(g),
+            key=lambda d: tuple(0 if d.has_directed(u, v) else 1 for u, v in und),
+        )
+        assert oracle, "dag itself extends g"
+        # Caps below, at and above the class size, and the default.
+        max_dags = int(rng.choice([rng.integers(1, 2 * len(oracle) + 1), 25000]))
+        if len(oracle) > max_dags:
+            with pytest.raises(ResourceCapError, match=f"exceeds {max_dags} DAGs"):
+                enumerate_dags(g, max_dags=max_dags)
+        else:
+            assert enumerate_dags(g, max_dags=max_dags) == oracle
+        if kind == "cpdag":
+            assert all(cpdag_from_dag(d) == g for d in oracle)
+
 
 # ---------------------------------------------------------------------------
 # reachability and local validity
@@ -463,8 +503,3 @@ class TestSerialization:
         g = PDGraph(2, undirected=[(0, 1)])
         (edge,) = g.to_json_dict()["edges"]
         assert edge["directed"] is False
-
-    def test_edgelist_text(self):
-        g = PDGraph(3, directed=[(0, 1)], undirected=[(1, 2)])
-        text = g.to_edgelist_text(names=("a", "b", "c"))
-        assert "a -> b" in text and "b -- c" in text
