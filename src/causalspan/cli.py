@@ -11,9 +11,12 @@ not reproducible).  Output files are written atomically: nothing appears
 at the target path until the command has fully succeeded.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 input error,
-4 numerical error, 5 resource cap exceeded.  Scalar flag defaults can be
-overridden with environment variables named CAUSALSPAN_<FLAG>, for
-example CAUSALSPAN_ALPHA=0.05.
+4 numerical error, 5 resource cap exceeded.  The defaults of --alpha,
+--method, --bootstrap, --seed, --max-enum and --max-sib can be overridden
+with environment variables named CAUSALSPAN_<FLAG> (dashes as
+underscores), for example CAUSALSPAN_ALPHA=0.05 or CAUSALSPAN_MAX_ENUM=15;
+a flag given on the command line wins.  No other flag reads the
+environment.
 """
 
 from __future__ import annotations
@@ -150,8 +153,10 @@ def build_parser() -> argparse.ArgumentParser:
             "response from observational data."
         ),
         epilog=(
-            "Scalar flag defaults can be overridden via environment "
-            "variables prefixed CAUSALSPAN_, e.g. CAUSALSPAN_SEED=7."
+            "The defaults of --alpha, --method, --bootstrap, --seed, --max-enum "
+            "and --max-sib can be overridden via environment variables prefixed "
+            "CAUSALSPAN_, e.g. CAUSALSPAN_SEED=7 or CAUSALSPAN_MAX_ENUM=15; a "
+            "flag given on the command line wins."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)

@@ -133,10 +133,6 @@ class CovMatrix:
         object.__setattr__(self, "values", v)
 
     @property
-    def is_population(self) -> bool:
-        return self.n is None
-
-    @property
     def n_columns(self) -> int:
         return self.values.shape[1]
 

@@ -7,21 +7,19 @@ orientation rules, consistent extension to a DAG, enumeration of all DAGs
 sharing a graph's skeleton and colliders, the completed partially directed
 graph (CPDAG) of a DAG, and chordal-graph utilities.
 
-Enumeration is a depth-first search on per-vertex bitmasks (children,
-parents, adjacency) rather than on the adjacency matrix: each step orients
-one undirected edge only if that makes no new collider and no directed
-cycle, and each leaf is checked once more before it becomes a `PDGraph`.
-Meek's rules live only in `meek_closure`.
+There is one representation: per-vertex Python int bitmasks of parents,
+children and siblings (bit v of ``pa[u]`` set means v -> u).  Every
+algorithm here runs on those masks, with one reachability closure
+(`_reach`), one acyclicity check (`_topological_order`) and one collider
+finder (`_colliders`); vertex sets leave the module as frozensets and edge
+sets as frozensets of pairs.
 """
 
 from __future__ import annotations
 
-import itertools
-import json
+import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple
-
-import numpy as np
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import NotExtendableError, ResourceCapError
 
@@ -34,16 +32,32 @@ class VStructure(NamedTuple):
     c: int
 
 
+def _bits(mask: int) -> Iterator[int]:
+    """Vertices of a bitmask, smallest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _children_of(pa: Sequence[int]) -> list[int]:
+    """Child masks from parent masks."""
+    ch = [0] * len(pa)
+    for v, m in enumerate(pa):
+        for u in _bits(m):
+            ch[u] |= 1 << v
+    return ch
+
+
 class PDGraph:
     """Immutable partially directed graph on vertices 0..n-1.
 
-    Internally an n x n boolean matrix ``amat`` where ``amat[u, v]`` means
-    u has an edge mark pointing at v.  A directed edge u -> v sets only
-    ``amat[u, v]``; an undirected edge sets both cells.  Instances are
-    value objects: all mutating operations return new graphs.
+    Stored as per-vertex int bitmasks: ``_pa[v]`` holds the parents of v,
+    ``_ch[v]`` its children and ``_sib[v]`` its undirected neighbours.
+    Instances are value objects: all mutating operations return new graphs.
     """
 
-    __slots__ = ("_n", "_amat")
+    __slots__ = ("_pa", "_ch", "_sib")
 
     def __init__(
         self,
@@ -53,122 +67,89 @@ class PDGraph:
     ):
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        amat = np.zeros((n, n), dtype=bool)
-        marks: dict[tuple[int, int], str] = {}
+        pa, sib = [0] * n, [0] * n
+        seen: set[tuple[int, int]] = set()
 
-        def check(u: int, v: int, kind: str) -> tuple[int, int]:
+        def check(u: int, v: int) -> tuple[int, int]:
+            u, v = operator.index(u), operator.index(v)
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 raise ValueError(f"self loop at vertex {u}")
             key = (min(u, v), max(u, v))
-            if key in marks:
+            if key in seen:
                 raise ValueError(f"duplicate edge between {u} and {v}")
-            marks[key] = kind
-            return key
+            seen.add(key)
+            return u, v
 
-        for u, v in directed:
-            check(u, v, "directed")
-            amat[u, v] = True
-        for u, v in undirected:
-            check(u, v, "undirected")
-            amat[u, v] = True
-            amat[v, u] = True
-        amat.setflags(write=False)
-        self._n = n
-        self._amat = amat
+        for e in directed:
+            u, v = check(*e)
+            pa[v] |= 1 << u
+        for e in undirected:
+            u, v = check(*e)
+            sib[u] |= 1 << v
+            sib[v] |= 1 << u
+        self._set(pa, _children_of(pa), sib)
+
+    def _set(self, pa: Sequence[int], ch: Sequence[int], sib: Sequence[int]) -> None:
+        self._pa = tuple(pa)
+        self._ch = tuple(ch)
+        self._sib = tuple(sib)
 
     @classmethod
-    def _from_amat(cls, amat: np.ndarray) -> "PDGraph":
+    def _from_masks(cls, pa: Sequence[int], ch: Sequence[int], sib: Sequence[int]) -> "PDGraph":
+        """Graph of parent, child and sibling masks, trusted to be consistent."""
         g = object.__new__(cls)
-        g._n = amat.shape[0]
-        a = amat.copy()
-        a.setflags(write=False)
-        g._amat = a
+        g._set(pa, ch, sib)
         return g
+
+    def _adjacency(self) -> list[int]:
+        return [p | c | s for p, c, s in zip(self._pa, self._ch, self._sib)]
 
     # -- basic queries ---------------------------------------------------
 
     @property
     def n(self) -> int:
-        return self._n
-
-    def amat_copy(self) -> np.ndarray:
-        """Writable copy of the internal adjacency matrix."""
-        return self._amat.copy()
+        return len(self._pa)
 
     def parents(self, i: int) -> frozenset[int]:
-        mask = self._amat[:, i] & ~self._amat[i, :]
-        return frozenset(int(j) for j in np.nonzero(mask)[0])
+        return frozenset(_bits(self._pa[i]))
 
     def children(self, i: int) -> frozenset[int]:
-        mask = self._amat[i, :] & ~self._amat[:, i]
-        return frozenset(int(j) for j in np.nonzero(mask)[0])
+        return frozenset(_bits(self._ch[i]))
 
     def siblings(self, i: int) -> frozenset[int]:
         """Vertices joined to i by an undirected edge."""
-        mask = self._amat[i, :] & self._amat[:, i]
-        return frozenset(int(j) for j in np.nonzero(mask)[0])
+        return frozenset(_bits(self._sib[i]))
 
     def adjacent(self, i: int) -> frozenset[int]:
-        mask = self._amat[i, :] | self._amat[:, i]
-        return frozenset(int(j) for j in np.nonzero(mask)[0])
+        return frozenset(_bits(self._pa[i] | self._ch[i] | self._sib[i]))
 
     def has_edge(self, u: int, v: int) -> bool:
-        return bool(self._amat[u, v] or self._amat[v, u])
-
-    def has_directed(self, u: int, v: int) -> bool:
-        return bool(self._amat[u, v] and not self._amat[v, u])
-
-    def has_undirected(self, u: int, v: int) -> bool:
-        return bool(self._amat[u, v] and self._amat[v, u])
+        return bool((self._pa[u] | self._ch[u] | self._sib[u]) >> v & 1)
 
     def directed_edges(self) -> frozenset[tuple[int, int]]:
-        mask = self._amat & ~self._amat.T
-        return frozenset((int(u), int(v)) for u, v in zip(*np.nonzero(mask)))
+        return frozenset((u, v) for v, m in enumerate(self._pa) for u in _bits(m))
 
     def undirected_edges(self) -> frozenset[tuple[int, int]]:
         """Undirected edges as (u, v) pairs with u < v."""
-        mask = self._amat & self._amat.T
         return frozenset(
-            (int(u), int(v)) for u, v in zip(*np.nonzero(mask)) if u < v
+            (u, v) for u, m in enumerate(self._sib) for v in _bits(m >> u << u)
         )
-
-    def edge_count(self) -> int:
-        return len(self.directed_edges()) + len(self.undirected_edges())
 
     # -- structure predicates --------------------------------------------
 
     def is_fully_directed(self) -> bool:
-        return not np.any(self._amat & self._amat.T)
+        return not any(self._sib)
 
     def is_fully_undirected(self) -> bool:
-        return bool(np.array_equal(self._amat, self._amat.T))
+        return not any(self._pa)
 
     def topological_order(self) -> list[int] | None:
-        """Kahn's algorithm over directed edges; None if there is a directed
-        cycle.  Undirected edges are ignored.  Smallest vertex index first,
-        so the order is deterministic."""
-        d = self._amat & ~self._amat.T
-        indeg = d.sum(axis=0)
-        order: list[int] = []
-        ready = sorted(int(i) for i in np.nonzero(indeg == 0)[0])
-        indeg = indeg.copy()
-        placed = np.zeros(self._n, dtype=bool)
-        import heapq
-
-        heapq.heapify(ready)
-        while ready:
-            i = heapq.heappop(ready)
-            placed[i] = True
-            order.append(i)
-            for j in np.nonzero(d[i, :])[0]:
-                indeg[j] -= 1
-                if indeg[j] == 0 and not placed[j]:
-                    heapq.heappush(ready, int(j))
-        if len(order) != self._n:
-            return None
-        return order
+        """Order of the directed edges, smallest ready vertex first, so it is
+        deterministic; None if there is a directed cycle.  Undirected edges
+        are ignored."""
+        return _topological_order(self._pa)
 
     def is_dag(self) -> bool:
         return self.is_fully_directed() and self.topological_order() is not None
@@ -176,22 +157,23 @@ class PDGraph:
     # -- derived graphs ---------------------------------------------------
 
     def skeleton(self) -> "PDGraph":
-        return PDGraph._from_amat(self._amat | self._amat.T)
+        none = [0] * self.n
+        return PDGraph._from_masks(none, none, self._adjacency())
 
     # -- value semantics ---------------------------------------------------
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PDGraph):
             return NotImplemented
-        return self._n == other._n and np.array_equal(self._amat, other._amat)
+        return self._pa == other._pa and self._sib == other._sib
 
     def __hash__(self) -> int:
-        return hash((self._n, self._amat.tobytes()))
+        return hash((self._pa, self._sib))
 
     def __repr__(self) -> str:
         d = sorted(self.directed_edges())
         u = sorted(self.undirected_edges())
-        return f"PDGraph(n={self._n}, directed={d}, undirected={u})"
+        return f"PDGraph(n={self.n}, directed={d}, undirected={u})"
 
     # -- serialization ------------------------------------------------------
 
@@ -199,8 +181,8 @@ class PDGraph:
         """JSON-ready dict: {"p": n, "names": [...], "edges": [...]} where an
         undirected edge appears once with from < to and "directed": false."""
         if names is None:
-            names = [f"V{i}" for i in range(self._n)]
-        if len(names) != self._n:
+            names = [f"V{i}" for i in range(self.n)]
+        if len(names) != self.n:
             raise ValueError("names length does not match vertex count")
         edges = [
             {"from": u, "to": v, "directed": True}
@@ -211,10 +193,7 @@ class PDGraph:
             for u, v in sorted(self.undirected_edges())
         ]
         edges.sort(key=lambda e: (e["from"], e["to"], not e["directed"]))
-        return {"p": self._n, "names": list(names), "edges": edges}
-
-    def to_json(self, names: list[str] | None = None) -> str:
-        return json.dumps(self.to_json_dict(names), indent=2)
+        return {"p": self.n, "names": list(names), "edges": edges}
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PDGraph":
@@ -229,9 +208,51 @@ class PDGraph:
                 undirected.append((u, v))
         return cls(n, directed=directed, undirected=undirected)
 
-    @classmethod
-    def from_json(cls, text: str) -> "PDGraph":
-        return cls.from_json_dict(json.loads(text))
+
+# -- mask primitives -----------------------------------------------------------
+
+
+def _reach(step: Sequence[int], seen: int) -> int:
+    """The vertex set `seen` closed under following `step` masks."""
+    frontier = seen
+    while frontier:
+        nxt = 0
+        for v in _bits(frontier):
+            nxt |= step[v]
+        frontier = nxt & ~seen
+        seen |= frontier
+    return seen
+
+
+def _topological_order(pa: Sequence[int]) -> list[int] | None:
+    """Repeatedly place the smallest vertex whose parents are all placed;
+    None if some vertices never qualify (a directed cycle)."""
+    order: list[int] = []
+    left = (1 << len(pa)) - 1
+    while left:
+        for v in _bits(left):
+            if not pa[v] & left:
+                break
+        else:
+            return None
+        order.append(v)
+        left ^= 1 << v
+    return order
+
+
+def _colliders(pa: Sequence[int], adj: Sequence[int]) -> set[tuple[int, int, int]]:
+    """Triples (a, j, c), a < c, with a -> j <- c and a, c nonadjacent."""
+    return {
+        (a, j, c)
+        for j, m in enumerate(pa)
+        for a in _bits(m)
+        for c in _bits((m & ~adj[a]) >> a + 1 << a + 1)
+    }
+
+
+def _pairwise_adjacent(vs: int, adj: Sequence[int]) -> bool:
+    """True if the vertices of mask `vs` form a clique."""
+    return all(not vs & ~adj[x] & ~(1 << x) for x in _bits(vs))
 
 
 # -- colliders and orientation rules ----------------------------------------
@@ -239,97 +260,55 @@ class PDGraph:
 
 def find_v_structures(g: PDGraph) -> frozenset[VStructure]:
     """All collider triples a -> j <- c with a, c nonadjacent (a < c)."""
-    out = set()
-    for j in range(g.n):
-        pa = sorted(g.parents(j))
-        for a, c in itertools.combinations(pa, 2):
-            if not g.has_edge(a, c):
-                out.add(VStructure(a, j, c))
-    return frozenset(out)
+    return frozenset(VStructure(*t) for t in _colliders(g._pa, g._adjacency()))
 
 
-def _directed_path_exists(amat: np.ndarray, src: int, dst: int) -> bool:
-    """True if a path src -> ... -> dst exists over directed edges of amat."""
-    if src == dst:
-        return True
-    d = amat & ~amat.T
-    seen = np.zeros(amat.shape[0], dtype=bool)
-    stack = [src]
-    seen[src] = True
-    while stack:
-        u = stack.pop()
-        for v in np.nonzero(d[u, :])[0]:
-            if v == dst:
-                return True
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
-    return False
-
-
-def _meek_pass(amat: np.ndarray) -> bool:
-    """Apply Meek's rules R1-R4 once over the whole graph, orienting in
-    place.  Only undirected edges gain direction; an edge already directed
-    is never flipped.  Returns True if anything changed."""
-    n = amat.shape[0]
-    d = amat & ~amat.T
-    u = amat & amat.T
-    adj = amat | amat.T
+def _meek_pass(pa: list[int], ch: list[int], sib: list[int], adj: Sequence[int]) -> bool:
+    """Apply Meek's rules R1-R4 once over the whole graph, orienting the
+    masks in place.  Only undirected edges gain direction; an edge already
+    directed is never flipped.  R1 reads the directed edges as they stood
+    at the start of the pass; R2-R4 each scan the undirected pairs (both
+    orders, sorted) as they stood at the start of the rule.  Returns True
+    if anything changed."""
     changed = False
 
     def orient(a: int, b: int) -> None:
         nonlocal changed
-        amat[b, a] = False
+        sib[a] &= ~(1 << b)
+        sib[b] &= ~(1 << a)
+        ch[a] |= 1 << b
+        pa[b] |= 1 << a
         changed = True
+
+    def undirected_pairs() -> list[tuple[int, int]]:
+        return [(a, b) for a, m in enumerate(sib) for b in _bits(m)]
 
     # R1: a -> b - c with a, c nonadjacent orients b -> c, else a -> b <- c
     # would be a new collider.
-    for a, b in zip(*np.nonzero(d)):
-        for c in np.nonzero(u[b, :])[0]:
-            if c != a and not adj[a, c] and amat[b, c] and amat[c, b]:
-                orient(int(b), int(c))
-                u[b, c] = u[c, b] = False
-                d[b, c] = True
+    for a, m in enumerate(list(ch)):
+        for b in _bits(m):
+            for c in _bits(sib[b] & ~adj[a]):
+                orient(b, c)
 
     # R2: a -> b -> c with a - c orients a -> c, else there is a cycle.
-    for a, c in sorted(map(tuple, np.argwhere(u))):
-        if not (amat[a, c] and amat[c, a]):
-            continue
-        if np.any(d[a, :] & d[:, c]):
+    for a, c in undirected_pairs():
+        if sib[a] >> c & 1 and ch[a] & pa[c]:
             orient(a, c)
-            u[a, c] = u[c, a] = False
-            d[a, c] = True
 
     # R3: a - b with a - c, a - d, c -> b, d -> b, c and d nonadjacent
     # orients a -> b.
-    for a, b in sorted(map(tuple, np.argwhere(u))):
-        if not (amat[a, b] and amat[b, a]):
-            continue
-        cand = np.nonzero(u[a, :] & d[:, b])[0]
-        done = False
-        for c, dd in itertools.combinations(cand, 2):
-            if not adj[c, dd]:
-                orient(a, b)
-                u[a, b] = u[b, a] = False
-                d[a, b] = True
-                done = True
-                break
-        if done:
-            continue
+    for a, b in undirected_pairs():
+        if sib[a] >> b & 1 and not _pairwise_adjacent(sib[a] & pa[b], adj):
+            orient(a, b)
 
     # R4: a - b with a - d, d -> c, c -> b, b and d nonadjacent, and a
     # adjacent to c orients a -> b.
-    for a, b in sorted(map(tuple, np.argwhere(u))):
-        if not (amat[a, b] and amat[b, a]):
+    for a, b in undirected_pairs():
+        if not sib[a] >> b & 1:
             continue
-        for dd in np.nonzero(u[a, :])[0]:
-            if adj[b, dd]:
-                continue
-            hit = np.nonzero(d[dd, :] & d[:, b] & adj[a, :])[0]
-            if hit.size:
+        for d in _bits(sib[a] & ~adj[b] & ~(1 << b)):
+            if ch[d] & pa[b] & adj[a]:
                 orient(a, b)
-                u[a, b] = u[b, a] = False
-                d[a, b] = True
                 break
 
     return changed
@@ -343,10 +322,11 @@ def meek_closure(g: PDGraph) -> PDGraph:
     so the result is deterministic; on inputs that admit a consistent
     extension the result is independent of rule order.
     """
-    amat = g.amat_copy()
-    while _meek_pass(amat):
+    pa, ch, sib = list(g._pa), list(g._ch), list(g._sib)
+    adj = g._adjacency()
+    while _meek_pass(pa, ch, sib, adj):
         pass
-    return PDGraph._from_amat(amat)
+    return PDGraph._from_masks(pa, ch, sib)
 
 
 # -- consistent extension -----------------------------------------------------
@@ -356,45 +336,26 @@ def extend_to_dag(g: PDGraph) -> PDGraph | None:
     """Orient all undirected edges of g into a DAG with the same skeleton
     and the same colliders, or return None if no such DAG exists.
 
-    Classic sink-elimination: repeatedly find a vertex with no outgoing
-    directed edge whose undirected neighbours are adjacent to all of its
-    other neighbours, point its undirected edges at it, and remove it.
+    Classic sink-elimination: repeatedly take the smallest remaining vertex
+    with no outgoing directed edge whose undirected neighbours are adjacent
+    to all of its other neighbours, point its undirected edges at it, and
+    remove it.
     """
-    n = g.n
-    work = g.amat_copy()
-    result = g.amat_copy()
-    alive = np.ones(n, dtype=bool)
-    for _ in range(n):
-        adj = work | work.T
-        found = -1
-        for x in range(n):
-            if not alive[x]:
+    adj = g._adjacency()
+    pa = list(g._pa)
+    alive = (1 << g.n) - 1
+    while alive:
+        for x in _bits(alive):
+            if g._ch[x] & alive:
                 continue
-            out = work[x, :] & ~work[:, x] & alive
-            if out.any():
-                continue
-            nbrs = np.nonzero((work[x, :] | work[:, x]) & alive)[0]
-            sibs = [int(w) for w in nbrs if work[x, w] and work[w, x]]
-            ok = True
-            for w in sibs:
-                for z in nbrs:
-                    if z != w and not adj[w, z]:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                found = x
+            nbrs = adj[x] & alive
+            if all(not nbrs & ~adj[w] & ~(1 << w) for w in _bits(g._sib[x] & alive)):
                 break
-        if found < 0:
+        else:
             return None
-        x = found
-        for w in np.nonzero(work[x, :] & work[:, x])[0]:
-            result[x, w] = False  # w -> x
-        alive[x] = False
-        work[x, :] = False
-        work[:, x] = False
-    return PDGraph._from_amat(result)
+        pa[x] |= g._sib[x] & alive
+        alive ^= 1 << x
+    return PDGraph._from_masks(pa, _children_of(pa), [0] * g.n)
 
 
 def is_extendable(g: PDGraph) -> bool:
@@ -404,47 +365,16 @@ def is_extendable(g: PDGraph) -> bool:
 # -- equivalence-class enumeration -------------------------------------------
 
 
-def _undirected_components(g: PDGraph) -> list[list[tuple[int, int]]]:
-    """Connected components of the undirected subgraph, as edge lists."""
-    parent = list(range(g.n))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    edges = sorted(g.undirected_edges())
-    for u, v in edges:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    comp: dict[int, list[tuple[int, int]]] = {}
-    for u, v in edges:
-        comp.setdefault(find(u), []).append((u, v))
-    return [comp[r] for r in sorted(comp)]
-
-
-def _bits(mask: int) -> Iterator[int]:
-    """Vertices of a bitmask, smallest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-def _reaches(children: list[int], src: int, dst: int) -> bool:
-    """True if a directed path src -> ... -> dst exists over child masks."""
-    seen = frontier = children[src]
-    while frontier:
-        if frontier >> dst & 1:
-            return True
-        step = 0
-        for v in _bits(frontier):
-            step |= children[v]
-        frontier = step & ~seen
-        seen |= frontier
-    return False
+def _undirected_components(sib: Sequence[int]) -> list[int]:
+    """Vertex masks of the connected components of the undirected subgraph
+    that have an edge, by smallest vertex."""
+    comps = []
+    left = sum(1 << v for v, m in enumerate(sib) if m)
+    while left:
+        comp = _reach(sib, left & -left)
+        comps.append(comp)
+        left &= ~comp
+    return comps
 
 
 def enumerate_dags(
@@ -455,16 +385,17 @@ def enumerate_dags(
     """All DAGs with g's skeleton and collider set, obtained by orienting
     g's undirected edges.  Existing directed edges are kept as they are.
 
-    A depth-first search on per-vertex bitmasks orients the undirected
-    edges one at a time in sorted order, trying (u, v) before (v, u).  An
-    orientation a -> b is admitted only if it creates no new collider at b
-    (every parent of b is adjacent to a) and no directed cycle (no path
-    b -> ... -> a).  Each leaf is checked once more: it must be acyclic
-    with exactly g's colliders.
+    A depth-first search on the parent and child masks orients the
+    undirected edges one at a time in sorted order, trying (u, v) before
+    (v, u).  An orientation a -> b is admitted only if it creates no new
+    collider at b (every parent of b is adjacent to a) and no directed
+    cycle (no path b -> ... -> a).  Each leaf is checked once more: it must
+    be acyclic with exactly g's colliders.
 
-    The output order is deterministic: DAGs are sorted by their orientation
-    vector over the sorted undirected edge list (0 = kept as (u, v) with
-    u < v, 1 = reversed).
+    The output order is deterministic: DAGs come in the order of their
+    orientation vector over the sorted undirected edge list (0 = kept as
+    (u, v) with u < v, 1 = reversed), which is the order the search
+    reaches them.
 
     Raises ResourceCapError if any undirected connected component has more
     than `max_component_edges` edges or more than `max_dags` DAGs are found,
@@ -472,59 +403,42 @@ def enumerate_dags(
     """
     if extend_to_dag(g) is None:
         raise NotExtendableError("graph has no consistent extension to a DAG")
-    for comp in _undirected_components(g):
-        if len(comp) > max_component_edges:
+    for comp in _undirected_components(g._sib):
+        edges = sum(g._sib[v].bit_count() for v in _bits(comp)) // 2
+        if edges > max_component_edges:
             raise ResourceCapError(
-                f"an undirected component has {len(comp)} edges "
+                f"an undirected component has {edges} edges "
                 f"(cap {max_component_edges})"
             )
     und = sorted(g.undirected_edges())
-    base_vs = find_v_structures(g)
-    n = g.n
-    adj = [sum(1 << v for v in g.adjacent(u)) for u in range(n)]
-    children, parents = [0] * n, [0] * n
-    for u, v in g.directed_edges():
-        children[u] |= 1 << v
-        parents[v] |= 1 << u
-    results: list[tuple[tuple[int, ...], PDGraph]] = []
+    adj = g._adjacency()
+    base_vs = _colliders(g._pa, adj)
+    children, parents = list(g._ch), list(g._pa)
+    no_siblings = [0] * g.n
+    results: list[PDGraph] = []
 
-    def leaf_ok() -> bool:
-        left = (1 << n) - 1
-        while left:
-            sources = sum(1 << v for v in _bits(left) if not parents[v] & left)
-            if not sources:
-                return False  # directed cycle
-            left &= ~sources
-        return base_vs == {
-            (a, j, c)
-            for j in range(n)
-            for a, c in itertools.combinations(_bits(parents[j]), 2)
-            if not adj[a] >> c & 1
-        }
-
-    def rec(k: int, vec: tuple[int, ...]) -> None:
+    def rec(k: int) -> None:
         if k == len(und):
-            if leaf_ok():
-                amat = g.amat_copy()
-                for (u, v), flip in zip(und, vec):
-                    amat[(u, v) if flip else (v, u)] = False
-                results.append((vec, PDGraph._from_amat(amat)))
+            if (
+                _topological_order(parents) is not None
+                and _colliders(parents, adj) == base_vs
+            ):
+                results.append(PDGraph._from_masks(parents, children, no_siblings))
                 if len(results) > max_dags:
                     raise ResourceCapError(f"equivalence class exceeds {max_dags} DAGs")
             return
         u, v = und[k]
-        for a, b, flip in ((u, v, 0), (v, u, 1)):
-            if parents[b] & ~adj[a] or _reaches(children, b, a):
+        for a, b in ((u, v), (v, u)):
+            if parents[b] & ~adj[a] or _reach(children, 1 << b) >> a & 1:
                 continue  # new collider at b, or a directed cycle
             children[a] |= 1 << b
             parents[b] |= 1 << a
-            rec(k + 1, vec + (flip,))
+            rec(k + 1)
             children[a] &= ~(1 << b)
             parents[b] &= ~(1 << a)
 
-    rec(0, ())
-    results.sort(key=lambda t: t[0])
-    return [d for _, d in results]
+    rec(0)
+    return results
 
 
 def cpdag_from_dag(d: PDGraph) -> PDGraph:
@@ -533,15 +447,32 @@ def cpdag_from_dag(d: PDGraph) -> PDGraph:
     (same skeleton, same colliders), undirected otherwise."""
     if not d.is_dag():
         raise ValueError("input must be a DAG")
-    amat = (d.amat_copy() | d.amat_copy().T)
-    for a, j, c in find_v_structures(d):
-        amat[j, a] = False
-        amat[j, c] = False
-    pat = PDGraph._from_amat(amat)
-    return meek_closure(pat)
+    adj = d._adjacency()
+    pa = [0] * d.n
+    for a, j, c in _colliders(d._pa, adj):
+        pa[j] |= 1 << a | 1 << c
+    ch = _children_of(pa)
+    sib = [m & ~p & ~c for m, p, c in zip(adj, pa, ch)]
+    return meek_closure(PDGraph._from_masks(pa, ch, sib))
 
 
 # -- chordal utilities ---------------------------------------------------------
+
+
+def _elimination_order(adj: Sequence[int]) -> list[int] | None:
+    """Repeatedly take the smallest vertex whose remaining neighbours form a
+    clique; None if at some point no vertex qualifies."""
+    order: list[int] = []
+    alive = (1 << len(adj)) - 1
+    while alive:
+        for x in _bits(alive):
+            if _pairwise_adjacent(adj[x] & alive, adj):
+                break
+        else:
+            return None
+        order.append(x)
+        alive ^= 1 << x
+    return order
 
 
 def perfect_elimination_order(g: PDGraph) -> list[int] | None:
@@ -553,31 +484,7 @@ def perfect_elimination_order(g: PDGraph) -> list[int] | None:
     """
     if not g.is_fully_undirected():
         raise ValueError("perfect elimination order requires an undirected graph")
-    n = g.n
-    adj = g.amat_copy()
-    alive = np.ones(n, dtype=bool)
-    order: list[int] = []
-
-    def simplicial(x: int) -> bool:
-        nbrs = np.nonzero(adj[x, :] & alive)[0]
-        for a, b in itertools.combinations(nbrs, 2):
-            if not adj[a, b]:
-                return False
-        return True
-
-    remaining = n
-    while remaining:
-        pick = -1
-        for x in range(n):
-            if alive[x] and simplicial(x):
-                pick = x
-                break
-        if pick < 0:
-            return None
-        alive[pick] = False
-        order.append(pick)
-        remaining -= 1
-    return order
+    return _elimination_order(g._sib)
 
 
 def is_chordal(g: PDGraph) -> bool:
@@ -591,22 +498,12 @@ def is_chordal(g: PDGraph) -> bool:
 
 def has_directed_path(g: PDGraph, i: int, y: int) -> bool:
     """True if a path of directed edges leads from i to y (i == y counts)."""
-    return _directed_path_exists(g._amat, i, y)
+    return bool(_reach(g._ch, 1 << i) >> y & 1)
 
 
 def skeleton_component(g: PDGraph, y: int) -> frozenset[int]:
     """Vertices connected to y by some path over the skeleton (y included)."""
-    adj = g._amat | g._amat.T
-    seen = np.zeros(g.n, dtype=bool)
-    seen[y] = True
-    stack = [y]
-    while stack:
-        u = stack.pop()
-        for v in np.nonzero(adj[u, :])[0]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(int(v))
-    return frozenset(int(x) for x in np.nonzero(seen)[0])
+    return frozenset(_bits(_reach(g._adjacency(), 1 << y)))
 
 
 def reachable_toward(g: PDGraph, i: int, y: int, over: str = "parents") -> frozenset[int]:
@@ -659,20 +556,15 @@ def is_locally_valid(g: PDGraph, i: int, s: Iterable[int]) -> bool:
     graphs that are not valid CPDAGs, where parents may be nonadjacent to
     siblings; on valid CPDAGs it never fails.
     """
-    s = sorted(int(x) for x in s)
-    sibs = g.siblings(i)
-    for x in s:
-        if x not in sibs:
+    mask = 0
+    for x in sorted(int(x) for x in s):
+        if not g._sib[i] >> x & 1:
             raise ValueError(f"{x} is not a sibling of {i}")
-    for a, b in itertools.combinations(s, 2):
-        if not g.has_edge(a, b):
-            return False
-    pa = g.parents(i)
-    for x in s:
-        for p in pa:
-            if not g.has_edge(x, p):
-                return False
-    return True
+        mask |= 1 << x
+    adj = g._adjacency()
+    return _pairwise_adjacent(mask, adj) and all(
+        not g._pa[i] & ~adj[x] for x in _bits(mask)
+    )
 
 
 # -- validation ----------------------------------------------------------------
@@ -698,8 +590,7 @@ def validate_cpdag(g: PDGraph) -> CpdagValidation:
     ext = is_extendable(g)
     if not ext:
         problems.append("no consistent extension to a DAG exists")
-    und = PDGraph(g.n, undirected=sorted(g.undirected_edges()))
-    chordal = is_chordal(und)
+    chordal = _elimination_order(g._sib) is not None
     if not chordal:
         problems.append("undirected subgraph is not chordal")
     return CpdagValidation(ext, chordal, tuple(problems))

@@ -202,7 +202,6 @@ def orient_v_structures(
     a pinned direction is skipped entirely.  `dropped_triples` are skipped
     outright.  Both hooks exist for the repair search.
     """
-    amat = skeleton.amat_copy()
     if not skeleton.is_fully_undirected():
         raise ValueError("orient_v_structures expects an undirected skeleton")
     triples = []
@@ -222,6 +221,8 @@ def orient_v_structures(
     def pinned(a: int, b: int) -> tuple[int, int] | None:
         return forced.get((min(a, b), max(a, b)))
 
+    # Direction of every oriented edge, keyed by its sorted vertex pair.
+    heads: dict[tuple[int, int], tuple[int, int]] = {}
     for i, j, k in triples:
         if (i, j, k) in dropped:
             continue
@@ -229,17 +230,15 @@ def orient_v_structures(
         if any(pinned(a, b) not in (None, (a, b)) for a, b in want):
             continue
         for a, b in want:
-            if amat[b, a] and not amat[a, b]:
+            key = (min(a, b), max(a, b))
+            if heads.get(key) == (b, a) and diag is not None:
                 # edge currently b -> a; this triple flips it
-                if diag is not None:
-                    diag.overwrites.append(
-                        {"edge": [b, a], "new": [a, b], "triple": [i, j, k]}
-                    )
-                amat[a, b] = True
-                amat[b, a] = False
-            else:
-                amat[b, a] = False
-    return PDGraph._from_amat(amat)
+                diag.overwrites.append(
+                    {"edge": [b, a], "new": [a, b], "triple": [i, j, k]}
+                )
+            heads[key] = (a, b)
+    undirected = [e for e in skeleton.undirected_edges() if e not in heads]
+    return PDGraph(skeleton.n, directed=heads.values(), undirected=undirected)
 
 
 def pc_cpdag(

@@ -4,11 +4,15 @@ The oracles here deliberately avoid the package's own algorithms: class
 enumeration is re-derived by filtering all edge orientations, partial
 correlations are re-derived by the classic recursion, and the skeleton
 search by a one-test-at-a-time loop, so agreement is evidence rather than
-tautology.
+tautology.  The graph references work on an n x n numpy edge-mark matrix
+(``amat[u, v]`` means an edge mark of u points at v; an undirected edge
+sets both cells), not on the package's vertex bitmasks, and touch a
+`PDGraph` only through its public edge lists and constructor.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import os
@@ -25,7 +29,6 @@ from causalspan import (
     NumericalRankError,
     PDGraph,
     WeightedDag,
-    find_v_structures,
 )
 
 # Populated by the acceptance tests; echoed after the run so the one-line
@@ -64,18 +67,219 @@ def cli_env(extra=None):
 # graph oracles
 
 
+def to_amat(g: PDGraph) -> np.ndarray:
+    """Writable edge-mark matrix of g."""
+    amat = np.zeros((g.n, g.n), dtype=bool)
+    for u, v in g.directed_edges():
+        amat[u, v] = True
+    for u, v in g.undirected_edges():
+        amat[u, v] = amat[v, u] = True
+    return amat
+
+
+def from_amat(amat: np.ndarray) -> PDGraph:
+    """The graph of an edge-mark matrix."""
+    directed = [(int(u), int(v)) for u, v in np.argwhere(amat & ~amat.T)]
+    undirected = [(int(u), int(v)) for u, v in np.argwhere(amat & amat.T) if u < v]
+    return PDGraph(amat.shape[0], directed=directed, undirected=undirected)
+
+
+def reference_v_structures(g: PDGraph) -> frozenset[tuple[int, int, int]]:
+    """Collider triples (a, j, c), a < c, read off the edge-mark matrix."""
+    amat = to_amat(g)
+    d = amat & ~amat.T
+    adj = amat | amat.T
+    return frozenset(
+        (int(a), j, int(c))
+        for j in range(g.n)
+        for a, c in itertools.combinations(np.nonzero(d[:, j])[0], 2)
+        if not adj[a, c]
+    )
+
+
+def reference_topological_order(g: PDGraph) -> list[int] | None:
+    """Kahn's algorithm over directed edges with a min-heap, smallest
+    vertex first; None if there is a directed cycle."""
+    amat = to_amat(g)
+    d = amat & ~amat.T
+    indeg = d.sum(axis=0)
+    order: list[int] = []
+    ready = sorted(int(i) for i in np.nonzero(indeg == 0)[0])
+    indeg = indeg.copy()
+    placed = np.zeros(g.n, dtype=bool)
+    heapq.heapify(ready)
+    while ready:
+        i = heapq.heappop(ready)
+        placed[i] = True
+        order.append(i)
+        for j in np.nonzero(d[i, :])[0]:
+            indeg[j] -= 1
+            if indeg[j] == 0 and not placed[j]:
+                heapq.heappush(ready, int(j))
+    if len(order) != g.n:
+        return None
+    return order
+
+
+def reference_is_dag(g: PDGraph) -> bool:
+    amat = to_amat(g)
+    return not np.any(amat & amat.T) and reference_topological_order(g) is not None
+
+
+def _reference_meek_pass(amat: np.ndarray) -> bool:
+    """Meek's rules R1-R4 once over the whole graph, orienting in place;
+    True if anything changed.  R1 reads the directed edges as they stood at
+    the start of the pass; R2-R4 each scan the undirected pairs (both
+    orders, sorted) as they stood at the start of the rule."""
+    d = amat & ~amat.T
+    u = amat & amat.T
+    adj = amat | amat.T
+    changed = False
+
+    def orient(a: int, b: int) -> None:
+        nonlocal changed
+        amat[b, a] = False
+        changed = True
+
+    # R1: a -> b - c with a, c nonadjacent orients b -> c.
+    for a, b in zip(*np.nonzero(d)):
+        for c in np.nonzero(u[b, :])[0]:
+            if c != a and not adj[a, c] and amat[b, c] and amat[c, b]:
+                orient(int(b), int(c))
+                u[b, c] = u[c, b] = False
+                d[b, c] = True
+
+    # R2: a -> b -> c with a - c orients a -> c.
+    for a, c in sorted(map(tuple, np.argwhere(u))):
+        if not (amat[a, c] and amat[c, a]):
+            continue
+        if np.any(d[a, :] & d[:, c]):
+            orient(a, c)
+            u[a, c] = u[c, a] = False
+            d[a, c] = True
+
+    # R3: a - b with a - c, a - d, c -> b, d -> b, c and d nonadjacent
+    # orients a -> b.
+    for a, b in sorted(map(tuple, np.argwhere(u))):
+        if not (amat[a, b] and amat[b, a]):
+            continue
+        cand = np.nonzero(u[a, :] & d[:, b])[0]
+        for c, dd in itertools.combinations(cand, 2):
+            if not adj[c, dd]:
+                orient(a, b)
+                u[a, b] = u[b, a] = False
+                d[a, b] = True
+                break
+
+    # R4: a - b with a - d, d -> c, c -> b, b and d nonadjacent, and a
+    # adjacent to c orients a -> b.
+    for a, b in sorted(map(tuple, np.argwhere(u))):
+        if not (amat[a, b] and amat[b, a]):
+            continue
+        for dd in np.nonzero(u[a, :])[0]:
+            if adj[b, dd]:
+                continue
+            hit = np.nonzero(d[dd, :] & d[:, b] & adj[a, :])[0]
+            if hit.size:
+                orient(a, b)
+                u[a, b] = u[b, a] = False
+                d[a, b] = True
+                break
+
+    return changed
+
+
+def reference_meek_closure(g: PDGraph) -> PDGraph:
+    """Meek's rules on the edge-mark matrix until no rule fires."""
+    amat = to_amat(g)
+    while _reference_meek_pass(amat):
+        pass
+    return from_amat(amat)
+
+
+def reference_extend_to_dag(g: PDGraph) -> PDGraph | None:
+    """Sink elimination on the edge-mark matrix: repeatedly take the
+    smallest alive vertex with no directed out-edge whose undirected
+    neighbours are adjacent to all its other neighbours, point its
+    undirected edges at it, and remove it; None when none qualifies."""
+    n = g.n
+    work = to_amat(g)
+    result = work.copy()
+    alive = np.ones(n, dtype=bool)
+    for _ in range(n):
+        adj = work | work.T
+        found = -1
+        for x in range(n):
+            if not alive[x]:
+                continue
+            out = work[x, :] & ~work[:, x] & alive
+            if out.any():
+                continue
+            nbrs = np.nonzero((work[x, :] | work[:, x]) & alive)[0]
+            sibs = [int(w) for w in nbrs if work[x, w] and work[w, x]]
+            ok = True
+            for w in sibs:
+                for z in nbrs:
+                    if z != w and not adj[w, z]:
+                        ok = False
+                        break
+                if not ok:
+                    break
+            if ok:
+                found = x
+                break
+        if found < 0:
+            return None
+        x = found
+        for w in np.nonzero(work[x, :] & work[:, x])[0]:
+            result[x, w] = False  # w -> x
+        alive[x] = False
+        work[x, :] = False
+        work[:, x] = False
+    return from_amat(result)
+
+
+def reference_elimination_order(g: PDGraph) -> list[int] | None:
+    """Smallest-simplicial-first elimination order of g's undirected
+    subgraph, or None if that subgraph is not chordal."""
+    amat = to_amat(g)
+    adj = amat & amat.T
+    alive = np.ones(g.n, dtype=bool)
+    order: list[int] = []
+    while len(order) < g.n:
+        for x in np.nonzero(alive)[0]:
+            nbrs = np.nonzero(adj[x, :] & alive)[0]
+            if all(adj[a, b] for a, b in itertools.combinations(nbrs, 2)):
+                break
+        else:
+            return None
+        alive[x] = False
+        order.append(int(x))
+    return order
+
+
+def reference_cpdag_from_dag(d: PDGraph) -> PDGraph:
+    """The DAG's skeleton with its colliders oriented, closed under the
+    reference Meek rules."""
+    amat = to_amat(d)
+    amat |= amat.T
+    for a, j, c in reference_v_structures(d):
+        amat[j, a] = amat[j, c] = False
+    return reference_meek_closure(from_amat(amat))
+
+
 def brute_force_class(g: PDGraph) -> list[PDGraph]:
     """Every DAG sharing g's skeleton and v-structures whose directed part
     extends g's, found by trying all orientations of the undirected edges."""
     und = sorted(g.undirected_edges())
-    base_v = set(find_v_structures(g))
+    base_v = reference_v_structures(g)
     out = []
     for bits in itertools.product((False, True), repeat=len(und)):
         edges = list(g.directed_edges())
         for (u, v), flip in zip(und, bits):
             edges.append((v, u) if flip else (u, v))
         cand = PDGraph(g.n, directed=edges)
-        if cand.is_dag() and set(find_v_structures(cand)) == base_v:
+        if reference_is_dag(cand) and reference_v_structures(cand) == base_v:
             out.append(cand)
     return out
 

@@ -145,6 +145,17 @@ class TestEstimate:
         assert r.returncode == 0, r.stderr
         assert json.loads(out.read_text())["seed"] == 7
 
+    def test_explicit_flag_beats_environment(self, chain_csv, tmp_path):
+        out = tmp_path / "r.json"
+        r = run_cli(
+            ["estimate", "--input", chain_csv, "--response", "C",
+             "--seed", "3", "--out", str(out)],
+            cwd=tmp_path,
+            env_extra={"CAUSALSPAN_SEED": "7"},
+        )
+        assert r.returncode == 0, r.stderr
+        assert json.loads(out.read_text())["seed"] == 3
+
 
 class TestScore:
     def test_ranks_the_driving_covariate_first(self, identified_csv, tmp_path):

@@ -80,8 +80,8 @@ class TestDataset:
 class TestCovMatrix:
     def test_population_flag(self):
         c = CovMatrix(np.eye(2))
-        assert c.is_population
-        assert not CovMatrix(np.eye(2), n=50).is_population
+        assert c.n is None
+        assert CovMatrix(np.eye(2), n=50).n == 50
 
     def test_rejects_asymmetric(self):
         with pytest.raises(Exception):

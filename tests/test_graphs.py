@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalspan import (
+    CITestConfig,
     NotExtendableError,
     PDGraph,
     ResourceCapError,
@@ -16,33 +17,57 @@ from causalspan import (
     allows_directed_path,
     cpdag_from_dag,
     enumerate_dags,
+    estimate_skeleton,
     extend_to_dag,
     find_v_structures,
+    generate_data,
     has_directed_path,
     is_chordal,
     is_extendable,
     is_locally_valid,
     meek_closure,
+    orient_v_structures,
     perfect_elimination_order,
+    random_weighted_dag,
     reachable_toward,
     skeleton_component,
     validate_cpdag,
 )
-from conftest import brute_force_class, random_pdgraph_dag, relabel
+from conftest import (
+    brute_force_class,
+    random_pdgraph_dag,
+    reference_cpdag_from_dag,
+    reference_elimination_order,
+    reference_extend_to_dag,
+    reference_is_dag,
+    reference_meek_closure,
+    reference_topological_order,
+    reference_v_structures,
+    relabel,
+    to_amat,
+)
 
 
 def class_members_by_skeleton(dag: PDGraph) -> set[PDGraph]:
     """Independent oracle: all orientations of dag's skeleton that are
     acyclic and reproduce dag's v-structures."""
-    target = set(find_v_structures(dag))
+    target = reference_v_structures(dag)
     und = sorted(dag.skeleton().undirected_edges())
     out = set()
     for bits in itertools.product((False, True), repeat=len(und)):
         edges = [((v, u) if flip else (u, v)) for (u, v), flip in zip(und, bits)]
         cand = PDGraph(dag.n, directed=edges)
-        if cand.is_dag() and set(find_v_structures(cand)) == target:
+        if reference_is_dag(cand) and reference_v_structures(cand) == target:
             out.add(cand)
     return out
+
+
+def directed(g: PDGraph, u: int, v: int) -> bool:
+    return (u, v) in g.directed_edges()
+
+
+def undirected(g: PDGraph, u: int, v: int) -> bool:
+    return (min(u, v), max(u, v)) in g.undirected_edges()
 
 
 # ---------------------------------------------------------------------------
@@ -52,8 +77,8 @@ def class_members_by_skeleton(dag: PDGraph) -> set[PDGraph]:
 class TestConstruction:
     def test_edge_types(self):
         g = PDGraph(3, directed=[(0, 1)], undirected=[(1, 2)])
-        assert g.has_directed(0, 1) and not g.has_directed(1, 0)
-        assert g.has_undirected(1, 2) and g.has_undirected(2, 1)
+        assert directed(g, 0, 1) and not directed(g, 1, 0)
+        assert undirected(g, 1, 2) and undirected(g, 2, 1)
         assert g.parents(1) == {0}
         assert g.children(0) == {1}
         assert g.siblings(1) == {2}
@@ -129,13 +154,13 @@ class TestMeekClosure:
         # a -> b - c with a, c nonadjacent: c cannot point at b, so b -> c.
         g = PDGraph(3, directed=[(0, 1)], undirected=[(1, 2)])
         h = meek_closure(g)
-        assert h.has_directed(1, 2)
+        assert directed(h, 1, 2)
 
     def test_acyclicity_rule(self):
         # a -> b -> c with a - c: c -> a would close a cycle.
         g = PDGraph(3, directed=[(0, 1), (1, 2)], undirected=[(0, 2)])
         h = meek_closure(g)
-        assert h.has_directed(0, 2)
+        assert directed(h, 0, 2)
 
     def test_double_chain_rule(self):
         # a - b, a - c, a - d, c -> b, d -> b, c and d nonadjacent: a -> b.
@@ -145,7 +170,7 @@ class TestMeekClosure:
             undirected=[(0, 1), (0, 2), (0, 3)],
         )
         h = meek_closure(g)
-        assert h.has_directed(0, 1)
+        assert directed(h, 0, 1)
 
     def test_chain_collider_rule(self):
         # a - b, a - d, d -> c, c -> b, b and d nonadjacent, a - c: a -> b.
@@ -155,7 +180,7 @@ class TestMeekClosure:
             undirected=[(0, 1), (0, 3), (0, 2)],
         )
         h = meek_closure(g)
-        assert h.has_directed(0, 1)
+        assert directed(h, 0, 1)
 
     def test_closure_idempotent(self):
         rng = np.random.default_rng(3)
@@ -239,7 +264,7 @@ class TestExtension:
         # 0 -> 1 - 2 cannot extend by 2 -> 1 (new collider); only 1 -> 2 works.
         g = PDGraph(3, directed=[(0, 1)], undirected=[(1, 2)])
         ext = extend_to_dag(g)
-        assert ext.has_directed(1, 2)
+        assert directed(ext, 1, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +362,7 @@ class TestEnumerateDags:
             return  # keeps the brute force at most 2**10 orientations
         oracle = sorted(
             brute_force_class(g),
-            key=lambda d: tuple(0 if d.has_directed(u, v) else 1 for u, v in und),
+            key=lambda d: tuple(0 if directed(d, u, v) else 1 for u, v in und),
         )
         assert oracle, "dag itself extends g"
         # Caps below, at and above the class size, and the default.
@@ -459,7 +484,7 @@ class TestChordality:
             for a in later:
                 for b in later:
                     if a < b:
-                        assert g.has_undirected(a, b)
+                        assert undirected(g, a, b)
             remaining.discard(v)
 
     def test_cpdag_undirected_part_always_chordal(self):
@@ -486,6 +511,73 @@ class TestValidation:
         assert not v.extendable
         assert not v.undirected_chordal
         assert v.problems
+
+
+# ---------------------------------------------------------------------------
+# agreement with the edge-mark-matrix references
+
+
+def reference_inputs(kind: str, seed: int) -> list[PDGraph]:
+    """Graphs of one kind, drawn from the seed: a CPDAG; a DAG with a random
+    subset of its edges (colliders included) left undirected; or collider
+    orientation of a PC skeleton from a few rows, which is often not a
+    valid CPDAG.  Each comes with the DAG it was drawn from."""
+    rng = np.random.default_rng(seed)
+    if kind == "pc":
+        # About half of these have collider conflicts, and one in ten
+        # stays invalid after Meek's rules.
+        w = random_weighted_dag(int(rng.integers(5, 11)), float(rng.uniform(1.5, 4.0)), rng)
+        d = generate_data(w, int(rng.integers(20, 60)), rng)
+        skeleton, sepsets, _ = estimate_skeleton(d, CITestConfig(float(rng.choice([0.2, 0.5]))))
+        return [orient_v_structures(skeleton, sepsets), w.graph]
+    p = int(rng.integers(3, 9))
+    dag = random_pdgraph_dag(rng, p, float(rng.uniform(0.2, 0.8)))
+    dag = relabel(dag, list(rng.permutation(p)))
+    if kind == "cpdag":
+        return [reference_cpdag_from_dag(dag), dag]
+    loose = [e for e in sorted(dag.directed_edges()) if rng.random() < 0.6]
+    g = PDGraph(
+        p,
+        directed=dag.directed_edges() - set(loose),
+        undirected=[(min(u, v), max(u, v)) for u, v in loose],
+    )
+    return [g, dag]
+
+
+class TestMatchesReferences:
+    @pytest.mark.parametrize("kind", ["cpdag", "partial", "pc"])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_mask_algorithms_match_matrix_references(self, kind, seed):
+        g, dag = reference_inputs(kind, seed)
+        n = g.n
+        assert meek_closure(g) == reference_meek_closure(g)
+        ext = reference_extend_to_dag(g)
+        assert extend_to_dag(g) == ext
+        order = reference_elimination_order(g)
+        v = validate_cpdag(g)
+        assert (v.extendable, v.undirected_chordal) == (ext is not None, order is not None)
+        und = PDGraph(n, undirected=g.undirected_edges())
+        assert perfect_elimination_order(und) == order
+        assert find_v_structures(g) == reference_v_structures(g)
+        assert g.topological_order() == reference_topological_order(g)
+        assert g.is_dag() == reference_is_dag(g)
+        for d in (dag, ext):
+            if d is not None:
+                assert cpdag_from_dag(d) == reference_cpdag_from_dag(d)
+        # Reachability: transitive closures of the directed part and of
+        # the skeleton, by repeated squaring of the matrix.
+        amat = to_amat(g)
+        for step, query in (
+            (amat & ~amat.T, lambda i, y: has_directed_path(g, i, y)),
+            (amat | amat.T, lambda i, y: y in skeleton_component(g, i)),
+        ):
+            reach = step | np.eye(n, dtype=bool)
+            for _ in range(n):
+                reach = reach | (reach.astype(int) @ reach.astype(int) > 0)
+            for i in range(n):
+                for y in range(n):
+                    assert query(i, y) == reach[i, y]
 
 
 # ---------------------------------------------------------------------------
