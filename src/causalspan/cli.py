@@ -3,7 +3,8 @@
 Four subcommands: `estimate` writes a JSON report of per-covariate effect
 multisets, `score` writes a CSV of bootstrap causal scores, `tune` writes a
 CSV of per-alpha BIC scores, and `simulate` writes a CSV of replicated
-synthetic-data results.
+synthetic-data results.  Each subcommand accepts only the flags it reads
+(see `_COMMAND_FLAGS`); any other flag is a usage error.
 
 Every command is deterministic given its input files, flags, and seed
 (`simulate` additionally needs --timing off, since wall-clock times are
@@ -15,8 +16,8 @@ Exit codes: 0 success, 2 configuration or usage error, 3 input error,
 --method, --bootstrap, --seed, --max-enum and --max-sib can be overridden
 with environment variables named CAUSALSPAN_<FLAG> (dashes as
 underscores), for example CAUSALSPAN_ALPHA=0.05 or CAUSALSPAN_MAX_ENUM=15;
-a flag given on the command line wins.  No other flag reads the
-environment.
+a variable applies only to the commands that have its flag, and a flag
+given on the command line wins.  No other flag reads the environment.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,6 +41,7 @@ from .errors import (
     ResourceCapError,
 )
 from .gauss import CITestConfig, Dataset
+from .graphs import DEFAULT_MAX_COMPONENT_EDGES
 from .pc import bic_select_alpha, pc_cpdag, repair_cpdag
 
 ENV_PREFIX = "CAUSALSPAN_"
@@ -56,93 +57,55 @@ def _env_default(flag: str, fallback):
     return os.environ.get(ENV_PREFIX + flag.upper().replace("-", "_"), fallback)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated settings shared by the subcommands."""
-
-    command: str
-    input_path: str | None
-    response: str | None
-    alpha: float
-    alphas: tuple[float, ...]
-    method: str
-    mods: frozenset[str]
-    bootstrap: int
-    seed: int
-    standardize: bool
-    out: str
-    max_enum: int
-    max_sib: int
-    n_vertices: int
-    en: float
-    n: int
-    reps: int
-    blocks: int | None
-    timing: str
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        def to_float(name, raw):
-            try:
-                return float(raw)
-            except (TypeError, ValueError):
-                raise ConfigError(f"--{name} expects a number, got {raw!r}")
-
-        def to_int(name, raw):
-            try:
-                return int(raw)
-            except (TypeError, ValueError):
-                raise ConfigError(f"--{name} expects an integer, got {raw!r}")
-
-        alpha = to_float("alpha", args.alpha)
-        if not (0.0 < alpha < 1.0):
-            raise ConfigError("--alpha must lie strictly between 0 and 1")
-        alphas = ()
-        if getattr(args, "alphas", None):
-            try:
-                alphas = tuple(float(a) for a in str(args.alphas).split(","))
-            except ValueError:
-                raise ConfigError("--alphas expects comma-separated numbers")
-            if not all(0.0 < a < 1.0 for a in alphas):
-                raise ConfigError("every alpha must lie strictly between 0 and 1")
-        method = str(args.method)
-        if method not in ("local", "global"):
-            raise ConfigError("--method must be 'local' or 'global'")
-        mods = set()
-        if getattr(args, "mod_zero_path", False):
-            mods.add(effects.MOD_ZERO_PATH)
-        if getattr(args, "mod_prune_y", False):
-            mods.add(effects.MOD_PRUNE_Y)
-        bootstrap = to_int("bootstrap", args.bootstrap)
-        if bootstrap < 1:
-            raise ConfigError("--bootstrap must be at least 1")
-        max_enum = to_int("max-enum", args.max_enum)
-        max_sib = to_int("max-sib", args.max_sib)
-        if max_enum < 0 or max_sib < 0:
-            raise ConfigError("caps must be nonnegative")
-        blocks = getattr(args, "blocks", None)
-        blocks = None if blocks in (None, 0) else to_int("blocks", blocks)
-        return cls(
-            command=args.command,
-            input_path=getattr(args, "input", None),
-            response=getattr(args, "response", None),
-            alpha=alpha,
-            alphas=alphas,
-            method=method,
-            mods=frozenset(mods),
-            bootstrap=bootstrap,
-            seed=to_int("seed", args.seed),
-            standardize=not getattr(args, "no_standardize", False),
-            out=args.out,
-            max_enum=max_enum,
-            max_sib=max_sib,
-            n_vertices=to_int("vertices", getattr(args, "vertices", 10)),
-            en=to_float("en", getattr(args, "en", 3.0)),
-            n=to_int("n", getattr(args, "n", 100)),
-            reps=to_int("reps", getattr(args, "reps", 1)),
-            blocks=blocks,
-            timing=getattr(args, "timing", "wall"),
-        )
+# Every flag of every subcommand; _COMMAND_FLAGS picks each command's own.
+# Both modification flags collect into one `mods` list.
+_FLAGS = {
+    "input": dict(required=True, help="CSV file with a header row"),
+    "response": dict(required=True, help="name of the response column"),
+    "no-standardize": dict(action="store_true",
+                           help="keep covariates on their original scale"),
+    "alpha": dict(default=0.01,
+                  help="test level for conditional independence (default 0.01)"),
+    "alphas": dict(default="0.001,0.005,0.01,0.05,0.1",
+                   help="comma-separated candidate levels"),
+    "method": dict(default="local", choices=["local", "global"],
+                   help="effect computation route"),
+    "mod-zero-path": dict(action="append_const", dest="mods", const=effects.MOD_ZERO_PATH,
+                          help="report zero when no directed path can reach the response"),
+    "mod-prune-y": dict(action="append_const", dest="mods", const=effects.MOD_PRUNE_Y,
+                        help="ignore parents/siblings with no skeleton path to the response"),
+    "bootstrap": dict(default=10, help="number of bootstrap replicates"),
+    "seed": dict(default=0, help="random seed"),
+    "max-enum": dict(default=DEFAULT_MAX_COMPONENT_EDGES,
+                     help="cap on undirected edges per component before enumeration refuses"),
+    "max-sib": dict(default=effects.DEFAULT_MAX_SIBLINGS,
+                    help="cap on undirected neighbours per covariate in the local route"),
+    "vertices": dict(default=10, help="number of variables (response included)"),
+    "en": dict(default=3.0, help="expected vertex degree"),
+    "n": dict(default=100, help="observations per replicate"),
+    "reps": dict(default=1, help="number of replicates"),
+    "blocks": dict(default=None, help="confine edges to this many equal blocks"),
+    "timing": dict(default="wall", choices=["wall", "off"],
+                   help="record wall-clock runtimes, or leave the column empty "
+                        "for byte-reproducible output"),
+    "out": dict(required=True, help="output file path"),
+}
+_ENV_FLAGS = ("alpha", "method", "bootstrap", "seed", "max-enum", "max-sib")
+_COMMAND_FLAGS = {
+    "estimate": ("input", "response", "no-standardize", "alpha", "method", "mod-zero-path",
+                 "mod-prune-y", "seed", "max-enum", "max-sib", "out"),
+    "score": ("input", "response", "no-standardize", "alpha", "mod-zero-path", "mod-prune-y",
+              "bootstrap", "seed", "max-enum", "max-sib", "out"),
+    "tune": ("input", "response", "no-standardize", "alpha", "alphas", "seed", "out"),
+    "simulate": ("alpha", "method", "seed", "max-enum", "max-sib",
+                 "vertices", "en", "n", "reps", "blocks", "timing", "out"),
+}
+_COMMAND_HELP = {
+    "estimate": "per-covariate effect multisets as JSON",
+    "score": "bootstrap causal scores as CSV",
+    "tune": "pick the test level by BIC",
+    "simulate": "replicated synthetic-data evaluation",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -156,59 +119,68 @@ def build_parser() -> argparse.ArgumentParser:
             "The defaults of --alpha, --method, --bootstrap, --seed, --max-enum "
             "and --max-sib can be overridden via environment variables prefixed "
             "CAUSALSPAN_, e.g. CAUSALSPAN_SEED=7 or CAUSALSPAN_MAX_ENUM=15; a "
+            "variable applies only to the commands that have its flag, and a "
             "flag given on the command line wins."
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, with_input: bool = True) -> None:
-        if with_input:
-            p.add_argument("--input", required=True, help="CSV file with a header row")
-            p.add_argument("--response", required=True, help="name of the response column")
-            p.add_argument(
-                "--no-standardize",
-                action="store_true",
-                help="keep covariates on their original scale",
-            )
-        p.add_argument("--alpha", default=_env_default("alpha", 0.01),
-                       help="test level for conditional independence (default 0.01)")
-        p.add_argument("--method", default=_env_default("method", "local"),
-                       choices=["local", "global"], help="effect computation route")
-        p.add_argument("--mod-zero-path", action="store_true",
-                       help="report zero when no directed path can reach the response")
-        p.add_argument("--mod-prune-y", action="store_true",
-                       help="ignore parents/siblings with no skeleton path to the response")
-        p.add_argument("--bootstrap", default=_env_default("bootstrap", 10),
-                       help="number of bootstrap replicates (score command)")
-        p.add_argument("--seed", default=_env_default("seed", 0), help="random seed")
-        p.add_argument("--out", required=True, help="output file path")
-        p.add_argument("--max-enum", default=_env_default("max_enum", 12),
-                       help="cap on undirected edges per component before enumeration refuses")
-        p.add_argument("--max-sib", default=_env_default("max_sib", 25),
-                       help="cap on undirected neighbours per covariate in the local route")
-
-    p_est = sub.add_parser("estimate", help="per-covariate effect multisets as JSON")
-    common(p_est)
-
-    p_score = sub.add_parser("score", help="bootstrap causal scores as CSV")
-    common(p_score)
-
-    p_tune = sub.add_parser("tune", help="pick the test level by BIC")
-    common(p_tune)
-    p_tune.add_argument("--alphas", default="0.001,0.005,0.01,0.05,0.1",
-                        help="comma-separated candidate levels")
-
-    p_sim = sub.add_parser("simulate", help="replicated synthetic-data evaluation")
-    common(p_sim, with_input=False)
-    p_sim.add_argument("--vertices", default=10, help="number of variables (response included)")
-    p_sim.add_argument("--en", default=3.0, help="expected vertex degree")
-    p_sim.add_argument("--n", default=100, help="observations per replicate")
-    p_sim.add_argument("--reps", default=1, help="number of replicates")
-    p_sim.add_argument("--blocks", default=None, help="confine edges to this many equal blocks")
-    p_sim.add_argument("--timing", default="wall", choices=["wall", "off"],
-                       help="record wall-clock runtimes, or leave the column empty "
-                            "for byte-reproducible output")
+    for command, flags in _COMMAND_FLAGS.items():
+        p = sub.add_parser(command, help=_COMMAND_HELP[command])
+        for flag in flags:
+            spec = _FLAGS[flag]
+            if flag in _ENV_FLAGS:
+                spec = {**spec, "default": _env_default(flag, spec["default"])}
+            p.add_argument("--" + flag, **spec)
     return parser
+
+
+def _validate(args: argparse.Namespace) -> None:
+    """Convert and range-check, in place, the flags of args's command."""
+
+    def to_float(name, raw):
+        try:
+            return float(raw)
+        except (TypeError, ValueError):
+            raise ConfigError(f"--{name} expects a number, got {raw!r}")
+
+    def to_int(name, raw):
+        try:
+            return int(raw)
+        except (TypeError, ValueError):
+            raise ConfigError(f"--{name} expects an integer, got {raw!r}")
+
+    args.alpha = to_float("alpha", args.alpha)
+    if not (0.0 < args.alpha < 1.0):
+        raise ConfigError("--alpha must lie strictly between 0 and 1")
+    if "alphas" in args and args.alphas:
+        try:
+            args.alphas = tuple(float(a) for a in str(args.alphas).split(","))
+        except ValueError:
+            raise ConfigError("--alphas expects comma-separated numbers")
+        if not all(0.0 < a < 1.0 for a in args.alphas):
+            raise ConfigError("every alpha must lie strictly between 0 and 1")
+    # argparse applies `choices` to the command line but not to defaults.
+    if "method" in args and args.method not in ("local", "global"):
+        raise ConfigError("--method must be 'local' or 'global'")
+    if "mods" in args:
+        args.mods = frozenset(args.mods or ())
+    if "bootstrap" in args:
+        args.bootstrap = to_int("bootstrap", args.bootstrap)
+        if args.bootstrap < 1:
+            raise ConfigError("--bootstrap must be at least 1")
+    if "max_enum" in args:
+        args.max_enum = to_int("max-enum", args.max_enum)
+        args.max_sib = to_int("max-sib", args.max_sib)
+        if args.max_enum < 0 or args.max_sib < 0:
+            raise ConfigError("caps must be nonnegative")
+    if "blocks" in args and args.blocks is not None:
+        args.blocks = to_int("blocks", args.blocks)
+    args.seed = to_int("seed", args.seed)
+    if "vertices" in args:
+        args.vertices = to_int("vertices", args.vertices)
+        args.en = to_float("en", args.en)
+        args.n = to_int("n", args.n)
+        args.reps = to_int("reps", args.reps)
 
 
 # -- input/output helpers ------------------------------------------------------
@@ -270,27 +242,25 @@ def _json_text(obj) -> str:
 # -- subcommands ---------------------------------------------------------------
 
 
-def _prepared_dataset(cfg: RunConfig) -> Dataset:
-    d = read_dataset(cfg.input_path, cfg.response)
-    if cfg.standardize:
-        d = d.standardize()
-    return d
+def _prepared_dataset(args: argparse.Namespace) -> Dataset:
+    d = read_dataset(args.input, args.response)
+    return d if args.no_standardize else d.standardize()
 
 
-def cmd_estimate(cfg: RunConfig) -> int:
-    d = _prepared_dataset(cfg)
-    res = pc_cpdag(d, CITestConfig(cfg.alpha))
+def cmd_estimate(args: argparse.Namespace) -> int:
+    d = _prepared_dataset(args)
+    res = pc_cpdag(d, CITestConfig(args.alpha))
     names = list(d.names)
     repair_info = None
     multisets: list[effects.EffectMultiset] = []
-    if cfg.method == "global":
+    if args.method == "global":
         g = res.graph
         if not res.validation.is_valid:
-            rep = repair_cpdag(res, seed=cfg.seed)
+            rep = repair_cpdag(res, seed=args.seed)
             g = rep.graph
             repair_info = {"stage": rep.stage, "detail": rep.detail}
         theta = effects.global_effects(
-            d, g, d.response, cfg.mods, cfg.max_enum
+            d, g, d.response, args.mods, args.max_enum
         )
         multisets = [theta.row_multiset(i) for i in d.covariates]
         graph_used = g
@@ -298,8 +268,8 @@ def cmd_estimate(cfg: RunConfig) -> int:
         for i in d.covariates:
             multisets.append(
                 effects.local_effects(
-                    d, res.graph, i, d.response, cfg.mods,
-                    cfg.max_sib, cfg.max_enum,
+                    d, res.graph, i, d.response, args.mods,
+                    args.max_sib, args.max_enum,
                 )
             )
         graph_used = res.graph
@@ -309,12 +279,12 @@ def cmd_estimate(cfg: RunConfig) -> int:
         table[str(a)] = ambiguities.count(a) / len(ambiguities) if ambiguities else 0.0
     report = {
         "command": "estimate",
-        "response": cfg.response,
+        "response": args.response,
         "n": d.n,
-        "alpha": cfg.alpha,
-        "method": cfg.method,
-        "mods": sorted(cfg.mods),
-        "seed": cfg.seed,
+        "alpha": args.alpha,
+        "method": args.method,
+        "mods": sorted(args.mods),
+        "seed": args.seed,
         "standardized": d.standardized,
         "graph": graph_used.to_json_dict(names),
         "repair": repair_info,
@@ -326,19 +296,20 @@ def cmd_estimate(cfg: RunConfig) -> int:
             "validation_problems": list(res.validation.problems),
         },
     }
-    atomic_write(cfg.out, _json_text(report))
+    atomic_write(args.out, _json_text(report))
     return EXIT_OK
 
 
-def cmd_score(cfg: RunConfig) -> int:
-    d = _prepared_dataset(cfg)
+def cmd_score(args: argparse.Namespace) -> int:
+    d = _prepared_dataset(args)
     scores = effects.bootstrap_scores(
         d,
-        CITestConfig(cfg.alpha),
-        b=cfg.bootstrap,
-        seed=cfg.seed,
-        mods=cfg.mods,
-        max_siblings=cfg.max_sib,
+        CITestConfig(args.alpha),
+        b=args.bootstrap,
+        seed=args.seed,
+        mods=args.mods,
+        max_siblings=args.max_sib,
+        max_component_edges=args.max_enum,
     )
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -352,46 +323,46 @@ def cmd_score(cfg: RunConfig) -> int:
                 s.failures,
             ]
         )
-    atomic_write(cfg.out, buf.getvalue())
+    atomic_write(args.out, buf.getvalue())
     return EXIT_OK
 
 
-def cmd_tune(cfg: RunConfig) -> int:
-    d = _prepared_dataset(cfg)
-    alphas = cfg.alphas or (cfg.alpha,)
-    best, scores = bic_select_alpha(d, alphas, seed=cfg.seed)
+def cmd_tune(args: argparse.Namespace) -> int:
+    d = _prepared_dataset(args)
+    alphas = args.alphas or (args.alpha,)
+    best, scores = bic_select_alpha(d, alphas, seed=args.seed)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["alpha", "bic", "selected"])
     for a in sorted(scores):
         writer.writerow([repr(a), repr(scores[a]), str(a == best).lower()])
-    atomic_write(cfg.out, buf.getvalue())
+    atomic_write(args.out, buf.getvalue())
     print(f"selected alpha: {best}")
     return EXIT_OK
 
 
-def cmd_simulate(cfg: RunConfig) -> int:
+def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         scenario = sim.SimScenario(
-            n_vertices=cfg.n_vertices,
-            en=cfg.en,
-            n=cfg.n,
-            n_reps=cfg.reps,
-            blocks=cfg.blocks,
-            seed=cfg.seed,
+            n_vertices=args.vertices,
+            en=args.en,
+            n=args.n,
+            n_reps=args.reps,
+            blocks=args.blocks,
+            seed=args.seed,
         )
     except ValueError as e:
         raise ConfigError(str(e))
     records = sim.run_scenario(
         scenario,
-        methods=(cfg.method,) if cfg.method else ("local", "global"),
-        alpha=cfg.alpha,
-        max_component_edges=cfg.max_enum,
-        max_siblings=cfg.max_sib,
+        methods=(args.method,),
+        alpha=args.alpha,
+        max_component_edges=args.max_enum,
+        max_siblings=args.max_sib,
     )
     buf = io.StringIO()
-    sim.write_records_csv(records, buf, timing=cfg.timing == "wall")
-    atomic_write(cfg.out, buf.getvalue())
+    sim.write_records_csv(records, buf, timing=args.timing == "wall")
+    atomic_write(args.out, buf.getvalue())
     summary = sim.summarize_records(records)
     for method, stats in summary.items():
         parts = [f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
@@ -412,8 +383,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        cfg = RunConfig.from_args(args)
-        return COMMANDS[cfg.command](cfg)
+        _validate(args)
+        return COMMANDS[args.command](args)
     except ConfigError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_CONFIG

@@ -32,6 +32,8 @@ import numpy as np
 from .errors import CausalSpanError, ResourceCapError
 from .gauss import CITestConfig, CovMatrix, Dataset, beta_given_s
 from .graphs import (
+    DEFAULT_MAX_COMPONENT_EDGES,
+    DEFAULT_MAX_DAGS,
     PDGraph,
     allows_directed_path,
     enumerate_dags,
@@ -46,8 +48,6 @@ MOD_PRUNE_Y = "prune_y"
 _KNOWN_MODS = frozenset({MOD_ZERO_PATH, MOD_PRUNE_Y})
 
 DEFAULT_MAX_SIBLINGS = 25
-DEFAULT_MAX_COMPONENT_EDGES = 12
-DEFAULT_MAX_DAGS = 25000
 
 
 def _check_mods(mods) -> frozenset[str]:
@@ -374,7 +374,7 @@ def bootstrap_scores(
     seed: int = 0,
     mods: frozenset[str] | tuple[str, ...] = (),
     max_siblings: int = DEFAULT_MAX_SIBLINGS,
-    max_level: int | None = None,
+    max_component_edges: int = DEFAULT_MAX_COMPONENT_EDGES,
 ) -> BootstrapScores:
     """Score each covariate by the median, over b row resamples, of the
     smallest absolute value in its local effect multiset.
@@ -393,12 +393,12 @@ def bootstrap_scores(
     covariates = d.covariates
 
     def run(ds: Dataset):
-        res = pc_cpdag(ds, cfg, max_level)
+        res = pc_cpdag(ds, cfg)
         out: dict[int, EffectMultiset | None] = {}
         for i in covariates:
             try:
                 out[i] = local_effects(
-                    ds, res.graph, i, y, mods, max_siblings
+                    ds, res.graph, i, y, mods, max_siblings, max_component_edges
                 )
             except CausalSpanError:
                 out[i] = None

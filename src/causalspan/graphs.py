@@ -23,6 +23,10 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import NotExtendableError, ResourceCapError
 
+# Enumeration caps: undirected edges per component, and class members.
+DEFAULT_MAX_COMPONENT_EDGES = 12
+DEFAULT_MAX_DAGS = 25000
+
 
 class VStructure(NamedTuple):
     """Collider triple a -> collider <- c with a and c nonadjacent; a < c."""
@@ -379,8 +383,8 @@ def _undirected_components(sib: Sequence[int]) -> list[int]:
 
 def enumerate_dags(
     g: PDGraph,
-    max_component_edges: int = 12,
-    max_dags: int = 25000,
+    max_component_edges: int = DEFAULT_MAX_COMPONENT_EDGES,
+    max_dags: int = DEFAULT_MAX_DAGS,
 ) -> list[PDGraph]:
     """All DAGs with g's skeleton and collider set, obtained by orienting
     g's undirected edges.  Existing directed edges are kept as they are.
@@ -523,8 +527,8 @@ def allows_directed_path(
     g: PDGraph,
     i: int,
     y: int,
-    max_component_edges: int = 12,
-    max_dags: int = 25000,
+    max_component_edges: int = DEFAULT_MAX_COMPONENT_EDGES,
+    max_dags: int = DEFAULT_MAX_DAGS,
 ) -> bool:
     """True if some DAG with g's skeleton and colliders has a directed path
     from i to y.

@@ -244,7 +244,6 @@ def orient_v_structures(
 def pc_cpdag(
     source: Dataset | CovMatrix,
     cfg: CITestConfig = CITestConfig(),
-    max_level: int | None = None,
 ) -> PcResult:
     """Full pipeline: skeleton, collider orientation, Meek closure.
 
@@ -252,7 +251,7 @@ def pc_cpdag(
     report says whether the estimate can be used as a CPDAG directly or
     needs repair_cpdag first.
     """
-    skeleton, sepsets, diag = estimate_skeleton(source, cfg, max_level)
+    skeleton, sepsets, diag = estimate_skeleton(source, cfg)
     oriented = orient_v_structures(skeleton, sepsets, diag)
     closed = meek_closure(oriented)
     return PcResult(closed, sepsets, diag, validate_cpdag(closed))
@@ -364,7 +363,6 @@ def bic_select_alpha(
     d: Dataset,
     alphas: Iterable[float],
     seed: int = 0,
-    max_level: int | None = None,
 ) -> tuple[float, dict[float, float]]:
     """Pick the test level by BIC.
 
@@ -379,7 +377,7 @@ def bic_select_alpha(
     scores: dict[float, float] = {}
     for a in alphas:
         try:
-            res = pc_cpdag(d, CITestConfig(a), max_level)
+            res = pc_cpdag(d, CITestConfig(a))
             g = res.graph
             if not res.validation.is_valid:
                 g = repair_cpdag(res, seed=seed).graph

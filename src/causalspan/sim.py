@@ -18,10 +18,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .effects import EffectMultiset, global_effects, local_effects
+from .effects import DEFAULT_MAX_SIBLINGS, EffectMultiset, global_effects, local_effects
 from .errors import CausalSpanError, ResourceCapError
 from .gauss import CITestConfig, CovMatrix, Dataset, structural_covariance
-from .graphs import PDGraph, cpdag_from_dag
+from .graphs import DEFAULT_MAX_COMPONENT_EDGES, DEFAULT_MAX_DAGS, PDGraph, cpdag_from_dag
 from .pc import pc_cpdag, repair_cpdag
 
 
@@ -174,9 +174,9 @@ def population_effects(
     y: int,
     method: str = "global",
     mods: frozenset[str] | tuple[str, ...] = (),
-    max_component_edges: int = 12,
-    max_dags: int = 25000,
-    max_siblings: int = 25,
+    max_component_edges: int = DEFAULT_MAX_COMPONENT_EDGES,
+    max_dags: int = DEFAULT_MAX_DAGS,
+    max_siblings: int = DEFAULT_MAX_SIBLINGS,
 ) -> EffectMultiset:
     """The effect multiset a perfect oracle would report: the CPDAG of the
     true DAG combined with the exact covariance."""
@@ -209,9 +209,9 @@ def run_scenario(
     methods: Sequence[str] = ("local", "global"),
     alpha: float = 0.01,
     compute_truth: bool = True,
-    max_component_edges: int = 12,
-    max_dags: int = 25000,
-    max_siblings: int = 25,
+    max_component_edges: int = DEFAULT_MAX_COMPONENT_EDGES,
+    max_dags: int = DEFAULT_MAX_DAGS,
+    max_siblings: int = DEFAULT_MAX_SIBLINGS,
 ) -> list[SimRecord]:
     """Run the replicated experiment.
 

@@ -156,6 +156,16 @@ class TestEstimate:
         assert r.returncode == 0, r.stderr
         assert json.loads(out.read_text())["seed"] == 3
 
+    def test_environment_for_a_flag_it_lacks_is_ignored(self, chain_csv, tmp_path):
+        out = tmp_path / "r.json"
+        r = run_cli(
+            ["estimate", "--input", chain_csv, "--response", "C",
+             "--out", str(out)],
+            cwd=tmp_path,
+            env_extra={"CAUSALSPAN_BOOTSTRAP": "0"},
+        )
+        assert r.returncode == 0, r.stderr
+
 
 class TestScore:
     def test_ranks_the_driving_covariate_first(self, identified_csv, tmp_path):
@@ -176,6 +186,19 @@ class TestScore:
         scores = {row[0]: float(row[1]) for row in rows}
         assert scores["X3"] < 0.05, "the isolated covariate scores near zero"
         assert all(row[3] == "0" for row in rows)
+
+    def test_enumeration_cap_reaches_the_zero_path_check(self, chain_csv, tmp_path):
+        out = tmp_path / "scores.csv"
+        r = run_cli(
+            ["score", "--input", chain_csv, "--response", "C",
+             "--mod-zero-path", "--max-enum", "0", "--bootstrap", "3",
+             "--out", str(out)],
+            cwd=tmp_path,
+        )
+        assert r.returncode == 0, r.stderr
+        rows = [ln.split(",") for ln in out.read_text().splitlines()[1:]]
+        assert [row[0] for row in rows] == ["A", "B"]
+        assert all(row[3] == "3" for row in rows), "every replicate hits the cap"
 
 
 class TestTune:
@@ -399,6 +422,33 @@ class TestFailureModes:
             cwd=tmp_path,
         )
         assert r.returncode == 2
+
+    def test_bad_method_from_environment(self, chain_csv, tmp_path):
+        r = run_cli(
+            ["estimate", "--input", chain_csv, "--response", "C",
+             "--out", str(tmp_path / "o.json")],
+            cwd=tmp_path,
+            env_extra={"CAUSALSPAN_METHOD": "magic"},
+        )
+        assert r.returncode == 2
+        assert "--method must be 'local' or 'global'" in r.stderr
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            ("tune", ["--method", "global"]),
+            ("score", ["--method", "global"]),
+            ("simulate", ["--mod-zero-path"]),
+            ("estimate", ["--bootstrap", "3"]),
+        ],
+    )
+    def test_flag_the_command_does_not_read(self, chain_csv, tmp_path, command, flag):
+        data = [] if command == "simulate" else ["--input", chain_csv, "--response", "C"]
+        target = tmp_path / "o"
+        r = run_cli([command, *data, *flag, "--out", str(target)], cwd=tmp_path)
+        assert r.returncode == 2
+        assert "unrecognized arguments" in r.stderr
+        assert not target.exists()
 
     def test_no_arguments_is_a_usage_error(self, tmp_path):
         r = run_cli([], cwd=tmp_path)
