@@ -87,7 +87,8 @@ _FLAGS = {
     "blocks": dict(default=None, help="confine edges to this many equal blocks"),
     "timing": dict(default="wall", choices=["wall", "off"],
                    help="record wall-clock runtimes, or leave the column empty "
-                        "for byte-reproducible output"),
+                        "and the mean out of the summary for byte-reproducible "
+                        "output"),
     "out": dict(required=True, help="output file path"),
 }
 _ENV_FLAGS = ("alpha", "method", "bootstrap", "seed", "max-enum", "max-sib")
@@ -365,6 +366,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     atomic_write(args.out, buf.getvalue())
     summary = sim.summarize_records(records)
     for method, stats in summary.items():
+        if args.timing == "off":
+            stats.pop("mean_runtime_s", None)
         parts = [f"{k}={v:.6g}" if isinstance(v, float) else f"{k}={v}"
                  for k, v in stats.items()]
         print(f"{method}: " + " ".join(parts))

@@ -257,14 +257,56 @@ class TestSimulate:
         assert r.stderr.startswith("error:")
 
 
+# Runs in a child interpreter where any import of scipy fails, then checks
+# that nothing loaded it: scipy is a test oracle, not a runtime dependency.
+_WITHOUT_SCIPY = """
+import sys
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy is blocked: " + name)
+        return None
+
+sys.meta_path.insert(0, BlockScipy())
+import causalspan.cli
+
+csv, out = sys.argv[1], sys.argv[2]
+codes = [
+    causalspan.cli.main(["estimate", "--input", csv, "--response", "C",
+                         "--method", "global", "--out", out + ".json"]),
+    causalspan.cli.main(["simulate", "--vertices", "4", "--reps", "2",
+                         "--seed", "1", "--timing", "off", "--out", out + ".csv"]),
+]
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(codes, loaded)
+sys.exit(0 if codes == [0, 0] and not loaded else 1)
+"""
+
+
+class TestRuntimeWithoutScipy:
+    def test_commands_run_with_scipy_unimportable(self, chain_csv, tmp_path):
+        r = subprocess.run(
+            [sys.executable, "-c", _WITHOUT_SCIPY, chain_csv, str(tmp_path / "o")],
+            capture_output=True,
+            text=True,
+            cwd=tmp_path,
+            env=cli_env(),
+        )
+        assert r.returncode == 0, r.stdout + r.stderr
+        assert r.stdout.splitlines()[-1] == "[0, 0] []"
+        assert (tmp_path / "o.json").exists() and (tmp_path / "o.csv").exists()
+
+
 class TestDeterminism:
     def rerun(self, args, tmp_path, name):
+        """Run twice; each run gives (output file bytes, stdout)."""
         outputs = []
         for k in (1, 2):
             out = tmp_path / f"{name}{k}"
             r = run_cli([*args, "--out", str(out)], cwd=tmp_path)
             assert r.returncode == 0, r.stderr
-            outputs.append(out.read_bytes())
+            outputs.append((out.read_bytes(), r.stdout))
         return outputs
 
     def test_estimate_rerun_is_byte_identical(self, chain_csv, tmp_path):

@@ -3,9 +3,12 @@ conditional-independence decision rule, adjusted regression coefficients,
 DAG likelihoods, and the information criterion."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
+from scipy.stats import norm
 
 from causalspan import (
     CITestConfig,
@@ -24,6 +27,7 @@ from causalspan import (
     sample_covariance,
     structural_covariance,
 )
+from causalspan.gauss import _ndtri, _z_quantile
 from conftest import ols_coefficient, recursive_partial_correlation, weighted_cov
 
 
@@ -195,6 +199,37 @@ class TestDependenceRule:
             CITestConfig(alpha=0.0)
         with pytest.raises(Exception):
             CITestConfig(alpha=1.0)
+
+
+class TestNormalQuantile:
+    """The pure-Python Cephes port against scipy, compared bit for bit."""
+
+    COMMON_ALPHAS = (0.001, 0.005, 0.01, 0.025, 0.05, 0.1, 0.2)
+
+    def test_port_matches_scipy_ndtri_bit_for_bit(self):
+        rng = np.random.default_rng(20260)
+        ps = [1.0 - a / 2.0 for a in self.COMMON_ALPHAS]
+        ps += rng.uniform(1e-6, 0.999, 20000).tolist()
+        ps += (10.0 ** rng.uniform(-300.0, 0.0, 40000)).tolist()
+        ps += (1.0 - 10.0 ** rng.uniform(-17.0, 0.0, 10000)).tolist()
+        # Both sides of each branch switch.
+        for edge in (1.0 - math.exp(-2.0), math.exp(-2.0), math.exp(-32.0)):
+            ps += [math.nextafter(edge, 0.0), edge, math.nextafter(edge, 1.0)]
+        # 1 - 1e-17 rounds to 1.0, so inf.
+        ps += [0.0, 1.0, 1.0 - 1e-17, 0.5, 5e-324, math.nextafter(1.0, 0.0)]
+        ours = [_ndtri(p) for p in ps]
+        theirs = ndtri(np.array(ps)).tolist()
+        mismatches = [(p, a, b) for p, a, b in zip(ps, ours, theirs) if a != b]
+        assert mismatches == []
+
+    def test_outside_unit_interval_raises(self):
+        for p in (-0.1, 1.1, math.nan):
+            with pytest.raises(ValueError):
+                _ndtri(p)
+
+    def test_z_quantile_matches_norm_ppf(self):
+        for a in self.COMMON_ALPHAS:
+            assert _z_quantile(a) == float(norm.ppf(1.0 - a / 2.0))
 
 
 class TestBetaGivenS:
