@@ -22,6 +22,7 @@ path to the response before adjusting.  Both default to off.
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import statistics
@@ -35,12 +36,13 @@ from .graphs import (
     DEFAULT_MAX_COMPONENT_EDGES,
     DEFAULT_MAX_DAGS,
     PDGraph,
+    _bits,
+    _class_parent_masks,
+    _dag_of,
+    _reach,
     allows_directed_path,
-    enumerate_dags,
-    has_directed_path,
     is_locally_valid,
     reachable_toward,
-    skeleton_component,
 )
 
 MOD_ZERO_PATH = "zero_path"
@@ -198,6 +200,52 @@ class ThetaMatrix:
         return EffectMultiset(i, self.response, entries, "global", self.mods)
 
 
+def _class_members(
+    g: PDGraph, max_component_edges: int, max_dags: int
+) -> list[tuple[int, ...]]:
+    """Parent masks of the members of g's class; a cap error points to
+    the local route."""
+    try:
+        return _class_parent_masks(g, max_component_edges, max_dags)
+    except ResourceCapError as e:
+        raise ResourceCapError(
+            f"{e}; the local route avoids enumeration and scales further"
+        ) from None
+
+
+def _effect_rows(
+    source: Dataset | CovMatrix,
+    g: PDGraph,
+    members: list[tuple[int, ...]],
+    covariates: tuple[int, ...],
+    y: int,
+    mods: frozenset[str],
+):
+    """Yield, for each covariate i in turn, i's adjustment set in each class
+    member (parent masks `members`), and the effect of every distinct set,
+    in order of first member.
+
+    The adjustment set is the member's parents of i, under `prune_y` only
+    those in y's skeleton component.  Under `zero_path` a member in which
+    i is not an ancestor of y gets None and the effect 0.0.  Members are
+    grouped by mask, so each distinct set is solved once per covariate.
+    """
+    component = _reach(g._adjacency(), 1 << y)
+    keep = component if MOD_PRUNE_Y in mods else (1 << g.n) - 1
+    ancestors = None
+    if MOD_ZERO_PATH in mods:
+        ancestors = [_reach(pa, 1 << y) for pa in members]
+    for i in covariates:
+        keys = [pa[i] & keep for pa in members]
+        if ancestors is not None:
+            keys = [k if a >> i & 1 else None for k, a in zip(keys, ancestors)]
+        effects = {}
+        for k in dict.fromkeys(keys):
+            s = None if k is None else tuple(_bits(k))
+            effects[k] = (s, 0.0 if s is None else beta_given_s(source, i, s, y))
+        yield keys, effects
+
+
 def global_effects(
     source: Dataset | CovMatrix,
     g: PDGraph,
@@ -213,35 +261,37 @@ def global_effects(
     Requires a graph that validates as a CPDAG (repair first if needed).
     """
     mods = _check_mods(mods)
-    try:
-        dags = enumerate_dags(g, max_component_edges, max_dags)
-    except ResourceCapError as e:
-        raise ResourceCapError(
-            f"{e}; the local route avoids enumeration and scales further"
-        ) from None
+    members = _class_members(g, max_component_edges, max_dags)
     covariates = tuple(i for i in range(g.n) if i != y)
-    connected = skeleton_component(g, y)
-    matrix = np.zeros((len(covariates), len(dags)))
+    matrix = np.zeros((len(covariates), len(members)))
     adjustments: list[tuple[tuple[int, ...] | None, ...]] = []
-    for r, i in enumerate(covariates):
-        row_adjs: list[tuple[int, ...] | None] = []
-        # Class members share most parent sets of i: solve each S once.
-        betas: dict[tuple[int, ...], float] = {}
-        for j, d in enumerate(dags):
-            if MOD_ZERO_PATH in mods and not has_directed_path(d, i, y):
-                matrix[r, j] = 0.0
-                row_adjs.append(None)
-                continue
-            pa = d.parents(i)
-            if MOD_PRUNE_Y in mods:
-                pa = frozenset(p for p in pa if p in connected)
-            s = tuple(sorted(pa))
-            if s not in betas:
-                betas[s] = beta_given_s(source, i, s, y)
-            matrix[r, j] = betas[s]
-            row_adjs.append(s)
-        adjustments.append(tuple(row_adjs))
-    return ThetaMatrix(covariates, y, matrix, tuple(adjustments), tuple(dags), mods)
+    rows = _effect_rows(source, g, members, covariates, y, mods)
+    for r, (keys, effects) in enumerate(rows):
+        matrix[r] = [effects[k][1] for k in keys]
+        adjustments.append(tuple(effects[k][0] for k in keys))
+    dags = tuple(_dag_of(pa) for pa in members)
+    return ThetaMatrix(covariates, y, matrix, tuple(adjustments), dags, mods)
+
+
+def _global_multiset(
+    source: Dataset | CovMatrix,
+    g: PDGraph,
+    i: int,
+    y: int,
+    mods: frozenset[str] | tuple[str, ...],
+    max_component_edges: int,
+    max_dags: int,
+) -> EffectMultiset:
+    """`global_effects(...).row_multiset(i)`, solving covariate i's row
+    only: one entry per adjustment set, in order of first member."""
+    mods = _check_mods(mods)
+    members = _class_members(g, max_component_edges, max_dags)
+    if i == y or not 0 <= i < g.n:
+        raise ValueError(f"{i} is not a covariate of response {y}")
+    ((keys, effects),) = _effect_rows(source, g, members, (i,), y, mods)
+    counts = collections.Counter(keys)
+    entries = tuple(EffectEntry(v, s, counts[k]) for k, (s, v) in effects.items())
+    return EffectMultiset(i, y, entries, "global", mods)
 
 
 def local_effects(
@@ -301,21 +351,20 @@ def oracle_multiplicities(
     """For every sibling subset s of i, how many class members have
     parent set parents(i) union s.  Zero counts are included, so the keys
     always run over all sibling subsets."""
-    dags = enumerate_dags(g, max_component_edges, max_dags)
+    members = _class_parent_masks(g, max_component_edges, max_dags)
     sibs = sorted(g.siblings(i))
     if len(sibs) > max_siblings:
         raise ResourceCapError(
             f"covariate {i} has {len(sibs)} undirected neighbours "
             f"(cap {max_siblings})"
         )
-    base = g.parents(i)
+    base = g._pa[i]
     counts: dict[tuple[int, ...], int] = {}
     for r in range(len(sibs) + 1):
         for s in itertools.combinations(sibs, r):
             counts[s] = 0
-    for d in dags:
-        extra = d.parents(i) - base
-        key = tuple(sorted(extra))
+    for pa in members:
+        key = tuple(_bits(pa[i] & ~base))
         if key not in counts:
             raise CausalSpanError(
                 f"class member has parents outside siblings of {i}; "

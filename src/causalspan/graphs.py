@@ -228,6 +228,11 @@ def _reach(step: Sequence[int], seen: int) -> int:
     return seen
 
 
+def _dag_of(pa: Sequence[int]) -> PDGraph:
+    """The DAG with parent masks `pa`."""
+    return PDGraph._from_masks(pa, _children_of(pa), [0] * len(pa))
+
+
 def _topological_order(pa: Sequence[int]) -> list[int] | None:
     """Repeatedly place the smallest vertex whose parents are all placed;
     None if some vertices never qualify (a directed cycle)."""
@@ -359,7 +364,7 @@ def extend_to_dag(g: PDGraph) -> PDGraph | None:
             return None
         pa[x] |= g._sib[x] & alive
         alive ^= 1 << x
-    return PDGraph._from_masks(pa, _children_of(pa), [0] * g.n)
+    return _dag_of(pa)
 
 
 def is_extendable(g: PDGraph) -> bool:
@@ -381,30 +386,11 @@ def _undirected_components(sib: Sequence[int]) -> list[int]:
     return comps
 
 
-def enumerate_dags(
-    g: PDGraph,
-    max_component_edges: int = DEFAULT_MAX_COMPONENT_EDGES,
-    max_dags: int = DEFAULT_MAX_DAGS,
-) -> list[PDGraph]:
-    """All DAGs with g's skeleton and collider set, obtained by orienting
-    g's undirected edges.  Existing directed edges are kept as they are.
-
-    A depth-first search on the parent and child masks orients the
-    undirected edges one at a time in sorted order, trying (u, v) before
-    (v, u).  An orientation a -> b is admitted only if it creates no new
-    collider at b (every parent of b is adjacent to a) and no directed
-    cycle (no path b -> ... -> a).  Each leaf is checked once more: it must
-    be acyclic with exactly g's colliders.
-
-    The output order is deterministic: DAGs come in the order of their
-    orientation vector over the sorted undirected edge list (0 = kept as
-    (u, v) with u < v, 1 = reversed), which is the order the search
-    reaches them.
-
-    Raises ResourceCapError if any undirected connected component has more
-    than `max_component_edges` edges or more than `max_dags` DAGs are found,
-    and NotExtendableError if g has no consistent extension.
-    """
+def _class_parent_masks(
+    g: PDGraph, max_component_edges: int, max_dags: int
+) -> list[tuple[int, ...]]:
+    """Per-vertex parent masks of every member of g's class, in the order
+    and under the checks and caps that `enumerate_dags` describes."""
     if extend_to_dag(g) is None:
         raise NotExtendableError("graph has no consistent extension to a DAG")
     for comp in _undirected_components(g._sib):
@@ -416,18 +402,26 @@ def enumerate_dags(
             )
     und = sorted(g.undirected_edges())
     adj = g._adjacency()
-    base_vs = _colliders(g._pa, adj)
+    base = g._pa
     children, parents = list(g._ch), list(g._pa)
-    no_siblings = [0] * g.n
-    results: list[PDGraph] = []
+    touched = [v for v, m in enumerate(g._sib) if m]
+    results: list[tuple[int, ...]] = []
+
+    def same_colliders() -> bool:
+        # g's colliders survive in every leaf, so a leaf has a new one
+        # exactly when a parent the search added is nonadjacent to another
+        # parent of the same vertex.
+        for j in touched:
+            m = parents[j]
+            for a in _bits(m & ~base[j]):
+                if m & ~adj[a] & ~(1 << a):
+                    return False
+        return True
 
     def rec(k: int) -> None:
         if k == len(und):
-            if (
-                _topological_order(parents) is not None
-                and _colliders(parents, adj) == base_vs
-            ):
-                results.append(PDGraph._from_masks(parents, children, no_siblings))
+            if _topological_order(parents) is not None and same_colliders():
+                results.append(tuple(parents))
                 if len(results) > max_dags:
                     raise ResourceCapError(f"equivalence class exceeds {max_dags} DAGs")
             return
@@ -443,6 +437,35 @@ def enumerate_dags(
 
     rec(0)
     return results
+
+
+def enumerate_dags(
+    g: PDGraph,
+    max_component_edges: int = DEFAULT_MAX_COMPONENT_EDGES,
+    max_dags: int = DEFAULT_MAX_DAGS,
+) -> list[PDGraph]:
+    """All DAGs with g's skeleton and collider set, obtained by orienting
+    g's undirected edges.  Existing directed edges are kept as they are.
+
+    A depth-first search on the parent and child masks orients the
+    undirected edges one at a time in sorted order, trying (u, v) before
+    (v, u).  An orientation a -> b is admitted only if it creates no new
+    collider at b (every parent of b is adjacent to a) and no directed
+    cycle (no path b -> ... -> a).  Each leaf is checked once more on its
+    masks: it must be acyclic, and every parent the search gave a vertex
+    must be adjacent to all other parents of that vertex, so its colliders
+    are exactly g's.
+
+    The output order is deterministic: DAGs come in the order of their
+    orientation vector over the sorted undirected edge list (0 = kept as
+    (u, v) with u < v, 1 = reversed), which is the order the search
+    reaches them.
+
+    Raises ResourceCapError if any undirected connected component has more
+    than `max_component_edges` edges or more than `max_dags` DAGs are found,
+    and NotExtendableError if g has no consistent extension.
+    """
+    return [_dag_of(pa) for pa in _class_parent_masks(g, max_component_edges, max_dags)]
 
 
 def cpdag_from_dag(d: PDGraph) -> PDGraph:
@@ -536,16 +559,15 @@ def allows_directed_path(
     Two shortcuts run first: no skeleton path means no, and an existing
     directed path means yes (directed edges of g appear in every such DAG).
     Otherwise the equivalence class is enumerated, under the same caps as
-    enumerate_dags.
+    enumerate_dags, and each member's ancestors of y are read off its
+    parent masks.
     """
     if y not in skeleton_component(g, i):
         return False
     if has_directed_path(g, i, y):
         return True
-    for d in enumerate_dags(g, max_component_edges, max_dags):
-        if has_directed_path(d, i, y):
-            return True
-    return False
+    members = _class_parent_masks(g, max_component_edges, max_dags)
+    return any(_reach(pa, 1 << y) >> i & 1 for pa in members)
 
 
 # -- local validity -----------------------------------------------------------

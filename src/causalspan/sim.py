@@ -18,7 +18,13 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .effects import DEFAULT_MAX_SIBLINGS, EffectMultiset, global_effects, local_effects
+from .effects import (
+    DEFAULT_MAX_SIBLINGS,
+    EffectMultiset,
+    _global_multiset,
+    global_effects,
+    local_effects,
+)
 from .errors import CausalSpanError, ResourceCapError
 from .gauss import CITestConfig, CovMatrix, Dataset, structural_covariance
 from .graphs import DEFAULT_MAX_COMPONENT_EDGES, DEFAULT_MAX_DAGS, PDGraph, cpdag_from_dag
@@ -179,14 +185,15 @@ def population_effects(
     max_siblings: int = DEFAULT_MAX_SIBLINGS,
 ) -> EffectMultiset:
     """The effect multiset a perfect oracle would report: the CPDAG of the
-    true DAG combined with the exact covariance."""
+    true DAG combined with the exact covariance.  The global route solves
+    covariate i's row only; its entries equal
+    `global_effects(...).row_multiset(i)`."""
     g = cpdag_from_dag(w.graph)
     source = population_covariance(w)
     if method == "global":
-        theta = global_effects(
-            source, g, y, mods, max_component_edges, max_dags
+        return _global_multiset(
+            source, g, i, y, mods, max_component_edges, max_dags
         )
-        return theta.row_multiset(i)
     if method == "local":
         return local_effects(
             source, g, i, y, mods, max_siblings, max_component_edges, max_dags

@@ -284,6 +284,58 @@ def brute_force_class(g: PDGraph) -> list[PDGraph]:
     return out
 
 
+def _reference_closure(step: np.ndarray, start: int) -> np.ndarray:
+    """Boolean mask of the vertices reachable from `start` along the
+    boolean matrix `step` (start included), by repeated matrix products."""
+    seen = np.zeros(step.shape[0], dtype=bool)
+    seen[start] = True
+    while True:
+        nxt = seen | (seen.astype(int) @ step.astype(int) > 0)
+        if (nxt == seen).all():
+            return seen
+        seen = nxt
+
+
+def reference_global_effects(cov: np.ndarray, g: PDGraph, y: int, mods=()):
+    """The global route re-derived: the members of `brute_force_class(g)`
+    in orientation-vector order and, per covariate row and member column,
+    the coefficient of i regressed with y on i and the member's parents of
+    i, by `np.linalg.solve` on the covariance block.  Under "prune_y" only
+    parents in y's skeleton component adjust; under "zero_path" a member
+    without a directed path i -> y gets 0.0 and adjustment None.  A
+    response among the adjusting parents gives 0.0, the package's
+    convention.  Returns (matrix, adjustments, members)."""
+    und = sorted(g.undirected_edges())
+    members = sorted(
+        brute_force_class(g),
+        key=lambda d: tuple(0 if (u, v) in d.directed_edges() else 1 for u, v in und),
+    )
+    skeleton = to_amat(g)
+    component = _reference_closure(skeleton | skeleton.T, y)
+    covariates = [i for i in range(g.n) if i != y]
+    matrix = np.zeros((len(covariates), len(members)))
+    adjustments = []
+    for r, i in enumerate(covariates):
+        row = []
+        for c, d in enumerate(members):
+            amat = to_amat(d)
+            if "zero_path" in mods and not _reference_closure(amat, i)[y]:
+                row.append(None)
+                continue
+            s = tuple(
+                int(v)
+                for v in np.nonzero(amat[:, i])[0]
+                if "prune_y" not in mods or component[v]
+            )
+            row.append(s)
+            if y not in s:
+                idx = [i, *s]
+                coef = np.linalg.solve(cov[np.ix_(idx, idx)], cov[idx, y])
+                matrix[r, c] = coef[0]
+        adjustments.append(tuple(row))
+    return matrix, tuple(adjustments), members
+
+
 def relabel(g: PDGraph, perm: list[int]) -> PDGraph:
     """Image of g under the vertex relabeling v -> perm[v]."""
     directed = [(perm[u], perm[v]) for u, v in g.directed_edges()]

@@ -2,6 +2,7 @@
 real subprocess, checking outputs, determinism, exit codes, and the
 environment-variable overrides."""
 
+import csv
 import json
 import subprocess
 import sys
@@ -10,6 +11,8 @@ import numpy as np
 import pytest
 
 from causalspan import generate_data
+from causalspan.cli import read_dataset
+from causalspan.errors import InputError
 
 from conftest import _weighted, cli_env, weighted_cov
 
@@ -339,6 +342,54 @@ class TestDeterminism:
             tmp_path, "sim",
         )
         assert a == b
+
+
+def float_rows(text: str) -> np.ndarray:
+    """The data rows of a CSV text, field by field through `float`."""
+    rows = list(csv.reader(text.splitlines()))[1:]
+    return np.array([[float(c) for c in row] for row in rows if row])
+
+
+class TestReadDataset:
+    def test_reads_the_doubles_float_reads(self, tmp_path):
+        rng = np.random.default_rng(3)
+        values = rng.standard_normal((300, 4)) * 10.0 ** rng.integers(-8, 9, (300, 4))
+        formats = (repr, "%.6g".__mod__, "%.17g".__mod__, "%.3f".__mod__)
+        lines = ["A,B,C,D"] + [
+            ",".join(formats[(r + c) % 4](float(v)) for c, v in enumerate(row))
+            for r, row in enumerate(values)
+        ]
+        text = "\n".join(lines) + "\n"
+        src = tmp_path / "mixed.csv"
+        src.write_text(text)
+        got = read_dataset(str(src), "D").values
+        assert got.tobytes() == float_rows(text).tobytes()
+
+    def test_fields_only_float_accepts_are_read(self, tmp_path):
+        # Underscores, quotes and non-ASCII digits: the record-by-record
+        # parser takes them, so they must not turn into errors.
+        text = 'A,B\n1_000,"2.5"\n\uff13,4\n5,6\n'
+        src = tmp_path / "odd.csv"
+        src.write_text(text, encoding="utf-8")
+        got = read_dataset(str(src), "B").values
+        assert got.tobytes() == float_rows(text).tobytes()
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("#1,2\n3,4\n5,6\n", "2: non-numeric value"),
+            ("1,2\n3,x\n5,6\n", "3: non-numeric value"),
+            ("1,2\n3\n5,6\n", "3: expected 2 fields, got 1"),
+            ("1,2,3\n4,5,6\n", "2: expected 2 fields, got 3"),
+            ("1,2\n\n", " need at least two data rows"),
+        ],
+    )
+    def test_errors_name_the_record(self, tmp_path, body, message):
+        src = tmp_path / "bad.csv"
+        src.write_text("A,B\n" + body)
+        with pytest.raises(InputError) as err:
+            read_dataset(str(src), "B")
+        assert str(err.value) == f"{src}:{message}"
 
 
 class TestFailureModes:

@@ -6,6 +6,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalspan import (
     BootstrapScores,
@@ -17,6 +19,7 @@ from causalspan import (
     EffectMultiset,
     PDGraph,
     ResourceCapError,
+    WeightedDag,
     bootstrap_scores,
     cpdag_from_dag,
     enumerate_dags,
@@ -26,11 +29,12 @@ from causalspan import (
     multiset_distance,
     oracle_multiplicities,
     population_covariance,
+    population_effects,
     random_weighted_dag,
     summarize,
 )
 
-from conftest import weighted_cov
+from conftest import reference_global_effects, relabel, weighted_cov
 
 
 def adjustment_value_map(ms: EffectMultiset) -> dict:
@@ -263,6 +267,41 @@ class TestRouteAgreement:
                         assert adj not in mults
                     else:
                         assert mults[adj] == c
+
+
+class TestGlobalRouteOracle:
+    @pytest.mark.parametrize(
+        "mods", [(), ("zero_path",), ("prune_y",), ("zero_path", "prune_y")]
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference_and_population_truth(self, mods, seed):
+        # Random population models, relabeled so edges do not all point
+        # from lower to higher index; sizes come from the seed.
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(3, 8))
+        w = random_weighted_dag(p, float(rng.uniform(0.5, 3.5)), rng)
+        perm = [int(v) for v in rng.permutation(p)]
+        weights = np.zeros((p, p))
+        weights[np.ix_(perm, perm)] = w.weights
+        w = WeightedDag(relabel(w.graph, perm), weights)
+        y = int(rng.integers(p))
+        g = cpdag_from_dag(w.graph)
+        if len(g.undirected_edges()) > 10:
+            return  # keeps the brute force at most 2**10 orientations
+        cov = population_covariance(w)
+        theta = global_effects(cov, g, y, mods)
+        matrix, adjustments, members = reference_global_effects(cov.values, g, y, mods)
+        assert theta.dags == tuple(members)
+        assert theta.adjustments == adjustments
+        np.testing.assert_allclose(theta.matrix, matrix, rtol=1e-12, atol=1e-12)
+        for x in theta.covariates:
+            truth = population_effects(w, x, y, "global", mods)
+            row = theta.row_multiset(x)
+            assert (truth.covariate, truth.response, truth.mods) == (x, y, row.mods)
+            assert [(e.value, e.adjustment, e.multiplicity) for e in truth.entries] == [
+                (e.value, e.adjustment, e.multiplicity) for e in row.entries
+            ]
 
 
 class TestZeroPathMod:
