@@ -55,11 +55,8 @@ from .graphs import (
     extend_to_dag,
     find_v_structures,
     has_directed_path,
-    is_chordal,
-    is_extendable,
     is_locally_valid,
     meek_closure,
-    perfect_elimination_order,
     reachable_toward,
     skeleton_component,
     validate_cpdag,

@@ -114,18 +114,9 @@ class EffectMultiset:
         vals = self.values()
         return max(vals) - min(vals)
 
-    def ambiguity(self, tol: float | None = None) -> int:
-        """Number of distinct entries.  By default entries are distinct
-        when their adjustment sets differ; pass a tolerance to count
-        distinct values numerically instead."""
-        if tol is None:
-            return len(self.distinct_adjustments())
-        vals = sorted(self.values())
-        count = 1
-        for a, b in zip(vals, vals[1:]):
-            if b - a > tol:
-                count += 1
-        return count
+    def ambiguity(self) -> int:
+        """Number of distinct adjustment sets among the entries."""
+        return len(self.distinct_adjustments())
 
     def to_json_dict(self, names: list[str] | None = None) -> dict:
         def name(i: int) -> str | int:

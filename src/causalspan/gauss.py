@@ -162,11 +162,10 @@ class CITestConfig:
             raise ValueError("alpha must lie strictly between 0 and 1")
 
 
-def sample_covariance(d: Dataset, ml: bool = False) -> CovMatrix:
-    """Sample covariance with the n-1 denominator (1/n when ml=True)."""
+def sample_covariance(d: Dataset) -> CovMatrix:
+    """Sample covariance with the n-1 denominator."""
     v = d.values - d.values.mean(axis=0)
-    denom = d.n if ml else d.n - 1
-    return CovMatrix(v.T @ v / denom, n=d.n)
+    return CovMatrix(v.T @ v / (d.n - 1), n=d.n)
 
 
 def correlation_matrix(d: Dataset) -> CovMatrix:
@@ -182,10 +181,8 @@ def correlation_matrix(d: Dataset) -> CovMatrix:
 
 
 def _solve_checked(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
-    if a.size and np.linalg.cond(a) > CONDITION_LIMIT:
+    if np.linalg.cond(a) > CONDITION_LIMIT:
         raise NumericalRankError(f"{what}: matrix is singular or ill-conditioned")
-    if a.size == 0:
-        return np.zeros_like(b)
     return np.linalg.solve(a, b)
 
 

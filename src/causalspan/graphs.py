@@ -5,7 +5,8 @@ u - v, with at most one edge per vertex pair.  The functions here cover the
 combinatorics this package needs: collider (v-structure) detection, Meek's
 orientation rules, consistent extension to a DAG, enumeration of all DAGs
 sharing a graph's skeleton and colliders, the completed partially directed
-graph (CPDAG) of a DAG, and chordal-graph utilities.
+graph (CPDAG) of a DAG, and the check that a graph can serve as a CPDAG
+(it has a consistent extension and a chordal undirected part).
 
 There is one representation: per-vertex Python int bitmasks of parents,
 children and siblings (bit v of ``pa[u]`` set means v -> u).  Every
@@ -199,19 +200,6 @@ class PDGraph:
         edges.sort(key=lambda e: (e["from"], e["to"], not e["directed"]))
         return {"p": self.n, "names": list(names), "edges": edges}
 
-    @classmethod
-    def from_json_dict(cls, obj: dict) -> "PDGraph":
-        n = int(obj["p"])
-        directed = []
-        undirected = []
-        for e in obj.get("edges", []):
-            u, v = int(e["from"]), int(e["to"])
-            if e.get("directed", True):
-                directed.append((u, v))
-            else:
-                undirected.append((u, v))
-        return cls(n, directed=directed, undirected=undirected)
-
 
 # -- mask primitives -----------------------------------------------------------
 
@@ -367,10 +355,6 @@ def extend_to_dag(g: PDGraph) -> PDGraph | None:
     return _dag_of(pa)
 
 
-def is_extendable(g: PDGraph) -> bool:
-    return extend_to_dag(g) is not None
-
-
 # -- equivalence-class enumeration -------------------------------------------
 
 
@@ -402,28 +386,14 @@ def _class_parent_masks(
             )
     und = sorted(g.undirected_edges())
     adj = g._adjacency()
-    base = g._pa
     children, parents = list(g._ch), list(g._pa)
-    touched = [v for v, m in enumerate(g._sib) if m]
     results: list[tuple[int, ...]] = []
-
-    def same_colliders() -> bool:
-        # g's colliders survive in every leaf, so a leaf has a new one
-        # exactly when a parent the search added is nonadjacent to another
-        # parent of the same vertex.
-        for j in touched:
-            m = parents[j]
-            for a in _bits(m & ~base[j]):
-                if m & ~adj[a] & ~(1 << a):
-                    return False
-        return True
 
     def rec(k: int) -> None:
         if k == len(und):
-            if _topological_order(parents) is not None and same_colliders():
-                results.append(tuple(parents))
-                if len(results) > max_dags:
-                    raise ResourceCapError(f"equivalence class exceeds {max_dags} DAGs")
+            results.append(tuple(parents))
+            if len(results) > max_dags:
+                raise ResourceCapError(f"equivalence class exceeds {max_dags} DAGs")
             return
         u, v = und[k]
         for a, b in ((u, v), (v, u)):
@@ -451,10 +421,11 @@ def enumerate_dags(
     undirected edges one at a time in sorted order, trying (u, v) before
     (v, u).  An orientation a -> b is admitted only if it creates no new
     collider at b (every parent of b is adjacent to a) and no directed
-    cycle (no path b -> ... -> a).  Each leaf is checked once more on its
-    masks: it must be acyclic, and every parent the search gave a vertex
-    must be adjacent to all other parents of that vertex, so its colliders
-    are exactly g's.
+    cycle (no path b -> ... -> a).  So every leaf is a member and needs no
+    further check: g's directed part is acyclic (the extension pre-check
+    proves it) and each admitted edge keeps it so, and a new collider
+    needs two nonadjacent parents of one vertex, the later of which the
+    admission rule refused.
 
     The output order is deterministic: DAGs come in the order of their
     orientation vector over the sorted undirected edge list (0 = kept as
@@ -481,43 +452,6 @@ def cpdag_from_dag(d: PDGraph) -> PDGraph:
     ch = _children_of(pa)
     sib = [m & ~p & ~c for m, p, c in zip(adj, pa, ch)]
     return meek_closure(PDGraph._from_masks(pa, ch, sib))
-
-
-# -- chordal utilities ---------------------------------------------------------
-
-
-def _elimination_order(adj: Sequence[int]) -> list[int] | None:
-    """Repeatedly take the smallest vertex whose remaining neighbours form a
-    clique; None if at some point no vertex qualifies."""
-    order: list[int] = []
-    alive = (1 << len(adj)) - 1
-    while alive:
-        for x in _bits(alive):
-            if _pairwise_adjacent(adj[x] & alive, adj):
-                break
-        else:
-            return None
-        order.append(x)
-        alive ^= 1 << x
-    return order
-
-
-def perfect_elimination_order(g: PDGraph) -> list[int] | None:
-    """A perfect elimination order of a fully undirected graph, or None if
-    the graph is not chordal.
-
-    Each vertex in the returned order is simplicial (its later neighbours
-    form a clique) in the subgraph induced by it and the vertices after it.
-    """
-    if not g.is_fully_undirected():
-        raise ValueError("perfect elimination order requires an undirected graph")
-    return _elimination_order(g._sib)
-
-
-def is_chordal(g: PDGraph) -> bool:
-    """True if the fully undirected graph g has no chordless cycle of
-    length four or more."""
-    return perfect_elimination_order(g) is not None
 
 
 # -- reachability -----------------------------------------------------------
@@ -596,6 +530,24 @@ def is_locally_valid(g: PDGraph, i: int, s: Iterable[int]) -> bool:
 # -- validation ----------------------------------------------------------------
 
 
+def _elimination_order(adj: Sequence[int]) -> list[int] | None:
+    """A perfect elimination order of the undirected graph with adjacency
+    masks `adj`: repeatedly take the smallest vertex whose remaining
+    neighbours form a clique.  None if at some point no vertex qualifies,
+    which happens exactly when the graph is not chordal."""
+    order: list[int] = []
+    alive = (1 << len(adj)) - 1
+    while alive:
+        for x in _bits(alive):
+            if _pairwise_adjacent(adj[x] & alive, adj):
+                break
+        else:
+            return None
+        order.append(x)
+        alive ^= 1 << x
+    return order
+
+
 @dataclass(frozen=True)
 class CpdagValidation:
     """Report on whether a partially directed graph can serve as a CPDAG."""
@@ -613,7 +565,7 @@ def validate_cpdag(g: PDGraph) -> CpdagValidation:
     """Check the two structural requirements for a usable CPDAG: a
     consistent extension exists, and the undirected subgraph is chordal."""
     problems = []
-    ext = is_extendable(g)
+    ext = extend_to_dag(g) is not None
     if not ext:
         problems.append("no consistent extension to a DAG exists")
     chordal = _elimination_order(g._sib) is not None

@@ -49,6 +49,10 @@ POPULATION_RHO_TOL = 1e-9
 # high levels, where a pair can have a huge number of them.
 _CHUNK = 256
 
+# Candidates `repair_cpdag` examines in its exact searches: sides of the
+# conflicted edges in stage 1, subsets of collider triples in stage 2.
+_REPAIR_SEARCH_CAP = 4096
+
 SepsetTable = dict[tuple[int, int], tuple[int, ...]]
 
 
@@ -106,7 +110,6 @@ def _marginal_correlations(corr: np.ndarray) -> list[list[float]]:
 def estimate_skeleton(
     source: Dataset | CovMatrix,
     cfg: CITestConfig = CITestConfig(),
-    max_level: int | None = None,
 ) -> tuple[PDGraph, SepsetTable, PcDiagnostics]:
     """Level-wise conditional-independence search for the skeleton.
 
@@ -114,8 +117,8 @@ def estimate_skeleton(
     adjacent pair (i, j) is tested against each size-l subset of the
     adjacency set of i (snapshotted at the start of the level, j excluded)
     in lexicographic order; on an independence verdict the edge goes and
-    the separating set is recorded.  Stops when no adjacency set is large
-    enough, or past max_level.
+    the separating set is recorded.  Stops at the first level at which no
+    adjacency set is large enough.
 
     Level 0 solves the blocks of all pairs in one stack; at higher levels a
     pair's subsets are solved in stacked chunks.  Verdicts are read in
@@ -138,8 +141,6 @@ def estimate_skeleton(
     sepsets: SepsetTable = {}
     level = 0
     while True:
-        if max_level is not None and level > max_level:
-            break
         snapshot = [frozenset(a) for a in adj]
         if not any(
             len(snapshot[i] - {j}) >= level
@@ -271,20 +272,18 @@ def _rebuild(skeleton, sepsets, forced=None, dropped=()):
     return meek_closure(g)
 
 
-def repair_cpdag(
-    result: PcResult,
-    seed: int = 0,
-    search_cap: int = 4096,
-) -> RepairResult:
+def repair_cpdag(result: PcResult, seed: int = 0) -> RepairResult:
     """Make a PC estimate usable as a CPDAG.
 
     Stage 0 returns the graph unchanged when it already validates.  Stage 1
     revisits the recorded collider conflicts: every way of deciding which
-    side of each conflicted edge wins is retried (up to search_cap
-    combinations).  Stage 2 drops collider triples, fewest first, with an
-    exact subset search up to search_cap candidates and a greedy pass
-    beyond that.  Stage 3 orients the skeleton along a seeded random
-    vertex order and returns that DAG's CPDAG, which always validates.
+    side of each conflicted edge wins is retried, when there are at most
+    _REPAIR_SEARCH_CAP ways.  Stage 2 drops collider triples: it tries the
+    subsets fewest first (in `combinations` order within a size), at most
+    _REPAIR_SEARCH_CAP of them, and when that cap is used up without a
+    valid graph it drops the first k triples for k = 1, 2, ... in turn.
+    Stage 3 orients the skeleton along a seeded random vertex order and
+    returns that DAG's CPDAG, which always validates.
     """
     if result.validation.is_valid:
         return RepairResult(result.graph, 0, "estimate already valid")
@@ -300,7 +299,7 @@ def repair_cpdag(
         if key not in seen:
             seen.add(key)
             conflicted.append(key)
-    if conflicted and 2 ** len(conflicted) <= search_cap:
+    if conflicted and 2 ** len(conflicted) <= _REPAIR_SEARCH_CAP:
         for mask in range(2 ** len(conflicted)):
             forced = {}
             for bit, (u, v) in enumerate(conflicted):
@@ -319,33 +318,20 @@ def repair_cpdag(
         val = validate_cpdag(base)
         if val.is_valid:
             return RepairResult(base, 2, "no collider triples to drop")
+    fewest_first = itertools.chain.from_iterable(
+        itertools.combinations(triples, k) for k in range(1, len(triples) + 1)
+    )
     examined = 0
-    for k in range(1, len(triples) + 1):
-        if examined >= search_cap:
-            break
-        stop = False
-        for subset in itertools.combinations(range(len(triples)), k):
-            examined += 1
-            dropped = [triples[t] for t in subset]
-            g = _rebuild(skeleton, sepsets, dropped=dropped)
+    for dropped in itertools.islice(fewest_first, _REPAIR_SEARCH_CAP):
+        examined += 1
+        g = _rebuild(skeleton, sepsets, dropped=dropped)
+        if validate_cpdag(g).is_valid:
+            return RepairResult(g, 2, f"dropped {len(dropped)} collider triples")
+    if examined == _REPAIR_SEARCH_CAP:
+        for k in range(1, len(triples) + 1):
+            g = _rebuild(skeleton, sepsets, dropped=triples[:k])
             if validate_cpdag(g).is_valid:
-                return RepairResult(g, 2, f"dropped {k} collider triples")
-            if examined >= search_cap:
-                stop = True
-                break
-        if stop:
-            break
-    if examined >= search_cap:
-        # greedy: peel off triples one at a time
-        dropped: list[tuple[int, int, int]] = []
-        remaining = list(triples)
-        while remaining:
-            dropped.append(remaining.pop(0))
-            g = _rebuild(skeleton, sepsets, dropped=dropped)
-            if validate_cpdag(g).is_valid:
-                return RepairResult(
-                    g, 2, f"greedily dropped {len(dropped)} collider triples"
-                )
+                return RepairResult(g, 2, f"greedily dropped {k} collider triples")
 
     # stage 3: random consistent orientation of the skeleton
     rng = np.random.default_rng(seed)

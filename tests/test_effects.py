@@ -71,12 +71,6 @@ class TestEffectMultiset:
     def test_ambiguity_counts_distinct_adjustments(self):
         assert self.sample().ambiguity() == 2
 
-    def test_ambiguity_with_tolerance_counts_value_clusters(self):
-        ms = self.sample()
-        assert ms.ambiguity(tol=0.5) == 2
-        assert ms.ambiguity(tol=1.0) == 1
-        assert ms.ambiguity(tol=0.0) == 2
-
     def test_empty_multiset_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             EffectMultiset(0, 3, (), "global")

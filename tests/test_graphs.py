@@ -2,6 +2,7 @@
 enumeration, extension, chordality, and serialization."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from causalspan import (
     CITestConfig,
+    CovMatrix,
     NotExtendableError,
     PDGraph,
     ResourceCapError,
@@ -21,18 +23,17 @@ from causalspan import (
     extend_to_dag,
     find_v_structures,
     generate_data,
+    global_effects,
     has_directed_path,
-    is_chordal,
-    is_extendable,
     is_locally_valid,
     meek_closure,
     orient_v_structures,
-    perfect_elimination_order,
     random_weighted_dag,
     reachable_toward,
     skeleton_component,
     validate_cpdag,
 )
+from causalspan.graphs import _elimination_order
 from conftest import (
     brute_force_class,
     random_pdgraph_dag,
@@ -243,7 +244,6 @@ class TestExtension:
     def test_four_cycle_not_extendable(self):
         g = PDGraph(4, undirected=[(0, 1), (1, 2), (2, 3), (0, 3)])
         assert extend_to_dag(g) is None
-        assert not is_extendable(g)
 
     def test_extension_preserves_class(self):
         rng = np.random.default_rng(13)
@@ -311,6 +311,15 @@ class TestEnumerateDags:
         g = PDGraph(4, undirected=[(0, 1), (1, 2), (2, 3), (0, 3)])
         with pytest.raises(NotExtendableError):
             enumerate_dags(g)
+
+    def test_directed_cycle_raises(self):
+        # The extension pre-check is what keeps a directed cycle out of the
+        # class: the search only checks the edges it orients itself.
+        g = PDGraph(4, directed=[(0, 1), (1, 2), (2, 0)], undirected=[(2, 3)])
+        with pytest.raises(NotExtendableError):
+            enumerate_dags(g)
+        with pytest.raises(NotExtendableError):
+            global_effects(CovMatrix(np.eye(4)), g, 3)
 
     def test_component_cap(self):
         g = PDGraph(6, undirected=[(i, j) for i in range(6) for j in range(i + 1, 6)])
@@ -466,18 +475,18 @@ class TestLocalValidity:
 class TestChordality:
     def test_triangle_chordal(self):
         g = PDGraph(3, undirected=[(0, 1), (1, 2), (0, 2)])
-        assert is_chordal(g)
-        order = perfect_elimination_order(g)
+        assert validate_cpdag(g).undirected_chordal
+        order = _elimination_order(g._sib)
         assert order is not None and sorted(order) == [0, 1, 2]
 
     def test_four_cycle_not_chordal(self):
         g = PDGraph(4, undirected=[(0, 1), (1, 2), (2, 3), (0, 3)])
-        assert not is_chordal(g)
-        assert perfect_elimination_order(g) is None
+        assert not validate_cpdag(g).undirected_chordal
+        assert _elimination_order(g._sib) is None
 
     def test_order_is_perfect(self):
         g = PDGraph(5, undirected=[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-        order = perfect_elimination_order(g)
+        order = _elimination_order(g._sib)
         remaining = set(range(5))
         for v in order:
             later = g.siblings(v) & remaining - {v}
@@ -491,9 +500,7 @@ class TestChordality:
         rng = np.random.default_rng(41)
         for _ in range(40):
             dag = random_pdgraph_dag(rng, 7, 0.35)
-            g = cpdag_from_dag(dag)
-            und = PDGraph(g.n, undirected=sorted(g.undirected_edges()))
-            assert is_chordal(und)
+            assert validate_cpdag(cpdag_from_dag(dag)).undirected_chordal
 
 
 class TestValidation:
@@ -557,8 +564,7 @@ class TestMatchesReferences:
         order = reference_elimination_order(g)
         v = validate_cpdag(g)
         assert (v.extendable, v.undirected_chordal) == (ext is not None, order is not None)
-        und = PDGraph(n, undirected=g.undirected_edges())
-        assert perfect_elimination_order(und) == order
+        assert _elimination_order(g._sib) == order
         assert find_v_structures(g) == reference_v_structures(g)
         assert g.topological_order() == reference_topological_order(g)
         assert g.is_dag() == reference_is_dag(g)
@@ -587,9 +593,15 @@ class TestMatchesReferences:
 class TestSerialization:
     def test_json_round_trip(self):
         g = PDGraph(3, directed=[(0, 1)], undirected=[(1, 2)])
-        doc = g.to_json_dict(names=("a", "b", "c"))
-        assert doc["p"] == 3
-        assert PDGraph.from_json_dict(doc) == g
+        doc = json.loads(json.dumps(g.to_json_dict(names=("a", "b", "c"))))
+        assert doc == {
+            "p": 3,
+            "names": ["a", "b", "c"],
+            "edges": [
+                {"from": 0, "to": 1, "directed": True},
+                {"from": 1, "to": 2, "directed": False},
+            ],
+        }
 
     def test_json_lists_undirected_once(self):
         g = PDGraph(2, undirected=[(0, 1)])

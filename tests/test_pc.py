@@ -44,14 +44,6 @@ class TestSkeleton:
         assert not g.undirected_edges()
         assert all(s == () for s in sepsets.values())
 
-    def test_max_level_stops_search(self, hub_direct_model):
-        w, evars = hub_direct_model
-        cov = weighted_cov(w, evars)
-        g0, _, _ = estimate_skeleton(cov, CITestConfig(0.01), max_level=0)
-        # Level 0 cannot separate the children, whose dependence is
-        # mediated: the spurious edge survives.
-        assert g0.has_edge(0, 2)
-
     def test_insufficient_rows_skip_and_keep_edges(self):
         # Four rows leave exactly one effective observation at level 0 and
         # none at level 1: near-collinear columns keep their edges, and the
@@ -71,7 +63,8 @@ class TestSkeleton:
         assert set(diag.tests_per_level) == {0}
 
 
-    @pytest.mark.parametrize("max_level", [None, 1])
+    # The reference's level cap: the package search runs every level.
+    @pytest.mark.parametrize("max_level", [None])
     @pytest.mark.parametrize(
         "kind", ["data-4", "data-6", "data-30", "data-500", "cov-30", "population"]
     )
@@ -99,7 +92,7 @@ class TestSkeleton:
                 return str(e)
 
         def stacked():
-            g, sepsets, diag = estimate_skeleton(source, CITestConfig(alpha), max_level)
+            g, sepsets, diag = estimate_skeleton(source, CITestConfig(alpha))
             return (g.undirected_edges(), sepsets, diag.tests_per_level,
                     diag.skipped_insufficient_n)
 
