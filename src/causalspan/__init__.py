@@ -48,12 +48,10 @@ from .gauss import (
 from .graphs import (
     CpdagValidation,
     PDGraph,
-    VStructure,
     allows_directed_path,
     cpdag_from_dag,
     enumerate_dags,
     extend_to_dag,
-    find_v_structures,
     has_directed_path,
     is_locally_valid,
     meek_closure,

@@ -14,7 +14,7 @@ likelihood requires.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
 from typing import NamedTuple
 
@@ -28,7 +28,9 @@ from .errors import (
 from .graphs import PDGraph
 
 # Relative condition-number threshold above which linear systems are
-# treated as rank deficient.
+# treated as rank deficient.  A block is checked against it with its own
+# SVD unless its CovMatrix vouches for every principal block at once (see
+# `CovMatrix._blocks_conditioned`).
 CONDITION_LIMIT = 1e12
 
 
@@ -108,10 +110,20 @@ class CovMatrix:
 
     n=None marks a population matrix: tests against it use the exact-zero
     rule instead of a finite-sample test.
+
+    `_blocks_conditioned` is decided once, from the eigenvalues the
+    constructor computes for its semidefiniteness check.  It is true when
+    the stored matrix is exactly symmetric and positive definite with
+    w_max <= (CONDITION_LIMIT / 1e4) * w_min.  By Cauchy interlacing the
+    eigenvalues of every principal block lie in [w_min, w_max], so no
+    principal block can come near CONDITION_LIMIT, and the per-block
+    condition check is skipped.  The 1e4 margin absorbs the rounding of
+    both eigenvalue computations.
     """
 
     values: np.ndarray
     n: int | None = None
+    _blocks_conditioned: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -127,9 +139,15 @@ class CovMatrix:
             raise ValueError("covariance must be positive semidefinite")
         if self.n is not None and self.n < 2:
             raise ValueError("sample size must be at least 2")
+        conditioned = bool(
+            w[0] > 0
+            and w[-1] <= (CONDITION_LIMIT / 1e4) * w[0]
+            and np.array_equal(v, v.T)
+        )
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
+        object.__setattr__(self, "_blocks_conditioned", conditioned)
 
     @property
     def n_columns(self) -> int:
@@ -180,19 +198,27 @@ def correlation_matrix(d: Dataset) -> CovMatrix:
     return d.covariance.correlation()
 
 
-def _solve_checked(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
-    if np.linalg.cond(a) > CONDITION_LIMIT:
+def _solve_checked(
+    a: np.ndarray, b: np.ndarray, what: str, conditioned: bool = False
+) -> np.ndarray:
+    """Solve a x = b; NumericalRankError when cond(a) > CONDITION_LIMIT,
+    checked unless `conditioned` (a is a principal block of a CovMatrix
+    whose `_blocks_conditioned` is set, so the check could not fire)."""
+    if not conditioned and np.linalg.cond(a) > CONDITION_LIMIT:
         raise NumericalRankError(f"{what}: matrix is singular or ill-conditioned")
     return np.linalg.solve(a, b)
 
 
-def _partial_correlations(blocks: np.ndarray) -> np.ndarray:
+def _partial_correlations(blocks: np.ndarray, conditioned: bool = False) -> np.ndarray:
     """Partial correlation of the first two columns given the rest for each
     unit-diagonal block of an (m, k, k) stack, clipped to [-1, 1].  NaN
     marks a block singular beyond CONDITION_LIMIT (kept out of the batched
-    inverse, which would fail on it) or not positive definite."""
+    inverse, which would fail on it) or not positive definite.  Each block
+    gets its own condition number unless `conditioned` (every block is a
+    principal block of a CovMatrix whose `_blocks_conditioned` is set);
+    either way the same blocks reach the same inverse."""
     rho = np.full(len(blocks), np.nan)
-    ok = ~(np.linalg.cond(blocks) > CONDITION_LIMIT)
+    ok = slice(None) if conditioned else ~(np.linalg.cond(blocks) > CONDITION_LIMIT)
     om = np.linalg.inv(blocks[ok])
     with np.errstate(invalid="ignore"):
         rho[ok] = np.clip(-om[:, 0, 1] / np.sqrt(om[:, 0, 0] * om[:, 1, 1]), -1.0, 1.0)
@@ -361,9 +387,11 @@ def beta_given_s(
     {i} union s (with intercept), solved from the covariance: a dataset's
     cached `covariance`, or the matrix itself.  Returns 0.0 when y is in s:
     a response that appears among the regressors indicates y is upstream
-    of i, so the effect of i on y is zero.  Rank deficiency is decided by
-    the condition number of the {i} union s covariance block
-    (CONDITION_LIMIT) and raises NumericalRankError.
+    of i, so the effect of i on y is zero.  Rank deficiency raises
+    NumericalRankError.  It is decided once for the whole covariance when
+    its `_blocks_conditioned` flag is set (no principal block can then
+    pass CONDITION_LIMIT); otherwise by the condition number of the
+    {i} union s covariance block.
     """
     s = tuple(int(x) for x in s)
     if i == y:
@@ -376,7 +404,7 @@ def beta_given_s(
     idx = [i, *sorted(s)]
     a = cov.values[np.ix_(idx, idx)]
     b = cov.values[idx, y]
-    coef = _solve_checked(a, b, f"regression ({i} | {s})")
+    coef = _solve_checked(a, b, f"regression ({i} | {s})", cov._blocks_conditioned)
     return float(coef[0])
 
 
@@ -451,17 +479,15 @@ def bic_score(d: Dataset, dag: PDGraph) -> float:
     return float(-2.0 * fit.loglik + math.log(d.n) * k)
 
 
-def structural_covariance(
-    weights: np.ndarray, error_variances: np.ndarray | None = None
-) -> np.ndarray:
+def structural_covariance(weights: np.ndarray) -> np.ndarray:
     """Exact covariance of the linear system X = W X + e where W[i, j] is
     the coefficient of X_j in the equation for X_i and e has independent
-    components with the given variances (default all one)."""
+    unit-variance components."""
     w = np.asarray(weights, dtype=float)
-    p1 = w.shape[0]
-    if error_variances is None:
-        error_variances = np.ones(p1)
-    ib = np.eye(p1) - w
-    inv_ib = np.linalg.inv(ib)
-    sigma = inv_ib @ np.diag(np.asarray(error_variances, dtype=float)) @ inv_ib.T
+    eye = np.eye(w.shape[0])
+    inv_ib = np.linalg.inv(eye - w)
+    # Kept as (inv_ib @ eye) @ inv_ib.T: numpy computes inv_ib @ inv_ib.T
+    # as a symmetric rank-k update, which rounds differently, and the
+    # simulation outputs are pinned to these bits.
+    sigma = inv_ib @ eye @ inv_ib.T
     return (sigma + sigma.T) / 2.0

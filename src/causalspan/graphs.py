@@ -20,21 +20,13 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import NotExtendableError, ResourceCapError
 
 # Enumeration caps: undirected edges per component, and class members.
 DEFAULT_MAX_COMPONENT_EDGES = 12
 DEFAULT_MAX_DAGS = 25000
-
-
-class VStructure(NamedTuple):
-    """Collider triple a -> collider <- c with a and c nonadjacent; a < c."""
-
-    a: int
-    collider: int
-    c: int
 
 
 def _bits(mask: int) -> Iterator[int]:
@@ -253,11 +245,6 @@ def _pairwise_adjacent(vs: int, adj: Sequence[int]) -> bool:
 
 
 # -- colliders and orientation rules ----------------------------------------
-
-
-def find_v_structures(g: PDGraph) -> frozenset[VStructure]:
-    """All collider triples a -> j <- c with a, c nonadjacent (a < c)."""
-    return frozenset(VStructure(*t) for t in _colliders(g._pa, g._adjacency()))
 
 
 def _meek_pass(pa: list[int], ch: list[int], sib: list[int], adj: Sequence[int]) -> bool:

@@ -5,7 +5,10 @@ adjacency sets snapshotted at the start of each level, so results do not
 depend on incidental edge-removal order within a level; it also fixes each
 pair's conditioning sets, which are solved in stacks (one for all pairs at
 level 0) and read in order, so tests, separating sets and errors are those
-of one test at a time.
+of one test at a time.  A block gets a singularity check by its own SVD
+only when the correlation matrix's eigenvalues cannot vouch for all of
+its principal blocks at once (see `CovMatrix`), as with n < p, duplicated
+or collinear columns, or a near-singular population matrix.
 Collider orientation walks candidate triples in lexicographic order and
 lets later triples overwrite earlier arrowheads; every overwrite is
 recorded, because on finite samples the oriented graph can fail to admit
@@ -85,25 +88,27 @@ class PcResult:
 
 
 def _stacked_partial_correlations(
-    corr: np.ndarray, i: int, j: int, sets: Iterator[tuple[int, ...]]
+    corr: CovMatrix, i: int, j: int, sets: Iterator[tuple[int, ...]]
 ) -> Iterator[tuple[tuple[int, ...], float]]:
     """(S, partial correlation of i and j given S) for each of `sets` in
     order, solved in stacks of _CHUNK blocks; NaN marks a singular block."""
     while chunk := list(itertools.islice(sets, _CHUNK)):
         idx = np.array([(i, j, *s) for s in chunk])
-        rhos = _partial_correlations(corr[idx[:, :, None], idx[:, None, :]])
+        blocks = corr.values[idx[:, :, None], idx[:, None, :]]
+        rhos = _partial_correlations(blocks, corr._blocks_conditioned)
         yield from zip(chunk, rhos.tolist())
 
 
-def _marginal_correlations(corr: np.ndarray) -> list[list[float]]:
+def _marginal_correlations(corr: CovMatrix) -> list[list[float]]:
     """Level-0 partial correlations of every pair, from one stack of the
     2 x 2 blocks (i, j) with i < j; the matrix is exactly symmetric, so the
     block (j, i) equals (i, j) and the result is mirrored."""
-    p = len(corr)
+    p = corr.n_columns
     rho = np.full((p, p), np.nan)
     iu, ju = np.triu_indices(p, 1)
     idx = np.stack([iu, ju], axis=1)
-    rho[iu, ju] = rho[ju, iu] = _partial_correlations(corr[idx[:, :, None], idx[:, None, :]])
+    blocks = corr.values[idx[:, :, None], idx[:, None, :]]
+    rho[iu, ju] = rho[ju, iu] = _partial_correlations(blocks, corr._blocks_conditioned)
     return rho.tolist()
 
 
@@ -124,6 +129,8 @@ def estimate_skeleton(
     pair's subsets are solved in stacked chunks.  Verdicts are read in
     order, so `tests_per_level` counts the tests up to the first
     independent one, and a singular block raises only when it is reached.
+    Blocks get a condition check of their own only when the correlation
+    matrix's eigenvalues do not already rule out a singular one.
     Data or a finite-n covariance uses the z-transform test at cfg.alpha;
     a population covariance (n=None) declares independence when
     |rho| <= POPULATION_RHO_TOL.  When n - l - 3 < 1 every subset counts
@@ -149,7 +156,7 @@ def estimate_skeleton(
         ):
             break
         if level == 0 and (n is None or n - 3 >= 1):
-            marginal = _marginal_correlations(corr.values)
+            marginal = _marginal_correlations(corr)
         for i in range(p1):
             for j in sorted(snapshot[i]):
                 if j not in adj[i]:
@@ -164,7 +171,7 @@ def estimate_skeleton(
                     tests = [((), marginal[i][j])]
                 else:
                     sets = itertools.combinations(candidates, level)
-                    tests = _stacked_partial_correlations(corr.values, i, j, sets)
+                    tests = _stacked_partial_correlations(corr, i, j, sets)
                 for s, rho in tests:
                     if math.isnan(rho):
                         raise NumericalRankError(

@@ -465,10 +465,11 @@ def hub_indirect_model():
 
 
 def weighted_cov(w: WeightedDag, evars) -> CovMatrix:
-    """Exact covariance of the linear model with the given error variances."""
-    from causalspan import structural_covariance
-
-    return CovMatrix(structural_covariance(w.weights, evars))
+    """Exact covariance (I - W)^-1 diag(evars) (I - W)^-T of the linear
+    model with the given error variances."""
+    inv_ib = np.linalg.inv(np.eye(len(w.weights)) - w.weights)
+    sigma = inv_ib @ np.diag(np.asarray(evars, dtype=float)) @ inv_ib.T
+    return CovMatrix((sigma + sigma.T) / 2.0)
 
 
 @pytest.fixture

@@ -27,7 +27,7 @@ from causalspan import (
     sample_covariance,
     structural_covariance,
 )
-from causalspan.gauss import _ndtri, _z_quantile
+from causalspan.gauss import CONDITION_LIMIT, _ndtri, _z_quantile
 from conftest import ols_coefficient, recursive_partial_correlation, weighted_cov
 
 
@@ -110,6 +110,55 @@ class TestCovMatrix:
         d = Dataset(vals, ("flat", "resp"), 1)
         with pytest.raises(DegenerateDataError, match="flat"):
             correlation_matrix(d)
+
+
+class TestBlocksConditioned:
+    """The whole-matrix flag that lets principal blocks skip their own
+    condition check: on only for an exactly symmetric, positive definite
+    matrix with eigenvalue ratio at most CONDITION_LIMIT / 1e4."""
+
+    @staticmethod
+    def rotated(eigenvalues):
+        q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)))
+        m = q @ np.diag(eigenvalues) @ q.T
+        return (m + m.T) / 2.0
+
+    def test_on_for_a_well_conditioned_matrix(self):
+        assert CovMatrix(np.eye(3))._blocks_conditioned
+        assert CovMatrix(self.rotated([1.0, 2.0, 3.0]), n=40)._blocks_conditioned
+
+    def test_off_for_an_accepted_indefinite_matrix(self):
+        # Eigenvalue -1e-9 is inside the constructor's tolerance, and the
+        # singular values are within a factor 2, so an SVD ratio alone
+        # would call every block well conditioned.
+        v = self.rotated([-1e-9, 1e-9, 2e-9])
+        c = CovMatrix(v)
+        assert np.linalg.eigvalsh(v)[0] < 0
+        assert np.linalg.cond(v) < 10
+        assert not c._blocks_conditioned
+
+    def test_off_for_an_accepted_asymmetric_matrix(self):
+        v = np.array([[2.0, 0.5], [0.5, 3.0]])
+        assert CovMatrix(v)._blocks_conditioned
+        v[1, 0] += 1e-10
+        assert not CovMatrix(v)._blocks_conditioned
+
+    def test_ratio_bound_is_inclusive(self):
+        limit = CONDITION_LIMIT / 1e4
+        assert CovMatrix(np.diag([2.0, 2.0 * limit]))._blocks_conditioned
+        assert not CovMatrix(np.diag([2.0, 2.0 * limit * (1 + 1e-6)]))._blocks_conditioned
+        assert not CovMatrix(np.diag([0.0, 1.0]))._blocks_conditioned
+        # All eigenvalues 0 meet the ratio bound; positivity rules it out.
+        assert not CovMatrix(np.zeros((2, 2)))._blocks_conditioned
+
+    def test_off_for_duplicated_columns_and_n_below_p(self):
+        rng = np.random.default_rng(41)
+        x = rng.normal(size=(50, 2))
+        d = Dataset(np.column_stack([x[:, 0], x[:, 0], x[:, 1]]), ("a", "b", "y"), 2)
+        assert not d.covariance._blocks_conditioned
+        assert not correlation_matrix(d)._blocks_conditioned
+        wide = Dataset(rng.normal(size=(4, 6)), tuple("abcdef"), 5)
+        assert not correlation_matrix(wide)._blocks_conditioned
 
 
 class TestPartialCorrelation:
@@ -380,8 +429,3 @@ class TestStructuralCovariance:
         cov = structural_covariance(w)
         assert cov[1, 1] == pytest.approx(2.0)
         assert cov[0, 1] == pytest.approx(1.0)
-
-    def test_error_variances_scale(self):
-        w = np.zeros((2, 2))
-        cov = structural_covariance(w, np.array([4.0, 9.0]))
-        assert np.allclose(cov, np.diag([4.0, 9.0]))

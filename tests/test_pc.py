@@ -14,6 +14,7 @@ from causalspan import (
     NumericalRankError,
     PcResult,
     PDGraph,
+    beta_given_s,
     bic_select_alpha,
     cpdag_from_dag,
     estimate_skeleton,
@@ -115,6 +116,86 @@ class TestSkeleton:
         assert str(e.value) == "correlation submatrix for (2, 0 | (1,)) is singular"
 
 
+class TestConditioningFlag:
+    """A CovMatrix whose eigenvalues vouch for all its principal blocks
+    lets the skeleton and `beta_given_s` skip the per-block condition
+    check.  Forcing the flag off runs the per-block path on the same
+    input; both must give the same bits and the same errors."""
+
+    @staticmethod
+    def source(kind: str, seed: int):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(3, 11))
+        w = random_weighted_dag(p, float(rng.uniform(1.0, 4.0)), rng)
+        if kind == "population":
+            return CovMatrix(structural_covariance(w.weights))
+        n = {"wide": int(rng.integers(2, p)), "bootstrap": 40}.get(
+            kind, int(rng.choice([8, 30, 500]))
+        )
+        d = generate_data(w, n, rng)
+        if kind == "bootstrap":
+            d = d.resample_rows(rng.integers(0, n, n))
+        elif kind == "near-duplicate":
+            v = d.values.copy()
+            a, b = rng.choice(p, 2, replace=False)
+            scale = float(rng.choice([0.0, 1e-12, 1e-8, 1e-6, 1e-3]))
+            v[:, b] = v[:, a] + scale * rng.standard_normal(n)
+            d = Dataset(v, d.names, d.response)
+        return d.covariance if kind == "sample-cov" else d
+
+    @staticmethod
+    def outputs(kind: str, seed: int):
+        """Skeleton and regressions of a freshly built source (so every
+        CovMatrix in them is made under the current flag rule), each
+        result or NumericalRankError message, plus the flags that served
+        and the sample size."""
+        source = TestConditioningFlag.source(kind, seed)
+        cov = source if isinstance(source, CovMatrix) else source.covariance
+        try:
+            g, sepsets, diag = estimate_skeleton(source, CITestConfig(0.05))
+            skeleton = (g.undirected_edges(), sepsets, diag.tests_per_level,
+                        diag.skipped_insufficient_n)
+        except NumericalRankError as e:
+            skeleton = str(e)
+        rng = np.random.default_rng(seed + 1)
+        p = cov.n_columns
+        betas = []
+        for _ in range(12):
+            i, y = (int(v) for v in rng.choice(p, 2, replace=False))
+            others = [k for k in range(p) if k != i]
+            s = tuple(int(v) for v in rng.choice(others, int(rng.integers(0, p - 1)), replace=False))
+            try:
+                betas.append(beta_given_s(source, i, s, y).hex())
+            except NumericalRankError as e:
+                betas.append(str(e))
+        flags = (cov._blocks_conditioned, cov.correlation()._blocks_conditioned)
+        return skeleton, betas, flags, cov.n
+
+    @pytest.mark.parametrize(
+        "kind", ["population", "data", "sample-cov", "bootstrap", "near-duplicate", "wide"]
+    )
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 2))
+    def test_flag_changes_no_output(self, kind, seed):
+        skeleton, betas, flags, n = self.outputs(kind, seed)
+        post_init = CovMatrix.__post_init__
+
+        def flag_off(c):
+            post_init(c)
+            object.__setattr__(c, "_blocks_conditioned", False)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(CovMatrix, "__post_init__", flag_off)
+            skeleton_off, betas_off, flags_off, _ = self.outputs(kind, seed)
+        assert flags_off == (False, False)
+        assert skeleton_off == skeleton
+        assert betas_off == betas
+        if kind == "wide":
+            assert flags == (False, False)
+        elif kind == "population" or (kind != "near-duplicate" and n >= 30):
+            assert flags == (True, True)
+
+
 class TestColliderOrientation:
     def test_single_collider(self):
         sk = PDGraph(3, undirected=[(0, 1), (1, 2)])
@@ -172,7 +253,7 @@ class TestPipeline:
     def test_large_sample_matches_population(self, hub_direct_model):
         w, evars = hub_direct_model
         rng = np.random.default_rng(19)
-        ch = np.linalg.cholesky(structural_covariance(w.weights, evars))
+        ch = np.linalg.cholesky(weighted_cov(w, evars).values)
         vals = rng.normal(size=(100_000, 4)) @ ch.T
         d = Dataset(vals, ("x1", "x2", "x3", "y"), 3)
         res = pc_cpdag(d, CITestConfig(0.01))
@@ -273,7 +354,7 @@ class TestAlphaSelection:
     def test_tie_breaks_toward_smaller_alpha(self, hub_direct_model):
         w, evars = hub_direct_model
         rng = np.random.default_rng(23)
-        ch = np.linalg.cholesky(structural_covariance(w.weights, evars))
+        ch = np.linalg.cholesky(weighted_cov(w, evars).values)
         vals = rng.normal(size=(5000, 4)) @ ch.T
         d = Dataset(vals, ("x1", "x2", "x3", "y"), 3)
         best, scores = bic_select_alpha(d, (0.01, 0.05), seed=0)
