@@ -52,11 +52,8 @@ from .graphs import (
     cpdag_from_dag,
     enumerate_dags,
     extend_to_dag,
-    has_directed_path,
     is_locally_valid,
     meek_closure,
-    reachable_toward,
-    skeleton_component,
     validate_cpdag,
 )
 from .pc import (

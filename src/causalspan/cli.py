@@ -12,12 +12,13 @@ not reproducible).  Output files are written atomically: nothing appears
 at the target path until the command has fully succeeded.
 
 Exit codes: 0 success, 2 configuration or usage error, 3 input error,
-4 numerical error, 5 resource cap exceeded.  The defaults of --alpha,
---method, --bootstrap, --seed, --max-enum and --max-sib can be overridden
-with environment variables named CAUSALSPAN_<FLAG> (dashes as
-underscores), for example CAUSALSPAN_ALPHA=0.05 or CAUSALSPAN_MAX_ENUM=15;
-a variable applies only to the commands that have its flag, and a flag
-given on the command line wins.  No other flag reads the environment.
+4 numerical error, 5 resource cap exceeded, 1 any other package error.
+The defaults of --alpha, --method, --bootstrap, --seed, --max-enum and
+--max-sib can be overridden with environment variables named
+CAUSALSPAN_<FLAG> (dashes as underscores), for example
+CAUSALSPAN_ALPHA=0.05 or CAUSALSPAN_MAX_ENUM=15; a variable applies only
+to the commands that have its flag, and a flag given on the command line
+wins.  No other flag reads the environment.
 """
 
 from __future__ import annotations
@@ -48,10 +49,14 @@ from .pc import bic_select_alpha, pc_cpdag, repair_cpdag
 ENV_PREFIX = "CAUSALSPAN_"
 
 EXIT_OK = 0
-EXIT_CONFIG = 2
-EXIT_INPUT = 3
-EXIT_NUMERICAL = 4
-EXIT_RESOURCE = 5
+# Exit code of each error class, subclasses included; any other package
+# error exits 1.
+_EXIT_CODES = {
+    ConfigError: 2,
+    InputError: 3,
+    NumericalRankError: 4,
+    ResourceCapError: 5,
+}
 
 
 def _env_default(flag: str, fallback):
@@ -418,21 +423,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _validate(args)
         return COMMANDS[args.command](args)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_CONFIG
-    except InputError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except NumericalRankError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except ResourceCapError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_RESOURCE
     except CausalSpanError as e:
         print(f"error: {e}", file=sys.stderr)
-        return 1
+        return next((c for cls, c in _EXIT_CODES.items() if isinstance(e, cls)), 1)
 
 
 def entry() -> None:

@@ -41,8 +41,6 @@ from .graphs import (
     _dag_of,
     _reach,
     allows_directed_path,
-    is_locally_valid,
-    reachable_toward,
 )
 
 MOD_ZERO_PATH = "zero_path"
@@ -302,6 +300,13 @@ def local_effects(
     member, so each such subset contributes the coefficient of i adjusted
     for parents plus subset.  Distinct values match the global route;
     multiplicities may not.
+
+    The subsets are the cliques among the siblings adjacent to every
+    parent of i, grown one sibling at a time in increasing order (Bron &
+    Kerbosch without the maximality test), so the work follows the number
+    of entries, not 2^k.  Each step appends the cliques that gain the
+    largest sibling so far, in the order of the cliques they extend, so
+    the entries come in increasing subset-mask order.
     """
     mods = _check_mods(mods)
     if i == y:
@@ -311,24 +316,24 @@ def local_effects(
     ):
         entry = EffectEntry(0.0, None, 1)
         return EffectMultiset(i, y, (entry,), "local", mods)
-    if MOD_PRUNE_Y in mods:
-        pa = reachable_toward(g, i, y, "parents")
-        sibs = sorted(reachable_toward(g, i, y, "siblings"))
-    else:
-        pa = g.parents(i)
-        sibs = sorted(g.siblings(i))
-    if len(sibs) > max_siblings:
+    adj = g._adjacency()
+    keep = _reach(adj, 1 << y) if MOD_PRUNE_Y in mods else (1 << g.n) - 1
+    pa, sibs = g._pa[i] & keep, g._sib[i] & keep
+    k = sibs.bit_count()
+    if k > max_siblings:
         raise ResourceCapError(
-            f"covariate {i} has {len(sibs)} undirected neighbours "
+            f"covariate {i} has {k} undirected neighbours "
             f"(cap {max_siblings})"
         )
+    cliques = [0]
+    for v in _bits(sibs):
+        if not g._pa[i] & ~adj[v]:
+            cliques += [c | 1 << v for c in cliques if not c & ~adj[v]]
     entries: list[EffectEntry] = []
-    for mask in range(2 ** len(sibs)):
-        s = [sibs[b] for b in range(len(sibs)) if (mask >> b) & 1]
-        if not is_locally_valid(g, i, s):
-            continue
-        adj = tuple(sorted(pa | set(s)))
-        entries.append(EffectEntry(beta_given_s(source, i, adj, y), adj, 1))
+    for s in cliques:
+        adjustment = tuple(_bits(pa | s))
+        value = beta_given_s(source, i, adjustment, y)
+        entries.append(EffectEntry(value, adjustment, 1))
     return EffectMultiset(i, y, tuple(entries), "local", mods)
 
 

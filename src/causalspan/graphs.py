@@ -444,29 +444,6 @@ def cpdag_from_dag(d: PDGraph) -> PDGraph:
 # -- reachability -----------------------------------------------------------
 
 
-def has_directed_path(g: PDGraph, i: int, y: int) -> bool:
-    """True if a path of directed edges leads from i to y (i == y counts)."""
-    return bool(_reach(g._ch, 1 << i) >> y & 1)
-
-
-def skeleton_component(g: PDGraph, y: int) -> frozenset[int]:
-    """Vertices connected to y by some path over the skeleton (y included)."""
-    return frozenset(_bits(_reach(g._adjacency(), 1 << y)))
-
-
-def reachable_toward(g: PDGraph, i: int, y: int, over: str = "parents") -> frozenset[int]:
-    """The parents (or siblings, per `over`) of i that have a skeleton path
-    to y."""
-    if over == "parents":
-        base = g.parents(i)
-    elif over == "siblings":
-        base = g.siblings(i)
-    else:
-        raise ValueError("over must be 'parents' or 'siblings'")
-    comp = skeleton_component(g, y)
-    return frozenset(v for v in base if v in comp)
-
-
 def allows_directed_path(
     g: PDGraph,
     i: int,
@@ -483,9 +460,9 @@ def allows_directed_path(
     enumerate_dags, and each member's ancestors of y are read off its
     parent masks.
     """
-    if y not in skeleton_component(g, i):
+    if not _reach(g._adjacency(), 1 << i) >> y & 1:
         return False
-    if has_directed_path(g, i, y):
+    if _reach(g._ch, 1 << i) >> y & 1:
         return True
     members = _class_parent_masks(g, max_component_edges, max_dags)
     return any(_reach(pa, 1 << y) >> i & 1 for pa in members)

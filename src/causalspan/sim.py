@@ -22,7 +22,6 @@ from .effects import (
     DEFAULT_MAX_SIBLINGS,
     EffectMultiset,
     _global_multiset,
-    global_effects,
     local_effects,
 )
 from .errors import CausalSpanError, ResourceCapError
@@ -295,12 +294,9 @@ def run_scenario(
                             max_dags=max_dags,
                         )
                     else:
-                        theta = global_effects(
-                            data, graph, y,
-                            max_component_edges=max_component_edges,
-                            max_dags=max_dags,
+                        est = _global_multiset(
+                            data, graph, x, y, (), max_component_edges, max_dags
                         )
-                        est = theta.row_multiset(x)
                 except ResourceCapError:
                     status = "failed:ResourceCapError"
                 except CausalSpanError as e:

@@ -26,9 +26,15 @@ import causalspan
 from causalspan import (
     CovMatrix,
     Dataset,
+    EffectEntry,
+    EffectMultiset,
     NumericalRankError,
     PDGraph,
+    ResourceCapError,
     WeightedDag,
+    allows_directed_path,
+    beta_given_s,
+    is_locally_valid,
 )
 
 # Populated by the acceptance tests; echoed after the run so the one-line
@@ -334,6 +340,40 @@ def reference_global_effects(cov: np.ndarray, g: PDGraph, y: int, mods=()):
                 matrix[r, c] = coef[0]
         adjustments.append(tuple(row))
     return matrix, tuple(adjustments), members
+
+
+def reference_local_effects(
+    source, g: PDGraph, i: int, y: int, mods, max_siblings: int,
+    max_component_edges: int, max_dags: int,
+) -> EffectMultiset:
+    """The local route as a loop over all 2^k subsets of i's siblings in
+    increasing mask order, each tested with `is_locally_valid`.  Unlike the
+    other oracles it shares the package's zero-path test, validity test and
+    regression: it checks the subset search, not those.  Under "prune_y"
+    only parents and siblings in y's skeleton component are kept.  Raises
+    the package's sibling-cap error."""
+    mods = frozenset(mods)
+    if "zero_path" in mods and not allows_directed_path(
+        g, i, y, max_component_edges, max_dags
+    ):
+        return EffectMultiset(i, y, (EffectEntry(0.0, None, 1),), "local", mods)
+    pa, sibs = g.parents(i), sorted(g.siblings(i))
+    if "prune_y" in mods:
+        skeleton = to_amat(g)
+        component = _reference_closure(skeleton | skeleton.T, y)
+        pa = {v for v in pa if component[v]}
+        sibs = [v for v in sibs if component[v]]
+    if len(sibs) > max_siblings:
+        raise ResourceCapError(
+            f"covariate {i} has {len(sibs)} undirected neighbours (cap {max_siblings})"
+        )
+    entries = []
+    for mask in range(2 ** len(sibs)):
+        s = [sibs[b] for b in range(len(sibs)) if mask >> b & 1]
+        if is_locally_valid(g, i, s):
+            adj = tuple(sorted(pa | set(s)))
+            entries.append(EffectEntry(beta_given_s(source, i, adj, y), adj, 1))
+    return EffectMultiset(i, y, tuple(entries), "local", mods)
 
 
 def relabel(g: PDGraph, perm: list[int]) -> PDGraph:

@@ -10,9 +10,9 @@ import sys
 import numpy as np
 import pytest
 
-from causalspan import generate_data
+from causalspan import cli, generate_data
 from causalspan.cli import read_dataset
-from causalspan.errors import InputError
+from causalspan.errors import InputError, NotExtendableError
 
 from conftest import _weighted, cli_env, weighted_cov
 
@@ -498,6 +498,28 @@ class TestFailureModes:
         )
         assert r.returncode == 5
         assert "cap" in r.stderr
+
+    def test_duplicated_column_is_a_numerical_error(self, chain_csv, tmp_path):
+        values = np.loadtxt(chain_csv, delimiter=",", skiprows=1)
+        src = tmp_path / "dup.csv"
+        write_csv(src, np.column_stack([values, values[:, 0]]), ("A", "B", "C", "A2"))
+        r = run_cli(
+            ["estimate", "--input", str(src), "--response", "C",
+             "--out", str(tmp_path / "o.json")],
+            cwd=tmp_path,
+        )
+        assert r.returncode == 4
+        assert r.stderr == "error: correlation submatrix for (0, 3 | ()) is singular\n"
+
+    def test_other_package_error_exits_one(self, chain_csv, tmp_path, monkeypatch, capsys):
+        def fail(args):
+            raise NotExtendableError("no extension")
+
+        monkeypatch.setitem(cli.COMMANDS, "estimate", fail)
+        code = cli.main(["estimate", "--input", chain_csv, "--response", "C",
+                         "--out", str(tmp_path / "o.json")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: no extension\n"
 
     def test_enumeration_cap_exceeded(self, chain_csv, tmp_path):
         r = run_cli(

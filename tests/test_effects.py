@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from causalspan import (
     BootstrapScores,
+    CausalSpanError,
     CITestConfig,
     CovMatrix,
     CovariateScore,
@@ -23,18 +24,26 @@ from causalspan import (
     bootstrap_scores,
     cpdag_from_dag,
     enumerate_dags,
+    estimate_skeleton,
     generate_data,
     global_effects,
     local_effects,
+    meek_closure,
     multiset_distance,
     oracle_multiplicities,
+    orient_v_structures,
     population_covariance,
     population_effects,
     random_weighted_dag,
     summarize,
 )
 
-from conftest import reference_global_effects, relabel, weighted_cov
+from conftest import (
+    reference_global_effects,
+    reference_local_effects,
+    relabel,
+    weighted_cov,
+)
 
 
 def adjustment_value_map(ms: EffectMultiset) -> dict:
@@ -298,6 +307,63 @@ class TestGlobalRouteOracle:
             ]
 
 
+class TestLocalRouteOracle:
+    MODS = [(), ("zero_path",), ("prune_y",), ("zero_path", "prune_y")]
+
+    @staticmethod
+    def outcome(route, *args):
+        """Entries in order, values bit for bit, or the error raised."""
+        try:
+            ms = route(*args)
+        except CausalSpanError as e:
+            return type(e), str(e)
+        return [(e.value.hex(), e.adjustment, e.multiplicity) for e in ms.entries]
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_subset_loop(self, seed):
+        # The graph is the CPDAG of a relabeled random model, or collider
+        # orientation of a PC skeleton from a few rows, with or without
+        # Meek's rules.  Without them, parents of a vertex are often
+        # nonadjacent to its siblings, which is what the parent clause of
+        # local validity rejects; with them, some estimates are not valid
+        # CPDAGs.  The source is the population covariance or the rows.
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(3, 9))
+        w = random_weighted_dag(p, float(rng.uniform(0.5, 4.0)), rng)
+        perm = [int(v) for v in rng.permutation(p)]
+        weights = np.zeros((p, p))
+        weights[np.ix_(perm, perm)] = w.weights
+        w = WeightedDag(relabel(w.graph, perm), weights)
+        d = generate_data(w, int(rng.integers(p, 60)), rng)
+        kind = int(rng.integers(3))
+        if kind == 0:
+            g = cpdag_from_dag(w.graph)
+        else:
+            cfg = CITestConfig(float(rng.choice([0.2, 0.5])))
+            g = orient_v_structures(*estimate_skeleton(d, cfg)[:2])
+            if kind == 1:
+                g = meek_closure(g)
+        source = population_covariance(w) if rng.random() < 0.5 else d
+        max_siblings = int(rng.choice([0, 1, 2, 3, 25]))
+        for mods in self.MODS:
+            for y in range(p):
+                for i in range(p):
+                    if i == y:
+                        continue
+                    args = (source, g, i, y, mods, max_siblings, 12, 25000)
+                    assert self.outcome(local_effects, *args) == self.outcome(
+                        reference_local_effects, *args
+                    ), (mods, i, y)
+
+    def test_wide_star_returns_every_singleton_in_order(self):
+        # 40 pairwise nonadjacent siblings: 2**40 subsets, 41 of them valid.
+        g = PDGraph(42, undirected=[(0, leaf) for leaf in range(1, 41)])
+        ms = local_effects(CovMatrix(np.eye(42)), g, 0, 41, max_siblings=40)
+        assert [e.adjustment for e in ms.entries] == [()] + [(v,) for v in range(1, 41)]
+        assert ms.values() == [0.0] * 41
+
+
 class TestZeroPathMod:
     def collider(self) -> PDGraph:
         # 0 -> 1 <- 2 with response 2: fully identified, and no class
@@ -368,6 +434,12 @@ class TestPruneYMod:
         assert pruned.distinct_adjustments() == {frozenset()}
         vals = lambda ms: {round(v, 12) for v in ms.values()}
         assert vals(plain) == vals(pruned) == {0.0}
+
+    def test_local_keeps_siblings_that_reach_the_response(self):
+        # 0 - 1 - 2 -> 3: sibling 1 of 0 has a skeleton path to 3.
+        g = PDGraph(4, undirected=[(0, 1), (1, 2)], directed=[(2, 3)])
+        ms = local_effects(CovMatrix(np.eye(4)), g, i=0, y=3, mods=("prune_y",))
+        assert [e.adjustment for e in ms.entries] == [(), (1,)]
 
     def test_global_collapses_to_one_entry(self):
         g, cov = self.two_components()

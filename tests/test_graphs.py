@@ -22,17 +22,15 @@ from causalspan import (
     extend_to_dag,
     generate_data,
     global_effects,
-    has_directed_path,
     is_locally_valid,
     meek_closure,
     orient_v_structures,
     random_weighted_dag,
-    reachable_toward,
-    skeleton_component,
     validate_cpdag,
 )
-from causalspan.graphs import _colliders, _elimination_order
+from causalspan.graphs import _colliders, _elimination_order, _reach
 from conftest import (
+    _reference_closure,
     brute_force_class,
     random_pdgraph_dag,
     reference_cpdag_from_dag,
@@ -395,14 +393,14 @@ class TestEnumerateDags:
 class TestReachability:
     def test_directed_path(self):
         g = PDGraph(4, directed=[(0, 1), (1, 2)])
-        assert has_directed_path(g, 0, 2)
-        assert not has_directed_path(g, 2, 0)
-        assert not has_directed_path(g, 0, 3)
+        assert _reach(g._ch, 1 << 0) == 0b0111
+        assert _reach(g._ch, 1 << 2) == 0b0100
+        assert _reach(g._pa, 1 << 2) == 0b0111
 
     def test_skeleton_component(self):
         g = PDGraph(5, directed=[(0, 1)], undirected=[(1, 2)])
-        assert skeleton_component(g, 0) == {0, 1, 2}
-        assert skeleton_component(g, 3) == {3}
+        assert _reach(g._adjacency(), 1 << 0) == 0b00111
+        assert _reach(g._adjacency(), 1 << 3) == 0b01000
 
     def test_allows_path_true_when_some_member_has_one(self, path_graph):
         # Vertex 3 is an endpoint: the member orienting 3 -> 0 -> 1 -> 2
@@ -430,13 +428,8 @@ class TestReachability:
                 for y in range(6):
                     if i == y:
                         continue
-                    expected = any(has_directed_path(m, i, y) for m in members)
+                    expected = any(_reference_closure(to_amat(m), i)[y] for m in members)
                     assert allows_directed_path(g, i, y) == expected
-
-    def test_reachable_toward_over_siblings(self):
-        g = PDGraph(4, undirected=[(0, 1), (1, 2)], directed=[(2, 3)])
-        assert reachable_toward(g, 0, 3, over="siblings")
-        assert not reachable_toward(g, 0, 3, over="parents")
 
 
 class TestLocalValidity:
@@ -574,19 +567,12 @@ class TestMatchesReferences:
         for d in (dag, ext):
             if d is not None:
                 assert cpdag_from_dag(d) == reference_cpdag_from_dag(d)
-        # Reachability: transitive closures of the directed part and of
-        # the skeleton, by repeated squaring of the matrix.
+        # Reachability: closures of the directed part and of the skeleton.
         amat = to_amat(g)
-        for step, query in (
-            (amat & ~amat.T, lambda i, y: has_directed_path(g, i, y)),
-            (amat | amat.T, lambda i, y: y in skeleton_component(g, i)),
-        ):
-            reach = step | np.eye(n, dtype=bool)
-            for _ in range(n):
-                reach = reach | (reach.astype(int) @ reach.astype(int) > 0)
+        for step, masks in ((amat & ~amat.T, g._ch), (amat | amat.T, g._adjacency())):
             for i in range(n):
-                for y in range(n):
-                    assert query(i, y) == reach[i, y]
+                reach = _reference_closure(step, i)
+                assert [bool(_reach(masks, 1 << i) >> y & 1) for y in range(n)] == reach.tolist()
 
 
 # ---------------------------------------------------------------------------
