@@ -232,7 +232,7 @@ def _checked_rows(path: str, text: str, width: int) -> np.ndarray:
 
 def read_dataset(path: str, response: str) -> Dataset:
     try:
-        with open(path, newline="", encoding="utf-8") as f:
+        with open(path, newline="", encoding="utf-8-sig") as f:
             text = f.read()
     except OSError as e:
         raise InputError(f"cannot read {path}: {e.strerror}")

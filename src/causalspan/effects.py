@@ -38,10 +38,10 @@ from .graphs import (
     PDGraph,
     _bits,
     _class_parent_masks,
-    _dag_of,
     _reach,
     allows_directed_path,
 )
+from .pc import pc_cpdag
 
 MOD_ZERO_PATH = "zero_path"
 MOD_PRUNE_Y = "prune_y"
@@ -160,71 +160,63 @@ def summarize(e: EffectMultiset, stat: str) -> float:
 class ThetaMatrix:
     """Per-covariate, per-class-member effect values from the global route.
 
-    Row order follows `covariates`; column j belongs to `dags[j]`.
+    Row order follows `covariates`; column j belongs to the j-th DAG that
+    `enumerate_dags` lists for the same graph and caps.
     """
 
     covariates: tuple[int, ...]
     response: int
     matrix: np.ndarray
     adjustments: tuple[tuple[tuple[int, ...] | None, ...], ...]
-    dags: tuple[PDGraph, ...]
     mods: frozenset[str] = frozenset()
 
     def row_multiset(self, i: int) -> EffectMultiset:
         """The covariate's effect multiset: values grouped by adjustment
-        set, multiplicities counting class members."""
+        set in order of first member, multiplicities counting members."""
         r = self.covariates.index(i)
-        groups: dict[tuple[int, ...] | None, list[float]] = {}
-        order: list[tuple[int, ...] | None] = []
-        for j in range(self.matrix.shape[1]):
-            adj = self.adjustments[r][j]
-            if adj not in groups:
-                groups[adj] = []
-                order.append(adj)
-            groups[adj].append(float(self.matrix[r, j]))
+        row = self.adjustments[r]
         entries = tuple(
-            EffectEntry(vals[0], adj, len(vals))
-            for adj, vals in ((a, groups[a]) for a in order)
+            EffectEntry(float(self.matrix[r, row.index(a)]), a, m)
+            for a, m in collections.Counter(row).items()
         )
         return EffectMultiset(i, self.response, entries, "global", self.mods)
 
 
-def _class_members(
-    g: PDGraph, max_component_edges: int, max_dags: int
-) -> list[tuple[int, ...]]:
-    """Parent masks of the members of g's class; a cap error points to
-    the local route."""
-    try:
-        return _class_parent_masks(g, max_component_edges, max_dags)
-    except ResourceCapError as e:
-        raise ResourceCapError(
-            f"{e}; the local route avoids enumeration and scales further"
-        ) from None
-
-
-def _effect_rows(
+def _theta(
     source: Dataset | CovMatrix,
     g: PDGraph,
-    members: list[tuple[int, ...]],
     covariates: tuple[int, ...],
     y: int,
-    mods: frozenset[str],
-):
-    """Yield, for each covariate i in turn, i's adjustment set in each class
-    member (parent masks `members`), and the effect of every distinct set,
-    in order of first member.
+    mods: frozenset[str] | tuple[str, ...],
+    max_component_edges: int,
+    max_dags: int,
+) -> ThetaMatrix:
+    """Enumerate the equivalence class of g and fill one row per covariate
+    i: i's adjustment set in each class member and its effect.
 
     The adjustment set is the member's parents of i, under `prune_y` only
     those in y's skeleton component.  Under `zero_path` a member in which
     i is not an ancestor of y gets None and the effect 0.0.  Members are
     grouped by mask, so each distinct set is solved once per covariate.
     """
+    mods = _check_mods(mods)
+    try:
+        members = _class_parent_masks(g, max_component_edges, max_dags)
+    except ResourceCapError as e:
+        raise ResourceCapError(
+            f"{e}; the local route avoids enumeration and scales further"
+        ) from None
+    for i in covariates:
+        if i == y or not 0 <= i < g.n:
+            raise ValueError(f"{i} is not a covariate of response {y}")
     component = _reach(g._adjacency(), 1 << y)
     keep = component if MOD_PRUNE_Y in mods else (1 << g.n) - 1
     ancestors = None
     if MOD_ZERO_PATH in mods:
         ancestors = [_reach(pa, 1 << y) for pa in members]
-    for i in covariates:
+    matrix = np.zeros((len(covariates), len(members)))
+    adjustments: list[tuple[tuple[int, ...] | None, ...]] = []
+    for r, i in enumerate(covariates):
         keys = [pa[i] & keep for pa in members]
         if ancestors is not None:
             keys = [k if a >> i & 1 else None for k, a in zip(keys, ancestors)]
@@ -232,7 +224,9 @@ def _effect_rows(
         for k in dict.fromkeys(keys):
             s = None if k is None else tuple(_bits(k))
             effects[k] = (s, 0.0 if s is None else beta_given_s(source, i, s, y))
-        yield keys, effects
+        matrix[r] = [effects[k][1] for k in keys]
+        adjustments.append(tuple(effects[k][0] for k in keys))
+    return ThetaMatrix(covariates, y, matrix, tuple(adjustments), mods)
 
 
 def global_effects(
@@ -245,21 +239,13 @@ def global_effects(
 ) -> ThetaMatrix:
     """Enumerate the equivalence class of g and compute, for every
     covariate i and every member DAG, the regression coefficient of i
-    adjusted for the member's parents of i.
+    adjusted for the member's parents of i.  A cap error points to the
+    local route.
 
     Requires a graph that validates as a CPDAG (repair first if needed).
     """
-    mods = _check_mods(mods)
-    members = _class_members(g, max_component_edges, max_dags)
     covariates = tuple(i for i in range(g.n) if i != y)
-    matrix = np.zeros((len(covariates), len(members)))
-    adjustments: list[tuple[tuple[int, ...] | None, ...]] = []
-    rows = _effect_rows(source, g, members, covariates, y, mods)
-    for r, (keys, effects) in enumerate(rows):
-        matrix[r] = [effects[k][1] for k in keys]
-        adjustments.append(tuple(effects[k][0] for k in keys))
-    dags = tuple(_dag_of(pa) for pa in members)
-    return ThetaMatrix(covariates, y, matrix, tuple(adjustments), dags, mods)
+    return _theta(source, g, covariates, y, mods, max_component_edges, max_dags)
 
 
 def _global_multiset(
@@ -272,15 +258,9 @@ def _global_multiset(
     max_dags: int,
 ) -> EffectMultiset:
     """`global_effects(...).row_multiset(i)`, solving covariate i's row
-    only: one entry per adjustment set, in order of first member."""
-    mods = _check_mods(mods)
-    members = _class_members(g, max_component_edges, max_dags)
-    if i == y or not 0 <= i < g.n:
-        raise ValueError(f"{i} is not a covariate of response {y}")
-    ((keys, effects),) = _effect_rows(source, g, members, (i,), y, mods)
-    counts = collections.Counter(keys)
-    entries = tuple(EffectEntry(v, s, counts[k]) for k, (s, v) in effects.items())
-    return EffectMultiset(i, y, entries, "global", mods)
+    only."""
+    theta = _theta(source, g, (i,), y, mods, max_component_edges, max_dags)
+    return theta.row_multiset(i)
 
 
 def local_effects(
@@ -360,13 +340,7 @@ def oracle_multiplicities(
         for s in itertools.combinations(sibs, r):
             counts[s] = 0
     for pa in members:
-        key = tuple(_bits(pa[i] & ~base))
-        if key not in counts:
-            raise CausalSpanError(
-                f"class member has parents outside siblings of {i}; "
-                "input is not a valid CPDAG"
-            )
-        counts[key] += 1
+        counts[tuple(_bits(pa[i] & ~base))] += 1
     return counts
 
 
@@ -429,8 +403,6 @@ def bootstrap_scores(
     (for example a sibling cap hit) are counted and excluded from the
     median; the full-data ambiguity is reported alongside.
     """
-    from .pc import pc_cpdag  # local import to avoid a module cycle
-
     if b < 1:
         raise ValueError("need at least one bootstrap replicate")
     mods = _check_mods(mods)

@@ -31,6 +31,7 @@ from .gauss import (
     CovMatrix,
     Dataset,
     _partial_correlations,
+    bic_score,
     correlation_matrix,
     fisher_z_dependent,
 )
@@ -42,7 +43,6 @@ from .graphs import (
     meek_closure,
     validate_cpdag,
 )
-from . import gauss
 
 # Partial correlations at or below this magnitude count as zero when
 # testing against a population covariance.
@@ -378,7 +378,7 @@ def bic_select_alpha(
             if dag is None:
                 scores[a] = float("inf")
                 continue
-            scores[a] = gauss.bic_score(d, dag)
+            scores[a] = bic_score(d, dag)
         except CausalSpanError:
             scores[a] = float("inf")
     best = min(sorted(alphas), key=lambda a: (scores[a], a))

@@ -101,6 +101,24 @@ class TestEstimate:
         assert by_name["X1"]["ambiguity"] == 2
         assert report["ambiguity_table"] == {"2": 2 / 3, "3": 1 / 3}
 
+    def test_byte_order_mark_is_not_part_of_the_first_name(self, chain_csv, tmp_path):
+        # Spreadsheet exports often start with a UTF-8 byte-order mark; the
+        # first column must still be found by its plain name.
+        with open(chain_csv) as f:
+            body = f.read().split("\n", 1)[1]
+        src = tmp_path / "bom.csv"
+        src.write_text("\ufeffX1,X2,X3\n" + body, encoding="utf-8")
+        assert src.read_bytes().startswith(b"\xef\xbb\xbfX1,")
+        out = tmp_path / "report.json"
+        r = run_cli(
+            ["estimate", "--input", str(src), "--response", "X1", "--out", str(out)],
+            cwd=tmp_path,
+        )
+        assert r.returncode == 0, r.stderr
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["graph"]["names"] == ["X1", "X2", "X3"]
+        assert [m["covariate"] for m in report["effects"]] == ["X2", "X3"]
+
     def test_global_route_agrees_on_distinct_values(self, hub_csv, tmp_path):
         outs = []
         for method in ("local", "global"):

@@ -208,6 +208,13 @@ class TestPopulationEffects:
         with pytest.raises(ValueError, match="method"):
             population_effects(chain3(), 0, 2, "oracle")
 
+    def test_global_rejects_a_non_covariate(self):
+        # The response itself and a vertex past the last one.
+        w = chain3()
+        for i in (2, w.n):
+            with pytest.raises(ValueError, match=f"{i} is not a covariate of response 2"):
+                population_effects(w, i, 2, "global")
+
     def test_mods_are_forwarded(self):
         w = _weighted(3, {(1, 0): 1.0, (1, 2): 1.0})  # 0 -> 1 <- 2
         ms = population_effects(w, 0, 2, "local", mods=("zero_path",))
