@@ -182,6 +182,11 @@ class ThetaMatrix:
         return EffectMultiset(i, self.response, entries, "global", self.mods)
 
 
+def _check_response(g: PDGraph, y: int) -> None:
+    if not 0 <= y < g.n:
+        raise ValueError(f"response {y} is not a vertex of the graph (0..{g.n - 1})")
+
+
 def _theta(
     source: Dataset | CovMatrix,
     g: PDGraph,
@@ -200,6 +205,7 @@ def _theta(
     grouped by mask, so each distinct set is solved once per covariate.
     """
     mods = _check_mods(mods)
+    _check_response(g, y)
     try:
         members = _class_parent_masks(g, max_component_edges, max_dags)
     except ResourceCapError as e:
@@ -289,6 +295,7 @@ def local_effects(
     the entries come in increasing subset-mask order.
     """
     mods = _check_mods(mods)
+    _check_response(g, y)
     if i == y:
         raise ValueError("covariate and response must differ")
     if MOD_ZERO_PATH in mods and not allows_directed_path(

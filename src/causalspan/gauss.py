@@ -25,7 +25,7 @@ from .errors import (
     InsufficientSampleError,
     NumericalRankError,
 )
-from .graphs import PDGraph
+from .graphs import PDGraph, _reach
 
 # Relative condition-number threshold above which linear systems are
 # treated as rank deficient.  A block is checked against it with its own
@@ -455,17 +455,8 @@ def _trek_nonzero_count(dag: PDGraph) -> int:
     """Count the structurally nonzero entries on or above the diagonal of
     the covariance a DAG model implies: entry (i, j) is nonzero exactly
     when i and j share an ancestor (each vertex is its own ancestor)."""
-    n = dag.n
-    anc = [set([i]) for i in range(n)]
-    for i in (dag.topological_order() or []):
-        for p in dag.parents(i):
-            anc[i] |= anc[p]
-    count = 0
-    for i in range(n):
-        for j in range(i, n):
-            if anc[i] & anc[j]:
-                count += 1
-    return count
+    anc = [_reach(dag._pa, 1 << i) for i in range(dag.n)]
+    return sum(1 for i, a in enumerate(anc) for b in anc[i:] if a & b)
 
 
 def bic_score(d: Dataset, dag: PDGraph) -> float:

@@ -11,9 +11,10 @@ graph (CPDAG) of a DAG, and the check that a graph can serve as a CPDAG
 There is one representation: per-vertex Python int bitmasks of parents,
 children and siblings (bit v of ``pa[u]`` set means v -> u).  Every
 algorithm here runs on those masks, with one reachability closure
-(`_reach`), one acyclicity check (`_topological_order`) and one collider
-finder (`_colliders`); vertex sets leave the module as frozensets and edge
-sets as frozensets of pairs.
+(`_reach`), one acyclicity check (`_topological_order`), one collider
+finder (`_colliders`) and one place that points collider triples at their
+middle vertex (`_orient_colliders`); vertex sets leave the module as
+frozensets and edge sets as frozensets of pairs.
 """
 
 from __future__ import annotations
@@ -247,6 +248,29 @@ def _pairwise_adjacent(vs: int, adj: Sequence[int]) -> bool:
 # -- colliders and orientation rules ----------------------------------------
 
 
+def _orient_colliders(
+    adj: Sequence[int],
+    triples: Iterable[tuple[int, int, int]],
+    overwrites: list[dict] | None = None,
+) -> PDGraph:
+    """The graph with adjacency masks `adj` in which both edges of each
+    triple (i, j, k) point at j, in the given order, and every other edge is
+    undirected.  A later triple overwrites an earlier arrowhead; each such
+    flip of an edge j -> a is appended to `overwrites`, when given, as
+    {"edge": [j, a], "new": [a, j], "triple": [i, j, k]}."""
+    pa = [0] * len(adj)
+    for i, j, k in triples:
+        for a in (i, k):
+            if pa[a] >> j & 1:
+                pa[a] ^= 1 << j
+                if overwrites is not None:
+                    overwrites.append({"edge": [j, a], "new": [a, j], "triple": [i, j, k]})
+            pa[j] |= 1 << a
+    ch = _children_of(pa)
+    sib = [m & ~p & ~c for m, p, c in zip(adj, pa, ch)]
+    return PDGraph._from_masks(pa, ch, sib)
+
+
 def _meek_pass(pa: list[int], ch: list[int], sib: list[int], adj: Sequence[int]) -> bool:
     """Apply Meek's rules R1-R4 once over the whole graph, orienting the
     masks in place.  Only undirected edges gain direction; an edge already
@@ -433,12 +457,7 @@ def cpdag_from_dag(d: PDGraph) -> PDGraph:
     if not d.is_dag():
         raise ValueError("input must be a DAG")
     adj = d._adjacency()
-    pa = [0] * d.n
-    for a, j, c in _colliders(d._pa, adj):
-        pa[j] |= 1 << a | 1 << c
-    ch = _children_of(pa)
-    sib = [m & ~p & ~c for m, p, c in zip(adj, pa, ch)]
-    return meek_closure(PDGraph._from_masks(pa, ch, sib))
+    return meek_closure(_orient_colliders(adj, _colliders(d._pa, adj)))
 
 
 # -- reachability -----------------------------------------------------------

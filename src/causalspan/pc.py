@@ -38,6 +38,8 @@ from .gauss import (
 from .graphs import (
     CpdagValidation,
     PDGraph,
+    _bits,
+    _orient_colliders,
     cpdag_from_dag,
     extend_to_dag,
     meek_closure,
@@ -149,11 +151,7 @@ def estimate_skeleton(
     level = 0
     while True:
         snapshot = [frozenset(a) for a in adj]
-        if not any(
-            len(snapshot[i] - {j}) >= level
-            for i in range(p1)
-            for j in snapshot[i]
-        ):
+        if not any(len(a) > level for a in snapshot):
             break
         if level == 0 and (n is None or n - 3 >= 1):
             marginal = _marginal_correlations(corr)
@@ -192,61 +190,39 @@ def estimate_skeleton(
     return PDGraph(p1, undirected=edges), sepsets, diag
 
 
+def _collider_triples(skeleton: PDGraph, sepsets: SepsetTable) -> list[tuple[int, int, int]]:
+    """Sorted triples (i, j, k), i < k, with i - j - k, i and k nonadjacent
+    and j outside the recorded separating set of (i, k)."""
+    adj = skeleton._adjacency()
+    return sorted(
+        (i, j, k)
+        for j, m in enumerate(adj)
+        for i in _bits(m)
+        for k in _bits((m & ~adj[i]) >> i + 1 << i + 1)
+        if j not in sepsets.get((i, k), ())
+    )
+
+
 def orient_v_structures(
     skeleton: PDGraph,
     sepsets: SepsetTable,
     diag: PcDiagnostics | None = None,
-    forced: dict[tuple[int, int], tuple[int, int]] | None = None,
-    dropped_triples: Iterable[tuple[int, int, int]] = (),
 ) -> PDGraph:
     """Orient collider triples on a skeleton.
 
     A triple (i, j, k) with i - j - k, i and k nonadjacent, and j outside
     the recorded separating set of (i, k) gets both arrowheads pointed at
     j.  Triples apply in lexicographic order and later triples overwrite
-    earlier orientations; each overwrite is logged on `diag`.
-
-    `forced` pins specific edge directions: a triple that would contradict
-    a pinned direction is skipped entirely.  `dropped_triples` are skipped
-    outright.  Both hooks exist for the repair search.
+    earlier orientations; the triples and each overwrite are logged on
+    `diag`.
     """
     if not skeleton.is_fully_undirected():
         raise ValueError("orient_v_structures expects an undirected skeleton")
-    triples = []
-    for j in range(skeleton.n):
-        nbrs = sorted(skeleton.adjacent(j))
-        for i, k in itertools.combinations(nbrs, 2):
-            if skeleton.has_edge(i, k):
-                continue
-            if j not in sepsets.get((min(i, k), max(i, k)), ()):
-                triples.append((i, j, k))
-    triples.sort()
-    if diag is not None:
-        diag.candidate_triples = list(triples)
-    dropped = set(dropped_triples)
-    forced = forced or {}
-
-    def pinned(a: int, b: int) -> tuple[int, int] | None:
-        return forced.get((min(a, b), max(a, b)))
-
-    # Direction of every oriented edge, keyed by its sorted vertex pair.
-    heads: dict[tuple[int, int], tuple[int, int]] = {}
-    for i, j, k in triples:
-        if (i, j, k) in dropped:
-            continue
-        want = [(i, j), (k, j)]
-        if any(pinned(a, b) not in (None, (a, b)) for a, b in want):
-            continue
-        for a, b in want:
-            key = (min(a, b), max(a, b))
-            if heads.get(key) == (b, a) and diag is not None:
-                # edge currently b -> a; this triple flips it
-                diag.overwrites.append(
-                    {"edge": [b, a], "new": [a, b], "triple": [i, j, k]}
-                )
-            heads[key] = (a, b)
-    undirected = [e for e in skeleton.undirected_edges() if e not in heads]
-    return PDGraph(skeleton.n, directed=heads.values(), undirected=undirected)
+    triples = _collider_triples(skeleton, sepsets)
+    if diag is None:
+        return _orient_colliders(skeleton._adjacency(), triples)
+    diag.candidate_triples = triples
+    return _orient_colliders(skeleton._adjacency(), triples, diag.overwrites)
 
 
 def pc_cpdag(
@@ -274,70 +250,66 @@ class RepairResult:
     detail: str
 
 
-def _rebuild(skeleton, sepsets, forced=None, dropped=()):
-    g = orient_v_structures(skeleton, sepsets, forced=forced, dropped_triples=dropped)
-    return meek_closure(g)
-
-
 def repair_cpdag(result: PcResult, seed: int = 0) -> RepairResult:
     """Make a PC estimate usable as a CPDAG.
 
+    Every rebuild orients the skeleton's collider triples less a drop set,
+    closes the graph under Meek's rules and keeps it if it validates.
     Stage 0 returns the graph unchanged when it already validates.  Stage 1
     revisits the recorded collider conflicts: every way of deciding which
     side of each conflicted edge wins is retried, when there are at most
-    _REPAIR_SEARCH_CAP ways.  Stage 2 drops collider triples: it tries the
-    subsets fewest first (in `combinations` order within a size), at most
-    _REPAIR_SEARCH_CAP of them, and when that cap is used up without a
-    valid graph it drops the first k triples for k = 1, 2, ... in turn.
-    Stage 3 orients the skeleton along a seeded random vertex order and
-    returns that DAG's CPDAG, which always validates.
+    _REPAIR_SEARCH_CAP ways; a decision drops every triple that would point
+    a decided edge the other way.  Stage 2 drops candidate triples (those
+    recorded on the diagnostics): it tries the subsets fewest first (in
+    `combinations` order within a size), at most _REPAIR_SEARCH_CAP of
+    them, and when that cap is used up without a valid graph it drops the
+    first k candidates for k = 1, 2, ... in turn.  Stage 3 orients the
+    skeleton along a seeded random vertex order and returns that DAG's
+    CPDAG, which always validates.
     """
     if result.validation.is_valid:
         return RepairResult(result.graph, 0, "estimate already valid")
     skeleton = result.graph.skeleton()
-    sepsets = result.sepsets
+    adj = skeleton._adjacency()
+    triples = _collider_triples(skeleton, result.sepsets)
+
+    def rebuild(dropped: Iterable[tuple[int, int, int]]) -> PDGraph | None:
+        dropped = set(dropped)
+        g = meek_closure(_orient_colliders(adj, [t for t in triples if t not in dropped]))
+        return g if validate_cpdag(g).is_valid else None
 
     # stage 1: re-decide conflicted edges
-    conflicted = []
-    seen = set()
-    for ev in result.diagnostics.overwrites:
-        a, b = ev["new"]
-        key = (min(a, b), max(a, b))
-        if key not in seen:
-            seen.add(key)
-            conflicted.append(key)
+    conflicted = list(
+        dict.fromkeys(tuple(sorted(ev["new"])) for ev in result.diagnostics.overwrites)
+    )
     if conflicted and 2 ** len(conflicted) <= _REPAIR_SEARCH_CAP:
         for mask in range(2 ** len(conflicted)):
-            forced = {}
-            for bit, (u, v) in enumerate(conflicted):
-                forced[(u, v)] = (u, v) if (mask >> bit) & 1 == 0 else (v, u)
-            g = _rebuild(skeleton, sepsets, forced=forced)
-            val = validate_cpdag(g)
-            if val.is_valid:
+            # bit 0 keeps u -> v, bit 1 keeps v -> u
+            losing = {
+                (v, u) if mask >> bit & 1 == 0 else (u, v)
+                for bit, (u, v) in enumerate(conflicted)
+            }
+            dropped = [t for t in triples if (t[0], t[1]) in losing or (t[2], t[1]) in losing]
+            if (g := rebuild(dropped)) is not None:
                 return RepairResult(
                     g, 1, f"re-decided {len(conflicted)} conflicted edges"
                 )
 
     # stage 2: drop collider triples, fewest first
-    triples = list(result.diagnostics.candidate_triples)
-    if not triples:
-        base = _rebuild(skeleton, sepsets)
-        val = validate_cpdag(base)
-        if val.is_valid:
-            return RepairResult(base, 2, "no collider triples to drop")
+    candidates = result.diagnostics.candidate_triples
+    if not candidates and (g := rebuild(())) is not None:
+        return RepairResult(g, 2, "no collider triples to drop")
     fewest_first = itertools.chain.from_iterable(
-        itertools.combinations(triples, k) for k in range(1, len(triples) + 1)
+        itertools.combinations(candidates, k) for k in range(1, len(candidates) + 1)
     )
     examined = 0
     for dropped in itertools.islice(fewest_first, _REPAIR_SEARCH_CAP):
         examined += 1
-        g = _rebuild(skeleton, sepsets, dropped=dropped)
-        if validate_cpdag(g).is_valid:
+        if (g := rebuild(dropped)) is not None:
             return RepairResult(g, 2, f"dropped {len(dropped)} collider triples")
     if examined == _REPAIR_SEARCH_CAP:
-        for k in range(1, len(triples) + 1):
-            g = _rebuild(skeleton, sepsets, dropped=triples[:k])
-            if validate_cpdag(g).is_valid:
+        for k in range(1, len(candidates) + 1):
+            if (g := rebuild(candidates[:k])) is not None:
                 return RepairResult(g, 2, f"greedily dropped {k} collider triples")
 
     # stage 3: random consistent orientation of the skeleton

@@ -34,7 +34,10 @@ from causalspan import (
     WeightedDag,
     allows_directed_path,
     beta_given_s,
+    cpdag_from_dag,
     is_locally_valid,
+    meek_closure,
+    validate_cpdag,
 )
 
 # Populated by the acceptance tests; echoed after the run so the one-line
@@ -374,6 +377,90 @@ def reference_local_effects(
             adj = tuple(sorted(pa | set(s)))
             entries.append(EffectEntry(beta_given_s(source, i, adj, y), adj, 1))
     return EffectMultiset(i, y, tuple(entries), "local", mods)
+
+
+def _hooked_orientation(skeleton, sepsets, forced=None, dropped=()):
+    """Collider orientation with repair hooks, on an edge-direction dict:
+    the triples (i, j, k), i < k, i - j - k, i and k nonadjacent, j outside
+    the separating set of (i, k), in sorted order, each pointing both edges
+    at j; a triple in `dropped` is skipped, and so is a triple that would
+    point an edge the other way from its direction in `forced` (keyed by
+    the sorted pair)."""
+    triples = sorted(
+        (i, j, k)
+        for j in range(skeleton.n)
+        for i, k in itertools.combinations(sorted(skeleton.adjacent(j)), 2)
+        if not skeleton.has_edge(i, k) and j not in sepsets.get((i, k), ())
+    )
+    forced = forced or {}
+    dropped = set(dropped)
+    heads = {}
+    for i, j, k in triples:
+        want = [(i, j), (k, j)]
+        if (i, j, k) in dropped or any(
+            forced.get((min(a, b), max(a, b)), (a, b)) != (a, b) for a, b in want
+        ):
+            continue
+        for a, b in want:
+            heads[(min(a, b), max(a, b))] = (a, b)
+    undirected = [e for e in skeleton.undirected_edges() if e not in heads]
+    return PDGraph(skeleton.n, directed=heads.values(), undirected=undirected)
+
+
+def reference_repair(result, seed: int, cap: int):
+    """`repair_cpdag` with search cap `cap`, rebuilding through
+    `_hooked_orientation`: stage 1 pins each side of the conflicted edges
+    instead of dropping triples, and every rebuild re-reads the triples
+    from the skeleton.  It shares the package's Meek closure, validation
+    and CPDAG of a DAG: it checks the triple handling, not those.
+    Returns (stage, detail, graph)."""
+    if result.validation.is_valid:
+        return 0, "estimate already valid", result.graph
+    skeleton = result.graph.skeleton()
+
+    def rebuild(forced=None, dropped=()):
+        g = meek_closure(_hooked_orientation(skeleton, result.sepsets, forced, dropped))
+        return g if validate_cpdag(g).is_valid else None
+
+    conflicted = []
+    for ev in result.diagnostics.overwrites:
+        key = tuple(sorted(ev["new"]))
+        if key not in conflicted:
+            conflicted.append(key)
+    if conflicted and 2 ** len(conflicted) <= cap:
+        for mask in range(2 ** len(conflicted)):
+            forced = {
+                (u, v): (u, v) if mask >> bit & 1 == 0 else (v, u)
+                for bit, (u, v) in enumerate(conflicted)
+            }
+            g = rebuild(forced=forced)
+            if g is not None:
+                return 1, f"re-decided {len(conflicted)} conflicted edges", g
+    triples = list(result.diagnostics.candidate_triples)
+    if not triples:
+        g = rebuild()
+        if g is not None:
+            return 2, "no collider triples to drop", g
+    fewest_first = itertools.chain.from_iterable(
+        itertools.combinations(triples, k) for k in range(1, len(triples) + 1)
+    )
+    examined = 0
+    for dropped in itertools.islice(fewest_first, cap):
+        examined += 1
+        g = rebuild(dropped=dropped)
+        if g is not None:
+            return 2, f"dropped {len(dropped)} collider triples", g
+    if examined == cap:
+        for k in range(1, len(triples) + 1):
+            g = rebuild(dropped=triples[:k])
+            if g is not None:
+                return 2, f"greedily dropped {k} collider triples", g
+    rng = np.random.default_rng(seed)
+    rank = np.empty(result.graph.n, dtype=int)
+    rank[rng.permutation(result.graph.n)] = np.arange(result.graph.n)
+    edges = [(u, v) if rank[u] < rank[v] else (v, u) for u, v in skeleton.undirected_edges()]
+    dag = PDGraph(result.graph.n, directed=edges)
+    return 3, "random orientation of skeleton", cpdag_from_dag(dag)
 
 
 def relabel(g: PDGraph, perm: list[int]) -> PDGraph:

@@ -462,6 +462,16 @@ class TestRouteGuards:
         with pytest.raises(ValueError, match="differ"):
             local_effects(cov, path_graph, i=2, y=2)
 
+    @pytest.mark.parametrize("y", [-1, 4])
+    def test_response_outside_the_graph_rejected(self, path_graph, path_weighted, y):
+        # Vertices run 0..3: numpy would read -1 as vertex 3.
+        cov = population_covariance(path_weighted)
+        match = rf"response {y} is not a vertex of the graph \(0\.\.3\)"
+        with pytest.raises(ValueError, match=match):
+            local_effects(cov, path_graph, i=0, y=y)
+        with pytest.raises(ValueError, match=match):
+            global_effects(cov, path_graph, y=y)
+
     def test_sibling_subsets_respect_parent_adjacency(self):
         # Sibling 2 of vertex 1 is not adjacent to its parent 0, so the
         # subset {2} would create a collider at 1 and must be skipped.

@@ -27,8 +27,16 @@ from causalspan import (
     sample_covariance,
     structural_covariance,
 )
-from causalspan.gauss import CONDITION_LIMIT, _ndtri, _z_quantile
-from conftest import ols_coefficient, recursive_partial_correlation, weighted_cov
+from causalspan.gauss import CONDITION_LIMIT, _ndtri, _trek_nonzero_count, _z_quantile
+from conftest import (
+    _reference_closure,
+    ols_coefficient,
+    random_pdgraph_dag,
+    recursive_partial_correlation,
+    relabel,
+    to_amat,
+    weighted_cov,
+)
 
 
 def make_dataset(values, names=None, response=None):
@@ -417,6 +425,22 @@ class TestBic:
         assert bic_score(d, complete) == pytest.approx(
             -2 * fit.loglik + np.log(80) * (6 + 3), rel=1e-12
         )
+
+
+    def test_trek_count_matches_reference_closure(self):
+        # Random DAGs with shuffled labels, so vertex order is not a
+        # topological order; (i, j) counts when i and j share an ancestor.
+        rng = np.random.default_rng(53)
+        for _ in range(300):
+            p = int(rng.integers(1, 10))
+            dag = random_pdgraph_dag(rng, p, float(rng.uniform(0.1, 0.7)))
+            dag = relabel(dag, [int(v) for v in rng.permutation(p)])
+            parents = to_amat(dag).T
+            anc = [_reference_closure(parents, i) for i in range(p)]
+            expected = sum(
+                bool((anc[i] & anc[j]).any()) for i in range(p) for j in range(i, p)
+            )
+            assert _trek_nonzero_count(dag) == expected
 
 
 class TestStructuralCovariance:

@@ -12,6 +12,7 @@ from causalspan import (
     CovMatrix,
     Dataset,
     NumericalRankError,
+    PcDiagnostics,
     PcResult,
     PDGraph,
     beta_given_s,
@@ -20,13 +21,14 @@ from causalspan import (
     estimate_skeleton,
     generate_data,
     orient_v_structures,
+    pc,
     pc_cpdag,
     random_weighted_dag,
     repair_cpdag,
     structural_covariance,
     validate_cpdag,
 )
-from conftest import reference_skeleton, weighted_cov
+from conftest import reference_repair, reference_skeleton, weighted_cov
 
 
 class TestSkeleton:
@@ -213,27 +215,11 @@ class TestColliderOrientation:
         # as 1 -> 2, leaving the last writer's arrows in place.
         sk = PDGraph(4, undirected=[(0, 1), (1, 2), (2, 3)])
         sepsets = {(0, 2): (), (1, 3): ()}
-        from causalspan import PcDiagnostics
-
         diag = PcDiagnostics()
         g = orient_v_structures(sk, sepsets, diag)
         assert g.directed_edges() == {(0, 1), (1, 2), (3, 2)}
         assert len(diag.overwrites) == 1
         assert tuple(diag.overwrites[0]["triple"]) == (1, 2, 3)
-
-    def test_forced_directions_pin_edges(self):
-        sk = PDGraph(4, undirected=[(0, 1), (1, 2), (2, 3)])
-        sepsets = {(0, 2): (), (1, 3): ()}
-        g = orient_v_structures(sk, sepsets, forced={(1, 2): (2, 1)})
-        # With 2 -> 1 pinned, the second triple contradicts the pin and is
-        # skipped entirely, so 3 - 2 stays undirected.
-        assert (2, 1) in g.directed_edges()
-        assert (2, 3) in g.undirected_edges()
-
-    def test_dropped_triples_are_skipped(self):
-        sk = PDGraph(3, undirected=[(0, 1), (1, 2)])
-        g = orient_v_structures(sk, {(0, 2): ()}, dropped_triples=[(0, 1, 2)])
-        assert not g.directed_edges()
 
 
 class TestPipeline:
@@ -293,8 +279,6 @@ class TestRepair:
         # Build the conflicted estimate directly: both triples on a path
         # claim a collider, so the estimate has 0 -> 1 -> 2 <- 3 which has
         # a v-structure at 2 absent from the sepset evidence for (0, 2)...
-        from causalspan import PcDiagnostics
-
         sk = PDGraph(4, undirected=[(0, 1), (1, 2), (2, 3)])
         sepsets = {(0, 2): (), (1, 3): ()}
         diag = PcDiagnostics()
@@ -311,8 +295,6 @@ class TestRepair:
         # triple midpoints recorded as separators there is no collider
         # evidence to re-decide or drop: only the seeded rebuild remains.
         g = PDGraph(4, undirected=[(0, 1), (1, 2), (2, 3), (0, 3)])
-        from causalspan import PcDiagnostics
-
         sepsets = {(0, 2): (1, 3), (1, 3): (0, 2)}
         res = PcResult(g, sepsets, PcDiagnostics(), validate_cpdag(g))
         rep = repair_cpdag(res, seed=7)
@@ -326,13 +308,34 @@ class TestRepair:
         # a collider, and on a 4-cycle that rebuild happens to validate: the
         # triple stage may succeed while dropping nothing.
         g = PDGraph(4, undirected=[(0, 1), (1, 2), (2, 3), (0, 3)])
-        from causalspan import PcDiagnostics
-
         res = PcResult(g, {}, PcDiagnostics(), validate_cpdag(g))
         rep = repair_cpdag(res, seed=7)
         assert rep.stage == 2
         assert validate_cpdag(rep.graph).is_valid
         assert rep.graph.skeleton() == g.skeleton()
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_hook_based_reference(self, seed):
+        # The first of up to 40 estimates drawn from the seed that fails
+        # validation (p 4-10, n 25-500), with its diagnostics and with them
+        # emptied, at caps that stop stage 1, exhaust stage 2 and leave
+        # both whole.
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            w = random_weighted_dag(int(rng.integers(4, 11)), 3.0, rng)
+            d = generate_data(w, int(rng.integers(25, 501)), rng)
+            res = pc_cpdag(d, CITestConfig(0.05))
+            if not res.validation.is_valid:
+                break
+        emptied = PcResult(res.graph, res.sepsets, PcDiagnostics(), res.validation)
+        for cap in (1, 3, 4096):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(pc, "_REPAIR_SEARCH_CAP", cap)
+                for r in (res, emptied):
+                    rep = repair_cpdag(r, seed=seed % 97)
+                    expected = reference_repair(r, seed % 97, cap)
+                    assert (rep.stage, rep.detail, rep.graph) == expected
 
     def test_repaired_output_always_validates(self):
         rng = np.random.default_rng(3)
