@@ -182,9 +182,9 @@ class ThetaMatrix:
         return EffectMultiset(i, self.response, entries, "global", self.mods)
 
 
-def _check_response(g: PDGraph, y: int) -> None:
-    if not 0 <= y < g.n:
-        raise ValueError(f"response {y} is not a vertex of the graph (0..{g.n - 1})")
+def _check_vertex(g: PDGraph, v: int, role: str) -> None:
+    if not 0 <= v < g.n:
+        raise ValueError(f"{role} {v} is not a vertex of the graph (0..{g.n - 1})")
 
 
 def _theta(
@@ -205,7 +205,7 @@ def _theta(
     grouped by mask, so each distinct set is solved once per covariate.
     """
     mods = _check_mods(mods)
-    _check_response(g, y)
+    _check_vertex(g, y, "response")
     try:
         members = _class_parent_masks(g, max_component_edges, max_dags)
     except ResourceCapError as e:
@@ -295,7 +295,8 @@ def local_effects(
     the entries come in increasing subset-mask order.
     """
     mods = _check_mods(mods)
-    _check_response(g, y)
+    _check_vertex(g, y, "response")
+    _check_vertex(g, i, "covariate")
     if i == y:
         raise ValueError("covariate and response must differ")
     if MOD_ZERO_PATH in mods and not allows_directed_path(

@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -360,6 +360,24 @@ def _z_quantile(alpha: float) -> float:
     return _ndtri(1.0 - alpha / 2.0)
 
 
+def _fisher_z_rule(n: int, s_size: int, alpha: float) -> Callable[[float], bool]:
+    """The test of `fisher_z_dependent` for one n, |S| and alpha, with the
+    arguments checked and the threshold computed once, for callers that
+    test many partial correlations under the same settings."""
+    if not (0.0 < alpha < 1.0):
+        raise ValueError("alpha must lie strictly between 0 and 1")
+    if n - s_size - 3 < 1:
+        raise InsufficientSampleError(
+            f"need n - |S| - 3 >= 1, got n={n} with |S|={s_size}"
+        )
+    root, quantile = math.sqrt(n - s_size - 3), _z_quantile(alpha)
+
+    def dependent(rho: float) -> bool:
+        return abs(rho) >= 1.0 or abs(math.atanh(rho)) * root > quantile
+
+    return dependent
+
+
 def fisher_z_dependent(rho: float, n: int, s_size: int, alpha: float) -> bool:
     """Decide dependence from a sample partial correlation.
 
@@ -368,16 +386,7 @@ def fisher_z_dependent(rho: float, n: int, s_size: int, alpha: float) -> bool:
     which is computed once per alpha and cached for the process.
     |rho| = 1 is dependent outright.  Requires n - s_size - 3 >= 1.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie strictly between 0 and 1")
-    if n - s_size - 3 < 1:
-        raise InsufficientSampleError(
-            f"need n - |S| - 3 >= 1, got n={n} with |S|={s_size}"
-        )
-    if abs(rho) >= 1.0:
-        return True
-    stat = abs(math.atanh(rho)) * math.sqrt(n - s_size - 3)
-    return bool(stat > _z_quantile(alpha))
+    return bool(_fisher_z_rule(n, s_size, alpha)(rho))
 
 
 def beta_given_s(

@@ -2,10 +2,13 @@
 
 The skeleton search tests conditional independence level by level with
 adjacency sets snapshotted at the start of each level, so results do not
-depend on incidental edge-removal order within a level; it also fixes each
-pair's conditioning sets, which are solved in stacks (one for all pairs at
-level 0) and read in order, so tests, separating sets and errors are those
-of one test at a time.  A block gets a singularity check by its own SVD
+depend on incidental edge-removal order within a level.  The snapshot
+also fixes every pair's conditioning sets before the level runs, so each
+level is solved in two phases of stacks that span pairs (first the pairs
+(i, j) with i < j, then the pairs (j, i) whose edge survived), each stack
+capped at a fixed number of blocks; the verdicts are then read in the
+order of one test at a time, so tests, separating sets and errors are
+those of that order.  A block gets a singularity check by its own SVD
 only when the correlation matrix's eigenvalues cannot vouch for all of
 its principal blocks at once (see `CovMatrix`), as with n < p, duplicated
 or collinear columns, or a near-singular population matrix.
@@ -21,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -30,10 +33,10 @@ from .gauss import (
     CITestConfig,
     CovMatrix,
     Dataset,
+    _fisher_z_rule,
     _partial_correlations,
     bic_score,
     correlation_matrix,
-    fisher_z_dependent,
 )
 from .graphs import (
     CpdagValidation,
@@ -50,15 +53,23 @@ from .graphs import (
 # testing against a population covariance.
 POPULATION_RHO_TOL = 1e-9
 
-# Conditioning sets per stacked solve; fixed, so memory stays bounded at
-# high levels, where a pair can have a huge number of them.
+# Conditioning sets a pair adds to one wave of a level; a pair with more
+# sets gets them over several waves and stops at the chunk that decides it.
 _CHUNK = 256
+
+# Blocks per stacked solve, across pairs; fixed, so memory stays bounded
+# however many pairs and sets a level has.
+_STACK = 256
 
 # Candidates `repair_cpdag` examines in its exact searches: sides of the
 # conflicted edges in stage 1, subsets of collider triples in stage 2.
 _REPAIR_SEARCH_CAP = 4096
 
 SepsetTable = dict[tuple[int, int], tuple[int, ...]]
+
+# A level's stopped pairs: (i, j) -> (dependent sets read before the
+# stopping set, that set, whether its block is singular).
+_Stops = dict[tuple[int, int], tuple[int, tuple[int, ...], bool]]
 
 
 @dataclass
@@ -89,16 +100,8 @@ class PcResult:
     validation: CpdagValidation
 
 
-def _stacked_partial_correlations(
-    corr: CovMatrix, i: int, j: int, sets: Iterator[tuple[int, ...]]
-) -> Iterator[tuple[tuple[int, ...], float]]:
-    """(S, partial correlation of i and j given S) for each of `sets` in
-    order, solved in stacks of _CHUNK blocks; NaN marks a singular block."""
-    while chunk := list(itertools.islice(sets, _CHUNK)):
-        idx = np.array([(i, j, *s) for s in chunk])
-        blocks = corr.values[idx[:, :, None], idx[:, None, :]]
-        rhos = _partial_correlations(blocks, corr._blocks_conditioned)
-        yield from zip(chunk, rhos.tolist())
+def _population_dependent(rho: float) -> bool:
+    return abs(rho) > POPULATION_RHO_TOL
 
 
 def _marginal_correlations(corr: CovMatrix) -> list[list[float]]:
@@ -114,6 +117,60 @@ def _marginal_correlations(corr: CovMatrix) -> list[list[float]]:
     return rho.tolist()
 
 
+def _chunk_rows(wave: Iterable[list], full: list[list]) -> Iterator[tuple[list, tuple[int, ...]]]:
+    """(pair, (i, j, *S)) for the next chunk of at most _CHUNK sets of each
+    pair in `wave`; a pair whose chunk is full goes on `full`, since it may
+    have more sets."""
+    for pair in wave:
+        chunk = list(itertools.islice(pair[2], _CHUNK))
+        if len(chunk) == _CHUNK:
+            full.append(pair)
+        for s in chunk:
+            yield pair, (pair[0], pair[1], *s)
+
+
+def _level_stops(
+    corr: CovMatrix,
+    pairs: Iterable[tuple[int, int]],
+    snapshot: list[frozenset[int]],
+    level: int,
+    dependent: Callable[[float], bool],
+) -> _Stops:
+    """The pairs (i, j) of `pairs` whose size-`level` subsets of
+    snapshot[i] - {j}, in lexicographic order, include an independent or
+    singular one: (i, j) -> (dependent sets before it, the set, whether it
+    is singular).
+
+    Each wave gives every pair not yet stopped its next chunk of at most
+    _CHUNK sets, and streams the chunks into stacks of at most _STACK
+    blocks, so a pair solves exactly the chunks up to the one holding its
+    first stop, and no list of the level's sets is built.
+    """
+    stops: _Stops = {}
+    # [i, j, sets not yet taken (None once stopped), dependent sets read]
+    wave: Iterable[list] = (
+        [i, j, itertools.combinations(sorted(snapshot[i] - {j}), level), 0] for i, j in pairs
+    )
+    while wave:
+        full: list[list] = []
+        rows = _chunk_rows(wave, full)
+        while stack := list(itertools.islice(rows, _STACK)):
+            owners, sets = zip(*stack)
+            idx = np.array(sets)
+            blocks = corr.values[idx[:, :, None], idx[:, None, :]]
+            rhos = _partial_correlations(blocks, corr._blocks_conditioned).tolist()
+            for pair, s, rho in zip(owners, sets, rhos):
+                if pair[2] is None:
+                    continue
+                if not dependent(rho):
+                    stops[pair[0], pair[1]] = (pair[3], s[2:], math.isnan(rho))
+                    pair[2] = None
+                else:
+                    pair[3] += 1
+        wave = [pair for pair in full if pair[2] is not None]
+    return stops
+
+
 def estimate_skeleton(
     source: Dataset | CovMatrix,
     cfg: CITestConfig = CITestConfig(),
@@ -127,16 +184,21 @@ def estimate_skeleton(
     the separating set is recorded.  Stops at the first level at which no
     adjacency set is large enough.
 
-    Level 0 solves the blocks of all pairs in one stack; at higher levels a
-    pair's subsets are solved in stacked chunks.  Verdicts are read in
-    order, so `tests_per_level` counts the tests up to the first
-    independent one, and a singular block raises only when it is reached.
-    Blocks get a condition check of their own only when the correlation
-    matrix's eigenvalues do not already rule out a singular one.
-    Data or a finite-n covariance uses the z-transform test at cfg.alpha;
-    a population covariance (n=None) declares independence when
-    |rho| <= POPULATION_RHO_TOL.  When n - l - 3 < 1 every subset counts
-    in `skipped_insufficient_n` and the edge stays.
+    The snapshot fixes every pair's sets before the level runs, so a level
+    is solved in two phases of stacks across pairs: first the pairs (i, j)
+    with i < j, which the search always reaches, then the pairs (j, i)
+    whose edge survived the first phase (level 0 needs only the first,
+    one stack of 2 x 2 blocks).  Each pair solves its sets in chunks, up
+    to the chunk holding its first independent or singular set, and a
+    stack holds at most _STACK blocks.  The verdicts are then read in the
+    order above (i, then j, then the sets), so `tests_per_level` counts
+    the tests up to the first independent one, and a singular block
+    raises only when it is reached.  Blocks get a condition check of their
+    own only when the correlation matrix's eigenvalues do not already rule
+    out a singular one.  Data or a finite-n covariance uses the z-transform
+    test at cfg.alpha; a population covariance (n=None) declares
+    independence when |rho| <= POPULATION_RHO_TOL.  When n - l - 3 < 1
+    every subset counts in `skipped_insufficient_n` and the edge stays.
     """
     if isinstance(source, Dataset):
         corr = correlation_matrix(source)
@@ -153,38 +215,46 @@ def estimate_skeleton(
         snapshot = [frozenset(a) for a in adj]
         if not any(len(a) > level for a in snapshot):
             break
-        if level == 0 and (n is None or n - 3 >= 1):
+        if n is not None and n - level - 3 < 1:
+            diag.skipped_insufficient_n += sum(
+                len(a) * math.comb(len(a) - 1, level) for a in snapshot if a
+            )
+            level += 1
+            continue
+        # Neither rule calls a NaN (a singular block) dependent, so a
+        # singular block stops its pair like an independent one.
+        dependent = _population_dependent if n is None else _fisher_z_rule(n, level, cfg.alpha)
+        if level == 0:
             marginal = _marginal_correlations(corr)
+        else:
+            first = [(i, j) for i in range(p1) for j in sorted(snapshot[i]) if i < j]
+            stops = _level_stops(corr, first, snapshot, level, dependent)
+            second = ((j, i) for i, j in first if (i, j) not in stops)
+            stops.update(_level_stops(corr, second, snapshot, level, dependent))
+        tests = 0
         for i in range(p1):
             for j in sorted(snapshot[i]):
                 if j not in adj[i]:
                     continue
-                candidates = sorted(snapshot[i] - {j})
-                if len(candidates) < level:
-                    continue
-                if n is not None and n - level - 3 < 1:
-                    diag.skipped_insufficient_n += math.comb(len(candidates), level)
-                    continue
                 if level == 0:
-                    tests = [((), marginal[i][j])]
+                    rho = marginal[i][j]
+                    stop = None if dependent(rho) else (0, (), math.isnan(rho))
                 else:
-                    sets = itertools.combinations(candidates, level)
-                    tests = _stacked_partial_correlations(corr, i, j, sets)
-                for s, rho in tests:
-                    if math.isnan(rho):
-                        raise NumericalRankError(
-                            f"correlation submatrix for ({i}, {j} | {s}) is singular"
-                        )
-                    diag.tests_per_level[level] = diag.tests_per_level.get(level, 0) + 1
-                    if n is None:
-                        independent = abs(rho) <= POPULATION_RHO_TOL
-                    else:
-                        independent = not fisher_z_dependent(rho, n, level, cfg.alpha)
-                    if independent:
-                        adj[i].discard(j)
-                        adj[j].discard(i)
-                        sepsets[(min(i, j), max(i, j))] = s
-                        break
+                    stop = stops.get((i, j))
+                if stop is None:
+                    tests += math.comb(len(snapshot[i]) - 1, level)
+                    continue
+                read, s, singular = stop
+                if singular:
+                    raise NumericalRankError(
+                        f"correlation submatrix for ({i}, {j} | {s}) is singular"
+                    )
+                tests += read + 1
+                adj[i].discard(j)
+                adj[j].discard(i)
+                sepsets[(min(i, j), max(i, j))] = s
+        if tests:
+            diag.tests_per_level[level] = tests
         level += 1
     edges = [(i, j) for i in range(p1) for j in adj[i] if i < j]
     return PDGraph(p1, undirected=edges), sepsets, diag

@@ -34,11 +34,14 @@ from causalspan import (
     WeightedDag,
     allows_directed_path,
     beta_given_s,
+    correlation_matrix,
     cpdag_from_dag,
+    fisher_z_dependent,
     is_locally_valid,
     meek_closure,
     validate_cpdag,
 )
+from causalspan.gauss import _partial_correlations
 
 # Populated by the acceptance tests; echoed after the run so the one-line
 # verdicts are visible even when per-test output is captured.
@@ -557,6 +560,60 @@ def reference_skeleton(source, alpha: float, max_level: int | None = None):
         level += 1
     edges = {(i, j) for i in range(p) for j in adj[i] if i < j}
     return edges, sepsets, tests, skipped
+
+
+def reference_stacked_blocks(source, alpha: float, chunk: int) -> dict[int, int]:
+    """Blocks per level that the per-pair stacked search solves: level 0 in
+    one stack of the pairs i < j, then each reached pair on its own, its
+    sets in stacks of `chunk` up to the stack holding its first independent
+    set.  This is the loop `estimate_skeleton` ran before its stacks spanned
+    pairs; it shares the package's block solve and test, so it checks only
+    which blocks get solved."""
+    corr = correlation_matrix(source) if isinstance(source, Dataset) else source.correlation()
+    n, p = corr.n, corr.n_columns
+    blocks: dict[int, int] = {}
+
+    def solve(idx):
+        stack = corr.values[idx[:, :, None], idx[:, None, :]]
+        blocks[idx.shape[1] - 2] = blocks.get(idx.shape[1] - 2, 0) + len(idx)
+        return _partial_correlations(stack, corr._blocks_conditioned).tolist()
+
+    def stacked(i, j, sets):
+        while batch := list(itertools.islice(sets, chunk)):
+            yield from zip(batch, solve(np.array([(i, j, *s) for s in batch])))
+
+    adj = [set(range(p)) - {i} for i in range(p)]
+    level = 0
+    while any(len(a) > level for a in adj):
+        snapshot = [frozenset(a) for a in adj]
+        if n is not None and n - level - 3 < 1:
+            level += 1
+            continue
+        if level == 0:
+            iu, ju = np.triu_indices(p, 1)
+            marginal = np.full((p, p), np.nan)
+            marginal[iu, ju] = marginal[ju, iu] = solve(np.stack([iu, ju], axis=1))
+        for i in range(p):
+            for j in sorted(snapshot[i]):
+                if j not in adj[i]:
+                    continue
+                sets = itertools.combinations(sorted(snapshot[i] - {j}), level)
+                tests = [((), marginal[i, j])] if level == 0 else stacked(i, j, sets)
+                for s, rho in tests:
+                    if math.isnan(rho):
+                        raise NumericalRankError(
+                            f"correlation submatrix for ({i}, {j} | {s}) is singular"
+                        )
+                    if n is None:
+                        dependent = abs(rho) > 1e-9
+                    else:
+                        dependent = fisher_z_dependent(rho, n, level, alpha)
+                    if not dependent:
+                        adj[i].discard(j)
+                        adj[j].discard(i)
+                        break
+        level += 1
+    return blocks
 
 
 # ---------------------------------------------------------------------------

@@ -472,6 +472,14 @@ class TestRouteGuards:
         with pytest.raises(ValueError, match=match):
             global_effects(cov, path_graph, y=y)
 
+    @pytest.mark.parametrize("i", [-1, 4])
+    def test_covariate_outside_the_graph_rejected(self, path_graph, path_weighted, i):
+        # -1 would read as vertex 3 and return its entries under the label -1.
+        cov = population_covariance(path_weighted)
+        match = rf"covariate {i} is not a vertex of the graph \(0\.\.3\)"
+        with pytest.raises(ValueError, match=match):
+            local_effects(cov, path_graph, i=i, y=0)
+
     def test_sibling_subsets_respect_parent_adjacency(self):
         # Sibling 2 of vertex 1 is not adjacent to its parent 0, so the
         # subset {2} would create a collider at 1 and must be skipped.

@@ -28,7 +28,12 @@ from causalspan import (
     structural_covariance,
     validate_cpdag,
 )
-from conftest import reference_repair, reference_skeleton, weighted_cov
+from conftest import (
+    reference_repair,
+    reference_skeleton,
+    reference_stacked_blocks,
+    weighted_cov,
+)
 
 
 class TestSkeleton:
@@ -101,6 +106,56 @@ class TestSkeleton:
 
         assert run(stacked) == run(lambda: reference_skeleton(source, alpha, max_level))
 
+    @pytest.mark.parametrize("kind", ["data-4", "data-30", "data-500", "population"])
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(3, 9),
+        chunk=st.integers(1, 3),
+        stack=st.integers(1, 7),
+    )
+    def test_small_chunks_and_stacks_match_reference(self, kind, seed, p, chunk, stack):
+        # With a few sets per chunk and a few blocks per stack, pairs span
+        # several waves and their chunks straddle stacks.
+        rng = np.random.default_rng(seed)
+        w = random_weighted_dag(p, float(rng.uniform(1.0, 4.0)), rng)
+        if kind == "population":
+            source = CovMatrix(structural_covariance(w.weights))
+        else:
+            source = generate_data(w, int(kind.split("-")[1]), rng)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pc, "_CHUNK", chunk)
+            mp.setattr(pc, "_STACK", stack)
+            g, sepsets, diag = estimate_skeleton(source, CITestConfig(0.05))
+        assert (g.undirected_edges(), sepsets, diag.tests_per_level,
+                diag.skipped_insufficient_n) == reference_skeleton(source, 0.05)
+
+    def test_stacks_span_pairs_and_solve_the_old_blocks(self):
+        # p = 50 at n = 1000, as in the local-wide benchmark: the per-pair
+        # loop made one stacked call per reached pair at every level >= 1.
+        rng = np.random.default_rng(11)
+        d = generate_data(random_weighted_dag(50, 3.0, rng), 1000, rng)
+        calls: dict[int, int] = {}
+        blocks: dict[int, int] = {}
+        solve = pc._partial_correlations
+
+        def counted(stack, conditioned):
+            level = stack.shape[1] - 2
+            calls[level] = calls.get(level, 0) + 1
+            blocks[level] = blocks.get(level, 0) + len(stack)
+            return solve(stack, conditioned)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pc, "_partial_correlations", counted)
+            estimate_skeleton(d, CITestConfig(0.01))
+        assert blocks == reference_stacked_blocks(d, 0.01, pc._CHUNK)
+        assert len(blocks) >= 3
+        # One stack at level 0; above it, each of the two phases makes one
+        # partial stack per wave (no pair here has more than _CHUNK sets).
+        assert calls[0] == 1
+        for level in blocks.keys() - {0}:
+            assert calls[level] <= 2 + blocks[level] // pc._STACK
+
     def test_singular_block_raises_with_its_pair_and_set(self):
         # A duplicated column: the first level-0 test is already singular.
         rng = np.random.default_rng(37)
@@ -116,6 +171,25 @@ class TestSkeleton:
         with pytest.raises(NumericalRankError) as e:
             pc_cpdag(d, CITestConfig(0.01))
         assert str(e.value) == "correlation submatrix for (2, 0 | (1,)) is singular"
+
+    def test_first_singular_block_in_search_order_raises(self):
+        # Two collinear triples, c = a + b with a and b independent and
+        # f = d + e with d and e correlated.  Level 1 solves (3, 4 | (5,))
+        # in the first phase, but the search reaches (2, 0 | (1,)), a
+        # second-phase pair (the edge 0 - 2 survives its first phase, where
+        # 0 has no other neighbour), before it.
+        rng = np.random.default_rng(5)
+        a, b, d, e = rng.normal(size=(4, 200))
+        e += d
+        cols = np.column_stack([a, b, a + b, d, e, d + e])
+        data = Dataset(cols, ("a", "b", "c", "d", "e", "f"), 5)
+        message = "correlation submatrix for (2, 0 | (1,)) is singular"
+        with pytest.raises(NumericalRankError) as err:
+            estimate_skeleton(data, CITestConfig(0.01))
+        assert str(err.value) == message
+        with pytest.raises(NumericalRankError) as err:
+            reference_skeleton(data, 0.01)
+        assert str(err.value) == message
 
 
 class TestConditioningFlag:
