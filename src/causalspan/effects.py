@@ -254,21 +254,6 @@ def global_effects(
     return _theta(source, g, covariates, y, mods, max_component_edges, max_dags)
 
 
-def _global_multiset(
-    source: Dataset | CovMatrix,
-    g: PDGraph,
-    i: int,
-    y: int,
-    mods: frozenset[str] | tuple[str, ...],
-    max_component_edges: int,
-    max_dags: int,
-) -> EffectMultiset:
-    """`global_effects(...).row_multiset(i)`, solving covariate i's row
-    only."""
-    theta = _theta(source, g, (i,), y, mods, max_component_edges, max_dags)
-    return theta.row_multiset(i)
-
-
 def local_effects(
     source: Dataset | CovMatrix,
     g: PDGraph,

@@ -14,7 +14,11 @@ algorithm here runs on those masks, with one reachability closure
 (`_reach`), one acyclicity check (`_topological_order`), one collider
 finder (`_colliders`) and one place that points collider triples at their
 middle vertex (`_orient_colliders`); vertex sets leave the module as
-frozensets and edge sets as frozensets of pairs.
+frozensets and edge sets as frozensets of pairs.  `_reach` finds the
+undirected components and answers `allows_directed_path` here, and serves
+the effect routes' component and ancestor masks and `gauss`'s ancestor
+sets; the class search itself needs no reachability (see
+`enumerate_dags`).
 """
 
 from __future__ import annotations
@@ -408,8 +412,8 @@ def _class_parent_masks(
             return
         u, v = und[k]
         for a, b in ((u, v), (v, u)):
-            if parents[b] & ~adj[a] or _reach(children, 1 << b) >> a & 1:
-                continue  # new collider at b, or a directed cycle
+            if parents[b] & ~adj[a] or children[b] & parents[a]:
+                continue  # new collider at b, or a directed triangle
             children[a] |= 1 << b
             parents[b] |= 1 << a
             rec(k + 1)
@@ -431,12 +435,23 @@ def enumerate_dags(
     A depth-first search on the parent and child masks orients the
     undirected edges one at a time in sorted order, trying (u, v) before
     (v, u).  An orientation a -> b is admitted only if it creates no new
-    collider at b (every parent of b is adjacent to a) and no directed
-    cycle (no path b -> ... -> a).  So every leaf is a member and needs no
-    further check: g's directed part is acyclic (the extension pre-check
-    proves it) and each admitted edge keeps it so, and a new collider
-    needs two nonadjacent parents of one vertex, the later of which the
-    admission rule refused.
+    collider at b (every parent of b is adjacent to a) and closes no
+    directed triangle (no c with b -> c -> a).  So every leaf is a member
+    and needs no further check.  A new collider needs two nonadjacent
+    parents of one vertex, the later of which the rule refused.  A leaf
+    has no directed cycle either, although the rule only looks at
+    triangles, because g passed the extension pre-check:
+    - a chordless cycle of length >= 4 in the skeleton has a sink in the
+      consistent extension D; that sink is a collider of D, hence of g, so
+      g fixes both of its cycle edges inward and no leaf directs the cycle;
+    - a shortest directed cycle of length >= 4 with a chord gets shorter
+      whichever way the chord points, so a cyclic leaf has a directed
+      triangle;
+    - the search refuses the last of a triangle's edges it orients, and a
+      triangle directed in g already failed the pre-check.
+    The triangle rule prunes later than a full reachability test would (a
+    cycle whose chord is not oriented yet), so the search may visit a few
+    more dead-end prefixes, but it reaches the same leaves.
 
     The output order is deterministic: DAGs come in the order of their
     orientation vector over the sorted undirected edge list (0 = kept as

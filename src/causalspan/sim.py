@@ -18,12 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .effects import (
-    DEFAULT_MAX_SIBLINGS,
-    EffectMultiset,
-    _global_multiset,
-    local_effects,
-)
+from .effects import DEFAULT_MAX_SIBLINGS, EffectMultiset, _theta, local_effects
 from .errors import CausalSpanError, ResourceCapError
 from .gauss import CITestConfig, CovMatrix, Dataset, structural_covariance
 from .graphs import DEFAULT_MAX_COMPONENT_EDGES, DEFAULT_MAX_DAGS, PDGraph, cpdag_from_dag
@@ -190,9 +185,9 @@ def population_effects(
     g = cpdag_from_dag(w.graph)
     source = population_covariance(w)
     if method == "global":
-        return _global_multiset(
-            source, g, i, y, mods, max_component_edges, max_dags
-        )
+        return _theta(
+            source, g, (i,), y, mods, max_component_edges, max_dags
+        ).row_multiset(i)
     if method == "local":
         return local_effects(
             source, g, i, y, mods, max_siblings, max_component_edges, max_dags
@@ -294,9 +289,9 @@ def run_scenario(
                             max_dags=max_dags,
                         )
                     else:
-                        est = _global_multiset(
-                            data, graph, x, y, (), max_component_edges, max_dags
-                        )
+                        est = _theta(
+                            data, graph, (x,), y, (), max_component_edges, max_dags
+                        ).row_multiset(x)
                 except CausalSpanError as e:
                     status = f"failed:{type(e).__name__}"
             runtime = structure_time + (time.perf_counter() - t1)

@@ -41,7 +41,9 @@ from causalspan import (
     meek_closure,
     validate_cpdag,
 )
+from causalspan.errors import NotExtendableError
 from causalspan.gauss import _partial_correlations
+from causalspan.graphs import _bits, _reach, _undirected_components, extend_to_dag
 
 # Populated by the acceptance tests; echoed after the run so the one-line
 # verdicts are visible even when per-test output is captured.
@@ -294,6 +296,48 @@ def brute_force_class(g: PDGraph) -> list[PDGraph]:
         if reference_is_dag(cand) and reference_v_structures(cand) == base_v:
             out.append(cand)
     return out
+
+
+def reference_class_parent_masks(
+    g: PDGraph, max_component_edges: int, max_dags: int
+) -> list[tuple[int, ...]]:
+    """The class search that refuses a -> b whenever b reaches a, by a full
+    reachability walk on the child masks, rather than only when a -> b
+    closes a directed triangle.  Like `reference_local_effects` it shares
+    the package's pre-checks and masks: it checks the admission rule, not
+    those.  Same members, order and errors as `_class_parent_masks`."""
+    if extend_to_dag(g) is None:
+        raise NotExtendableError("graph has no consistent extension to a DAG")
+    for comp in _undirected_components(g._sib):
+        edges = sum(g._sib[v].bit_count() for v in _bits(comp)) // 2
+        if edges > max_component_edges:
+            raise ResourceCapError(
+                f"an undirected component has {edges} edges "
+                f"(cap {max_component_edges})"
+            )
+    und = sorted(g.undirected_edges())
+    adj = g._adjacency()
+    children, parents = list(g._ch), list(g._pa)
+    results: list[tuple[int, ...]] = []
+
+    def rec(k: int) -> None:
+        if k == len(und):
+            results.append(tuple(parents))
+            if len(results) > max_dags:
+                raise ResourceCapError(f"equivalence class exceeds {max_dags} DAGs")
+            return
+        u, v = und[k]
+        for a, b in ((u, v), (v, u)):
+            if parents[b] & ~adj[a] or _reach(children, 1 << b) >> a & 1:
+                continue
+            children[a] |= 1 << b
+            parents[b] |= 1 << a
+            rec(k + 1)
+            children[a] &= ~(1 << b)
+            parents[b] &= ~(1 << a)
+
+    rec(0)
+    return results
 
 
 def _reference_closure(step: np.ndarray, start: int) -> np.ndarray:

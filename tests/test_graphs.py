@@ -1,6 +1,7 @@
 """Partially directed graphs: construction, orientation closure, class
 enumeration, extension, chordality, and serialization."""
 
+import collections
 import itertools
 import json
 
@@ -28,11 +29,13 @@ from causalspan import (
     random_weighted_dag,
     validate_cpdag,
 )
-from causalspan.graphs import _colliders, _elimination_order, _reach
+from causalspan.errors import CausalSpanError
+from causalspan.graphs import _class_parent_masks, _colliders, _elimination_order, _reach
 from conftest import (
     _reference_closure,
     brute_force_class,
     random_pdgraph_dag,
+    reference_class_parent_masks,
     reference_cpdag_from_dag,
     reference_elimination_order,
     reference_extend_to_dag,
@@ -61,6 +64,23 @@ def class_members_by_skeleton(dag: PDGraph) -> set[PDGraph]:
 
 def directed(g: PDGraph, u: int, v: int) -> bool:
     return (u, v) in g.directed_edges()
+
+
+def brute_force_in_order(g: PDGraph) -> list[PDGraph]:
+    """`brute_force_class(g)` in orientation-vector order over g's sorted
+    undirected edges, the order `enumerate_dags` promises."""
+    und = sorted(g.undirected_edges())
+    return sorted(
+        brute_force_class(g),
+        key=lambda d: tuple(0 if directed(d, u, v) else 1 for u, v in und),
+    )
+
+
+def is_chain_graph(g: PDGraph) -> bool:
+    """No directed edge a -> b lies on a cycle that follows directed edges
+    forward and undirected edges either way."""
+    amat = to_amat(g)
+    return not any(_reference_closure(amat, b)[a] for a, b in g.directed_edges())
 
 
 def undirected(g: PDGraph, u: int, v: int) -> bool:
@@ -322,6 +342,30 @@ class TestEnumerateDags:
         with pytest.raises(NotExtendableError):
             global_effects(CovMatrix(np.eye(4)), g, 3)
 
+    def test_dead_end_prefix_of_a_chorded_four_cycle(self):
+        # K4 minus the edge 0 - 1.  The prefix 0 -> 2, 3 -> 0, 2 -> 1, 1 -> 3
+        # directs the 4-cycle 0 -> 2 -> 1 -> 3 -> 0 before its chord 2 - 3
+        # is reached, which the triangle rule allows; both orientations of
+        # the chord then close a triangle, so the prefix has no leaf.
+        g = PDGraph(4, undirected=[(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
+        assert enumerate_dags(g) == brute_force_in_order(g)
+        assert _class_parent_masks(g, 12, 25000) == reference_class_parent_masks(g, 12, 25000)
+
+    def test_triangle_through_a_fixed_edge(self):
+        # 0 -> 2 inside the undirected component {0, 1, 2}: extendable, but
+        # not a chain graph; 1 -> 0 with 2 -> 1 would close a triangle.
+        g = PDGraph(3, directed=[(0, 2)], undirected=[(0, 1), (1, 2)])
+        assert not is_chain_graph(g)
+        assert enumerate_dags(g) == brute_force_in_order(g)
+        assert len(enumerate_dags(g)) == 3
+
+    def test_chordless_cycle_through_a_fixed_edge_raises(self):
+        # 1 -> 0 -> 3 -> 2 -> 1 makes no new collider and no triangle, so
+        # only the extension pre-check keeps this directed 4-cycle out.
+        g = PDGraph(4, directed=[(0, 3)], undirected=[(0, 1), (1, 2), (2, 3)])
+        with pytest.raises(NotExtendableError):
+            enumerate_dags(g)
+
     def test_component_cap(self):
         g = PDGraph(6, undirected=[(i, j) for i in range(6) for j in range(i + 1, 6)])
         with pytest.raises(ResourceCapError):
@@ -354,26 +398,10 @@ class TestEnumerateDags:
         p = int(rng.integers(3, 8))
         dag = random_pdgraph_dag(rng, p, float(rng.uniform(0.25, 0.8)))
         dag = relabel(dag, list(rng.permutation(p)))
-        if kind == "cpdag":
-            g = cpdag_from_dag(dag)
-        else:
-            vs = reference_v_structures(dag)
-            fixed = {(a, j) for a, j, _ in vs} | {(c, j) for _, j, c in vs}
-            loose = [
-                e for e in sorted(dag.directed_edges() - fixed) if rng.random() < 0.8
-            ]
-            g = PDGraph(
-                p,
-                directed=dag.directed_edges() - set(loose),
-                undirected=[(min(u, v), max(u, v)) for u, v in loose],
-            )
-        und = sorted(g.undirected_edges())
-        if len(und) > 10:
+        g = cpdag_from_dag(dag) if kind == "cpdag" else loosened(dag, rng)
+        if len(g.undirected_edges()) > 10:
             return  # keeps the brute force at most 2**10 orientations
-        oracle = sorted(
-            brute_force_class(g),
-            key=lambda d: tuple(0 if directed(d, u, v) else 1 for u, v in und),
-        )
+        oracle = brute_force_in_order(g)
         assert oracle, "dag itself extends g"
         # Caps below, at and above the class size, and the default.
         max_dags = int(rng.choice([rng.integers(1, 2 * len(oracle) + 1), 25000]))
@@ -384,6 +412,64 @@ class TestEnumerateDags:
             assert enumerate_dags(g, max_dags=max_dags) == oracle
         if kind == "cpdag":
             assert all(cpdag_from_dag(d) == g for d in oracle)
+
+    @pytest.mark.parametrize("kind", ["cpdag", "partial", "pc"])
+    def test_triangle_rule_matches_reachability_rule(self, kind):
+        # The search refuses only orientations that close a directed
+        # triangle; `reference_class_parent_masks` refuses every one that
+        # closes a directed cycle.  Members, order and errors must agree,
+        # on components of up to 12 edges and under caps below, at and
+        # above the class size, also on inputs that are not chain graphs.
+        drawn = collections.Counter()
+
+        def outcome(search, g, max_dags):
+            try:
+                return search(g, 12, max_dags)
+            except CausalSpanError as e:
+                return type(e), str(e)
+
+        @settings(max_examples=150, deadline=None, derandomize=True)
+        @given(seed=st.integers(0, 2**32 - 1))
+        def check(seed):
+            rng = np.random.default_rng(seed)
+            g = class_search_input(kind, rng)
+            full = outcome(reference_class_parent_masks, g, 25000)
+            size = len(full) if isinstance(full, list) else 1
+            max_dags = int(rng.choice([rng.integers(1, 2 * size + 1), 25000]))
+            assert outcome(_class_parent_masks, g, max_dags) == outcome(
+                reference_class_parent_masks, g, max_dags
+            )
+            drawn[extend_to_dag(g) is not None, is_chain_graph(g)] += 1
+
+        check()
+        assert drawn[True, True]
+        if kind != "cpdag":
+            assert drawn[True, False], drawn
+
+
+def loosened(dag: PDGraph, rng: np.random.Generator) -> PDGraph:
+    """dag with a random subset of the edges outside its colliders left
+    undirected: dag still extends it, and it is in general not completed."""
+    vs = reference_v_structures(dag)
+    fixed = {(a, j) for a, j, _ in vs} | {(c, j) for _, j, c in vs}
+    loose = [e for e in sorted(dag.directed_edges() - fixed) if rng.random() < 0.8]
+    return PDGraph(
+        dag.n,
+        directed=dag.directed_edges() - set(loose),
+        undirected=[(min(u, v), max(u, v)) for u, v in loose],
+    )
+
+
+def class_search_input(kind: str, rng: np.random.Generator) -> PDGraph:
+    """A relabeled CPDAG or loosened DAG, dense enough that some components
+    pass the brute force's 10 edges; or collider orientation of a PC
+    skeleton from a few rows, without Meek's rules or repair."""
+    if kind == "pc":
+        return reference_inputs("pc", int(rng.integers(2**32)))[0]
+    p = int(rng.integers(4, 10))
+    dag = random_pdgraph_dag(rng, p, float(rng.uniform(0.3, 0.9)))
+    dag = relabel(dag, list(rng.permutation(p)))
+    return cpdag_from_dag(dag) if kind == "cpdag" else loosened(dag, rng)
 
 
 # ---------------------------------------------------------------------------
