@@ -183,6 +183,8 @@ def _validate(args: argparse.Namespace) -> None:
     if "blocks" in args and args.blocks is not None:
         args.blocks = to_int("blocks", args.blocks)
     args.seed = to_int("seed", args.seed)
+    if args.seed < 0:
+        raise ConfigError("--seed must be nonnegative")
     if "vertices" in args:
         args.vertices = to_int("vertices", args.vertices)
         args.en = to_float("en", args.en)

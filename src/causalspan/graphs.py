@@ -18,7 +18,9 @@ frozensets and edge sets as frozensets of pairs.  `_reach` finds the
 undirected components and answers `allows_directed_path` here, and serves
 the effect routes' component and ancestor masks and `gauss`'s ancestor
 sets; the class search itself needs no reachability (see
-`enumerate_dags`).
+`enumerate_dags`).  The PC skeleton search (`pc.estimate_skeleton`) keeps
+its adjacency sets as the same masks, walks them with `_bits` and hands
+them over as a graph's sibling masks.
 """
 
 from __future__ import annotations
@@ -126,9 +128,6 @@ class PDGraph:
 
     def adjacent(self, i: int) -> frozenset[int]:
         return frozenset(_bits(self._pa[i] | self._ch[i] | self._sib[i]))
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool((self._pa[u] | self._ch[u] | self._sib[u]) >> v & 1)
 
     def directed_edges(self) -> frozenset[tuple[int, int]]:
         return frozenset((u, v) for v, m in enumerate(self._pa) for u in _bits(m))

@@ -1,17 +1,20 @@
 """Estimation of the completed partially directed graph from data.
 
-The skeleton search tests conditional independence level by level with
-adjacency sets snapshotted at the start of each level, so results do not
-depend on incidental edge-removal order within a level.  The snapshot
-also fixes every pair's conditioning sets before the level runs, so each
-level is solved in two phases of stacks that span pairs (first the pairs
-(i, j) with i < j, then the pairs (j, i) whose edge survived), each stack
-capped at a fixed number of blocks; the verdicts are then read in the
-order of one test at a time, so tests, separating sets and errors are
-those of that order.  A block gets a singularity check by its own SVD
-only when the correlation matrix's eigenvalues cannot vouch for all of
-its principal blocks at once (see `CovMatrix`), as with n < p, duplicated
-or collinear columns, or a near-singular population matrix.
+The skeleton search keeps adjacency as vertex bitmasks, as `graphs` does,
+and tests conditional independence level by level against a snapshot of
+them taken at the start of each level, so results do not depend on
+incidental edge-removal order within a level.  The snapshot also fixes
+every pair's conditioning sets before the level runs, so each level is
+solved in two phases (first the pairs (i, j) with i < j, then the pairs
+(j, i) whose edge survived); within a phase the pairs' sets stream into
+stacks of a fixed number of blocks that span pairs, and a pair stops at
+the stack holding its first independent or singular set.  The verdicts
+are then read in the order of one test at a time, so tests, separating
+sets and errors are those of that order.  A block gets a singularity
+check by its own SVD only when the correlation matrix's eigenvalues
+cannot vouch for all of its principal blocks at once (see `CovMatrix`),
+as with n < p, duplicated or collinear columns, or a near-singular
+population matrix.
 Collider orientation walks candidate triples in lexicographic order and
 lets later triples overwrite earlier arrowheads; every overwrite is
 recorded, because on finite samples the oriented graph can fail to admit
@@ -52,10 +55,6 @@ from .graphs import (
 # Partial correlations at or below this magnitude count as zero when
 # testing against a population covariance.
 POPULATION_RHO_TOL = 1e-9
-
-# Conditioning sets a pair adds to one wave of a level; a pair with more
-# sets gets them over several waves and stops at the chunk that decides it.
-_CHUNK = 256
 
 # Blocks per stacked solve, across pairs; fixed, so memory stays bounded
 # however many pairs and sets a level has.
@@ -117,57 +116,41 @@ def _marginal_correlations(corr: CovMatrix) -> list[list[float]]:
     return rho.tolist()
 
 
-def _chunk_rows(wave: Iterable[list], full: list[list]) -> Iterator[tuple[list, tuple[int, ...]]]:
-    """(pair, (i, j, *S)) for the next chunk of at most _CHUNK sets of each
-    pair in `wave`; a pair whose chunk is full goes on `full`, since it may
-    have more sets."""
-    for pair in wave:
-        chunk = list(itertools.islice(pair[2], _CHUNK))
-        if len(chunk) == _CHUNK:
-            full.append(pair)
-        for s in chunk:
-            yield pair, (pair[0], pair[1], *s)
-
-
 def _level_stops(
     corr: CovMatrix,
     pairs: Iterable[tuple[int, int]],
-    snapshot: list[frozenset[int]],
+    snapshot: list[int],
     level: int,
     dependent: Callable[[float], bool],
 ) -> _Stops:
     """The pairs (i, j) of `pairs` whose size-`level` subsets of
-    snapshot[i] - {j}, in lexicographic order, include an independent or
-    singular one: (i, j) -> (dependent sets before it, the set, whether it
-    is singular).
+    snapshot[i] without j, in lexicographic order, include an independent
+    or singular one: (i, j) -> (dependent sets before it, the set, whether
+    it is singular).
 
-    Each wave gives every pair not yet stopped its next chunk of at most
-    _CHUNK sets, and streams the chunks into stacks of at most _STACK
-    blocks, so a pair solves exactly the chunks up to the one holding its
-    first stop, and no list of the level's sets is built.
+    The pairs' sets stream, pair after pair, into stacks of at most _STACK
+    blocks, and a pair stops yielding sets once a solved stack has stopped
+    it: it solves its sets up to the end of the stack holding its first
+    stop, and no list of the level's sets is built.
     """
     stops: _Stops = {}
-    # [i, j, sets not yet taken (None once stopped), dependent sets read]
-    wave: Iterable[list] = (
-        [i, j, itertools.combinations(sorted(snapshot[i] - {j}), level), 0] for i, j in pairs
-    )
-    while wave:
-        full: list[list] = []
-        rows = _chunk_rows(wave, full)
-        while stack := list(itertools.islice(rows, _STACK)):
-            owners, sets = zip(*stack)
-            idx = np.array(sets)
-            blocks = corr.values[idx[:, :, None], idx[:, None, :]]
-            rhos = _partial_correlations(blocks, corr._blocks_conditioned).tolist()
-            for pair, s, rho in zip(owners, sets, rhos):
-                if pair[2] is None:
-                    continue
-                if not dependent(rho):
-                    stops[pair[0], pair[1]] = (pair[3], s[2:], math.isnan(rho))
-                    pair[2] = None
-                else:
-                    pair[3] += 1
-        wave = [pair for pair in full if pair[2] is not None]
+
+    def rows() -> Iterator[tuple[tuple[int, int], int, tuple[int, ...]]]:
+        for pair in pairs:
+            i, j = pair
+            for k, s in enumerate(itertools.combinations(_bits(snapshot[i] & ~(1 << j)), level)):
+                if pair in stops:
+                    break
+                yield pair, k, s
+
+    stream = rows()
+    while stack := list(itertools.islice(stream, _STACK)):
+        idx = np.array([(*pair, *s) for pair, _, s in stack])
+        blocks = corr.values[idx[:, :, None], idx[:, None, :]]
+        rhos = _partial_correlations(blocks, corr._blocks_conditioned).tolist()
+        for (pair, k, s), rho in zip(stack, rhos):
+            if pair not in stops and not dependent(rho):
+                stops[pair] = (k, s, math.isnan(rho))
     return stops
 
 
@@ -182,16 +165,17 @@ def estimate_skeleton(
     adjacency set of i (snapshotted at the start of the level, j excluded)
     in lexicographic order; on an independence verdict the edge goes and
     the separating set is recorded.  Stops at the first level at which no
-    adjacency set is large enough.
+    adjacency set is large enough.  Adjacency sets are vertex bitmasks, as
+    in `graphs`.
 
     The snapshot fixes every pair's sets before the level runs, so a level
     is solved in two phases of stacks across pairs: first the pairs (i, j)
     with i < j, which the search always reaches, then the pairs (j, i)
     whose edge survived the first phase (level 0 needs only the first,
-    one stack of 2 x 2 blocks).  Each pair solves its sets in chunks, up
-    to the chunk holding its first independent or singular set, and a
-    stack holds at most _STACK blocks.  The verdicts are then read in the
-    order above (i, then j, then the sets), so `tests_per_level` counts
+    one stack of 2 x 2 blocks).  Within a phase the pairs' sets stream into
+    stacks of at most _STACK blocks, and a pair stops at the stack holding
+    its first independent or singular set.  The verdicts are then read in
+    the order above (i, then j, then the sets), so `tests_per_level` counts
     the tests up to the first independent one, and a singular block
     raises only when it is reached.  Blocks get a condition check of their
     own only when the correlation matrix's eigenvalues do not already rule
@@ -208,17 +192,16 @@ def estimate_skeleton(
         raise TypeError("source must be a Dataset or CovMatrix")
     n, p1 = corr.n, corr.n_columns
     diag = PcDiagnostics()
-    adj: list[set[int]] = [set(range(p1)) - {i} for i in range(p1)]
+    adj = [(1 << p1) - 1 & ~(1 << i) for i in range(p1)]
     sepsets: SepsetTable = {}
     level = 0
     while True:
-        snapshot = [frozenset(a) for a in adj]
-        if not any(len(a) > level for a in snapshot):
+        snapshot = adj.copy()
+        degree = [a.bit_count() for a in snapshot]
+        if max(degree, default=0) <= level:
             break
         if n is not None and n - level - 3 < 1:
-            diag.skipped_insufficient_n += sum(
-                len(a) * math.comb(len(a) - 1, level) for a in snapshot if a
-            )
+            diag.skipped_insufficient_n += sum(d * math.comb(d - 1, level) for d in degree if d)
             level += 1
             continue
         # Neither rule calls a NaN (a singular block) dependent, so a
@@ -227,22 +210,22 @@ def estimate_skeleton(
         if level == 0:
             marginal = _marginal_correlations(corr)
         else:
-            first = [(i, j) for i in range(p1) for j in sorted(snapshot[i]) if i < j]
+            first = [(i, j) for i in range(p1) for j in _bits(snapshot[i] >> i + 1 << i + 1)]
             stops = _level_stops(corr, first, snapshot, level, dependent)
             second = ((j, i) for i, j in first if (i, j) not in stops)
             stops.update(_level_stops(corr, second, snapshot, level, dependent))
         tests = 0
         for i in range(p1):
-            for j in sorted(snapshot[i]):
-                if j not in adj[i]:
-                    continue
+            # Reading row i removes no edge of i but the one read, so the
+            # mask at the row's start lists the pairs left to read.
+            for j in _bits(adj[i]):
                 if level == 0:
                     rho = marginal[i][j]
                     stop = None if dependent(rho) else (0, (), math.isnan(rho))
                 else:
                     stop = stops.get((i, j))
                 if stop is None:
-                    tests += math.comb(len(snapshot[i]) - 1, level)
+                    tests += math.comb(degree[i] - 1, level)
                     continue
                 read, s, singular = stop
                 if singular:
@@ -250,14 +233,14 @@ def estimate_skeleton(
                         f"correlation submatrix for ({i}, {j} | {s}) is singular"
                     )
                 tests += read + 1
-                adj[i].discard(j)
-                adj[j].discard(i)
-                sepsets[(min(i, j), max(i, j))] = s
+                adj[i] &= ~(1 << j)
+                adj[j] &= ~(1 << i)
+                sepsets[(i, j) if i < j else (j, i)] = s
         if tests:
             diag.tests_per_level[level] = tests
         level += 1
-    edges = [(i, j) for i in range(p1) for j in adj[i] if i < j]
-    return PDGraph(p1, undirected=edges), sepsets, diag
+    zeros = [0] * p1
+    return PDGraph._from_masks(zeros, zeros, adj), sepsets, diag
 
 
 def _collider_triples(skeleton: PDGraph, sepsets: SepsetTable) -> list[tuple[int, int, int]]:

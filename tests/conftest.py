@@ -437,7 +437,7 @@ def _hooked_orientation(skeleton, sepsets, forced=None, dropped=()):
         (i, j, k)
         for j in range(skeleton.n)
         for i, k in itertools.combinations(sorted(skeleton.adjacent(j)), 2)
-        if not skeleton.has_edge(i, k) and j not in sepsets.get((i, k), ())
+        if k not in skeleton.adjacent(i) and j not in sepsets.get((i, k), ())
     )
     forced = forced or {}
     dropped = set(dropped)
@@ -606,58 +606,81 @@ def reference_skeleton(source, alpha: float, max_level: int | None = None):
     return edges, sepsets, tests, skipped
 
 
-def reference_stacked_blocks(source, alpha: float, chunk: int) -> dict[int, int]:
-    """Blocks per level that the per-pair stacked search solves: level 0 in
-    one stack of the pairs i < j, then each reached pair on its own, its
-    sets in stacks of `chunk` up to the stack holding its first independent
-    set.  This is the loop `estimate_skeleton` ran before its stacks spanned
-    pairs; it shares the package's block solve and test, so it checks only
-    which blocks get solved."""
+def reference_streamed_blocks(
+    source, alpha: float, stack: int
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Blocks and stacked calls per level of the streamed skeleton search,
+    from one-set-at-a-time verdicts: level 0 is one stack of the pairs
+    i < j; above it each phase (the pairs (i, j) with i < j, then the pairs
+    (j, i) whose edge survived) streams its pairs' sets into stacks of
+    `stack` blocks, and a pair stops at the stack holding its first stop.
+    So with c rows streamed before it, a pair with m sets adds
+    min(m, (floor((c + k) / stack) + 1) * stack - c) rows when its first
+    stop is set k, and m rows when it has none; the phase makes
+    ceil(rows / stack) calls.  It shares the package's block solve and
+    test, so it checks only how much gets solved, and it raises the
+    package's error for the first singular stop in search order."""
     corr = correlation_matrix(source) if isinstance(source, Dataset) else source.correlation()
     n, p = corr.n, corr.n_columns
     blocks: dict[int, int] = {}
+    calls: dict[int, int] = {}
 
-    def solve(idx):
-        stack = corr.values[idx[:, :, None], idx[:, None, :]]
-        blocks[idx.shape[1] - 2] = blocks.get(idx.shape[1] - 2, 0) + len(idx)
-        return _partial_correlations(stack, corr._blocks_conditioned).tolist()
+    def stop(i, j, s) -> tuple[tuple[int, ...], bool] | None:
+        """(s, whether its block is singular) if (i, j | s) stops the pair:
+        neither test calls a NaN (a singular block) dependent."""
+        idx = np.array([(i, j, *s)])
+        rho = _partial_correlations(
+            corr.values[idx[:, :, None], idx[:, None, :]], corr._blocks_conditioned
+        )[0]
+        dependent = abs(rho) > 1e-9 if n is None else fisher_z_dependent(rho, n, len(s), alpha)
+        return None if dependent else (s, math.isnan(rho))
 
-    def stacked(i, j, sets):
-        while batch := list(itertools.islice(sets, chunk)):
-            yield from zip(batch, solve(np.array([(i, j, *s) for s in batch])))
+    def add(level, rows, made):
+        if rows:
+            blocks[level] = blocks.get(level, 0) + rows
+            calls[level] = calls.get(level, 0) + made
 
     adj = [set(range(p)) - {i} for i in range(p)]
     level = 0
     while any(len(a) > level for a in adj):
-        snapshot = [frozenset(a) for a in adj]
+        snapshot = [sorted(a) for a in adj]
         if n is not None and n - level - 3 < 1:
             level += 1
             continue
+        stops = {}
+        first = [(i, j) for i in range(p) for j in snapshot[i] if i < j]
         if level == 0:
-            iu, ju = np.triu_indices(p, 1)
-            marginal = np.full((p, p), np.nan)
-            marginal[iu, ju] = marginal[ju, iu] = solve(np.stack([iu, ju], axis=1))
+            add(0, len(first), 1)
+            for i, j in first:
+                if found := stop(i, j, ()):
+                    stops[i, j] = found
+        else:
+            # A generator, so the second phase sees the first one's stops.
+            second = ((j, i) for i, j in first if (i, j) not in stops)
+            for phase in (first, second):
+                rows = 0
+                for i, j in phase:
+                    sets = list(itertools.combinations([v for v in snapshot[i] if v != j], level))
+                    verdicts = ((k, stop(i, j, s)) for k, s in enumerate(sets))
+                    found = next(((k, f) for k, f in verdicts if f), None)
+                    if found is None:
+                        rows += len(sets)
+                        continue
+                    k, stops[i, j] = found
+                    rows += min(len(sets), ((rows + k) // stack + 1) * stack - rows)
+                add(level, rows, -(-rows // stack))
         for i in range(p):
-            for j in sorted(snapshot[i]):
-                if j not in adj[i]:
-                    continue
-                sets = itertools.combinations(sorted(snapshot[i] - {j}), level)
-                tests = [((), marginal[i, j])] if level == 0 else stacked(i, j, sets)
-                for s, rho in tests:
-                    if math.isnan(rho):
+            for j in snapshot[i]:
+                if j in adj[i] and (i, j) in stops:
+                    s, singular = stops[i, j]
+                    if singular:
                         raise NumericalRankError(
                             f"correlation submatrix for ({i}, {j} | {s}) is singular"
                         )
-                    if n is None:
-                        dependent = abs(rho) > 1e-9
-                    else:
-                        dependent = fisher_z_dependent(rho, n, level, alpha)
-                    if not dependent:
-                        adj[i].discard(j)
-                        adj[j].discard(i)
-                        break
+                    adj[i].discard(j)
+                    adj[j].discard(i)
         level += 1
-    return blocks
+    return blocks, calls
 
 
 # ---------------------------------------------------------------------------

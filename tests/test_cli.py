@@ -583,6 +583,21 @@ class TestFailureModes:
         assert "unrecognized arguments" in r.stderr
         assert not target.exists()
 
+    @pytest.mark.parametrize("source", ["flag", "environment"])
+    @pytest.mark.parametrize("command", ["estimate", "score", "tune", "simulate"])
+    def test_negative_seed_is_a_usage_error(self, chain_csv, tmp_path, command, source):
+        data = [] if command == "simulate" else ["--input", chain_csv, "--response", "C"]
+        seed = ["--seed", "-1"] if source == "flag" else []
+        target = tmp_path / "o"
+        r = run_cli(
+            [command, *data, *seed, "--out", str(target)],
+            cwd=tmp_path,
+            env_extra={"CAUSALSPAN_SEED": "-1"} if source == "environment" else None,
+        )
+        assert r.returncode == 2
+        assert r.stderr == "error: --seed must be nonnegative\n"
+        assert not target.exists()
+
     def test_no_arguments_is_a_usage_error(self, tmp_path):
         r = run_cli([], cwd=tmp_path)
         assert r.returncode == 2

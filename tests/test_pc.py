@@ -31,9 +31,28 @@ from causalspan import (
 from conftest import (
     reference_repair,
     reference_skeleton,
-    reference_stacked_blocks,
+    reference_streamed_blocks,
     weighted_cov,
 )
+
+
+def counted_skeleton(source, alpha):
+    """`estimate_skeleton` at alpha, plus the blocks and the stacked calls
+    per level that it solved."""
+    blocks: dict[int, int] = {}
+    calls: dict[int, int] = {}
+    solve = pc._partial_correlations
+
+    def counted(stack, conditioned):
+        level = stack.shape[1] - 2
+        calls[level] = calls.get(level, 0) + 1
+        blocks[level] = blocks.get(level, 0) + len(stack)
+        return solve(stack, conditioned)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pc, "_partial_correlations", counted)
+        g, sepsets, diag = estimate_skeleton(source, CITestConfig(alpha))
+    return g, sepsets, diag, (blocks, calls)
 
 
 class TestSkeleton:
@@ -111,12 +130,11 @@ class TestSkeleton:
     @given(
         seed=st.integers(0, 2**32 - 1),
         p=st.integers(3, 9),
-        chunk=st.integers(1, 3),
         stack=st.integers(1, 7),
     )
-    def test_small_chunks_and_stacks_match_reference(self, kind, seed, p, chunk, stack):
-        # With a few sets per chunk and a few blocks per stack, pairs span
-        # several waves and their chunks straddle stacks.
+    def test_small_chunks_and_stacks_match_reference(self, kind, seed, p, stack):
+        # With a few blocks per stack, pairs' sets straddle stacks and a
+        # pair stops several stacks after its first set.
         rng = np.random.default_rng(seed)
         w = random_weighted_dag(p, float(rng.uniform(1.0, 4.0)), rng)
         if kind == "population":
@@ -124,37 +142,25 @@ class TestSkeleton:
         else:
             source = generate_data(w, int(kind.split("-")[1]), rng)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pc, "_CHUNK", chunk)
             mp.setattr(pc, "_STACK", stack)
-            g, sepsets, diag = estimate_skeleton(source, CITestConfig(0.05))
+            g, sepsets, diag, work = counted_skeleton(source, 0.05)
         assert (g.undirected_edges(), sepsets, diag.tests_per_level,
                 diag.skipped_insufficient_n) == reference_skeleton(source, 0.05)
+        assert work == reference_streamed_blocks(source, 0.05, stack)
 
     def test_stacks_span_pairs_and_solve_the_old_blocks(self):
-        # p = 50 at n = 1000, as in the local-wide benchmark: the per-pair
-        # loop made one stacked call per reached pair at every level >= 1.
+        # p = 50 at n = 1000, as in the local-wide benchmark: above level 0
+        # each phase streams every pair's sets into shared stacks.
         rng = np.random.default_rng(11)
         d = generate_data(random_weighted_dag(50, 3.0, rng), 1000, rng)
-        calls: dict[int, int] = {}
-        blocks: dict[int, int] = {}
-        solve = pc._partial_correlations
-
-        def counted(stack, conditioned):
-            level = stack.shape[1] - 2
-            calls[level] = calls.get(level, 0) + 1
-            blocks[level] = blocks.get(level, 0) + len(stack)
-            return solve(stack, conditioned)
-
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pc, "_partial_correlations", counted)
-            estimate_skeleton(d, CITestConfig(0.01))
-        assert blocks == reference_stacked_blocks(d, 0.01, pc._CHUNK)
+        *_, (blocks, calls) = counted_skeleton(d, 0.01)
+        assert (blocks, calls) == reference_streamed_blocks(d, 0.01, pc._STACK)
         assert len(blocks) >= 3
-        # One stack at level 0; above it, each of the two phases makes one
-        # partial stack per wave (no pair here has more than _CHUNK sets).
         assert calls[0] == 1
-        for level in blocks.keys() - {0}:
-            assert calls[level] <= 2 + blocks[level] // pc._STACK
+        # No pair solves a set past the stack holding its stop, so level 1
+        # stays within the 21,097 blocks that whole 256-set chunks per pair
+        # solved.
+        assert blocks[1] <= 21097
 
     def test_singular_block_raises_with_its_pair_and_set(self):
         # A duplicated column: the first level-0 test is already singular.
