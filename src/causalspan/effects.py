@@ -195,6 +195,7 @@ def _theta(
     mods: frozenset[str] | tuple[str, ...],
     max_component_edges: int,
     max_dags: int,
+    classes: dict | None = None,
 ) -> ThetaMatrix:
     """Enumerate the equivalence class of g and fill one row per covariate
     i: i's adjustment set in each class member and its effect.
@@ -203,15 +204,21 @@ def _theta(
     those in y's skeleton component.  Under `zero_path` a member in which
     i is not an ancestor of y gets None and the effect 0.0.  Members are
     grouped by mask, so each distinct set is solved once per covariate.
+    `classes`, when given, holds the member lists of graphs already
+    listed, keyed by (graph, caps); g's list is read from it or added.
     """
     mods = _check_mods(mods)
     _check_vertex(g, y, "response")
-    try:
-        members = _class_parent_masks(g, max_component_edges, max_dags)
-    except ResourceCapError as e:
-        raise ResourceCapError(
-            f"{e}; the local route avoids enumeration and scales further"
-        ) from None
+    classes = {} if classes is None else classes
+    key = (g, max_component_edges, max_dags)
+    if key not in classes:
+        try:
+            classes[key] = _class_parent_masks(g, max_component_edges, max_dags)
+        except ResourceCapError as e:
+            raise ResourceCapError(
+                f"{e}; the local route avoids enumeration and scales further"
+            ) from None
+    members = classes[key]
     for i in covariates:
         if i == y or not 0 <= i < g.n:
             raise ValueError(f"{i} is not a covariate of response {y}")

@@ -132,7 +132,9 @@ class CovMatrix:
         if not np.all(np.isfinite(v)):
             raise ValueError("covariance must be finite")
         scale = max(1.0, float(np.abs(v).max()))
-        if not np.allclose(v, v.T, atol=1e-8 * scale):
+        # np.allclose(v, v.T, atol=1e-8 * scale) on finite input, without
+        # its dispatch overhead.
+        if not (np.abs(v - v.T) <= 1e-8 * scale + 1e-05 * np.abs(v.T)).all():
             raise ValueError("covariance must be symmetric")
         w = np.linalg.eigvalsh((v + v.T) / 2.0)
         if w.min() < -1e-8 * scale:
@@ -360,10 +362,27 @@ def _z_quantile(alpha: float) -> float:
     return _ndtri(1.0 - alpha / 2.0)
 
 
-def _fisher_z_rule(n: int, s_size: int, alpha: float) -> Callable[[float], bool]:
+class _Rule(NamedTuple):
+    """A dependence test and a bound on |rho| above which it always says
+    dependent, so a caller may call such rows dependent without it."""
+
+    dependent: Callable[[float], bool]
+    clear: float
+
+
+def _fisher_z_rule(n: int, s_size: int, alpha: float) -> _Rule:
     """The test of `fisher_z_dependent` for one n, |S| and alpha, with the
     arguments checked and the threshold computed once, for callers that
-    test many partial correlations under the same settings."""
+    test many partial correlations under the same settings.
+
+    The bound is tanh(quantile / root) * (1 + 1e-9), capped at 1, and
+    every |rho| above it tests dependent.  It is exact: atanh(t) <=
+    t / (1 - t^2) on [0, 1), and the slope of atanh is 1 / (1 - t^2), so a
+    relative step of 1e-9 in rho moves |atanh(rho)| * root up by at least
+    about 1e-9 relative, while the rounding of `math.tanh`, `math.atanh`,
+    `sqrt` and the products is a few ulps (about 1e-15 relative).  A NaN
+    is never above the bound, so the test decides it.
+    """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie strictly between 0 and 1")
     if n - s_size - 3 < 1:
@@ -375,7 +394,7 @@ def _fisher_z_rule(n: int, s_size: int, alpha: float) -> Callable[[float], bool]
     def dependent(rho: float) -> bool:
         return abs(rho) >= 1.0 or abs(math.atanh(rho)) * root > quantile
 
-    return dependent
+    return _Rule(dependent, min(1.0, math.tanh(quantile / root) * (1 + 1e-9)))
 
 
 def fisher_z_dependent(rho: float, n: int, s_size: int, alpha: float) -> bool:
@@ -386,7 +405,7 @@ def fisher_z_dependent(rho: float, n: int, s_size: int, alpha: float) -> bool:
     which is computed once per alpha and cached for the process.
     |rho| = 1 is dependent outright.  Requires n - s_size - 3 >= 1.
     """
-    return bool(_fisher_z_rule(n, s_size, alpha)(rho))
+    return bool(_fisher_z_rule(n, s_size, alpha).dependent(rho))
 
 
 def beta_given_s(

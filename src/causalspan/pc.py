@@ -8,13 +8,16 @@ every pair's conditioning sets before the level runs, so each level is
 solved in two phases (first the pairs (i, j) with i < j, then the pairs
 (j, i) whose edge survived); within a phase the pairs' sets stream into
 stacks of a fixed number of blocks that span pairs, and a pair stops at
-the stack holding its first independent or singular set.  The verdicts
-are then read in the order of one test at a time, so tests, separating
-sets and errors are those of that order.  A block gets a singularity
-check by its own SVD only when the correlation matrix's eigenvalues
-cannot vouch for all of its principal blocks at once (see `CovMatrix`),
-as with n < p, duplicated or collinear columns, or a near-singular
-population matrix.
+the stack holding its first independent or singular set.  numpy builds
+each stack and calls dependent every block whose |rho| is above a bound
+the test always calls dependent; the test decides the rest, pair by pair
+up to its first stop, so no Python step runs per conditioning set.  The
+verdicts are then read in the order of one test at a time, so tests,
+separating sets and errors are those of that order.  A block gets a
+singularity check by its own SVD only when the correlation matrix's
+eigenvalues cannot vouch for all of its principal blocks at once (see
+`CovMatrix`), as with n < p, duplicated or collinear columns, or a
+near-singular population matrix.
 Collider orientation walks candidate triples in lexicographic order and
 lets later triples overwrite earlier arrowheads; every overwrite is
 recorded, because on finite samples the oriented graph can fail to admit
@@ -27,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -38,6 +41,7 @@ from .gauss import (
     Dataset,
     _fisher_z_rule,
     _partial_correlations,
+    _Rule,
     bic_score,
     correlation_matrix,
 )
@@ -57,8 +61,10 @@ from .graphs import (
 POPULATION_RHO_TOL = 1e-9
 
 # Blocks per stacked solve, across pairs; fixed, so memory stays bounded
-# however many pairs and sets a level has.
-_STACK = 256
+# however many pairs and sets a level has.  With no Python step per set,
+# each stack's fixed cost (a dozen numpy calls) is what is left to
+# amortise; 4096 blocks of k x k floats take 32 k^2 KB (3.2 MB at level 8).
+_STACK = 4096
 
 # Candidates `repair_cpdag` examines in its exact searches: sides of the
 # conflicted edges in stage 1, subsets of collider triples in stage 2.
@@ -103,6 +109,10 @@ def _population_dependent(rho: float) -> bool:
     return abs(rho) > POPULATION_RHO_TOL
 
 
+# The population test calls dependent exactly the |rho| above its bound.
+_POPULATION_RULE = _Rule(_population_dependent, POPULATION_RHO_TOL)
+
+
 def _marginal_correlations(corr: CovMatrix) -> list[list[float]]:
     """Level-0 partial correlations of every pair, from one stack of the
     2 x 2 blocks (i, j) with i < j; the matrix is exactly symmetric, so the
@@ -119,39 +129,82 @@ def _marginal_correlations(corr: CovMatrix) -> list[list[float]]:
 def _level_stops(
     corr: CovMatrix,
     pairs: Iterable[tuple[int, int]],
-    snapshot: list[int],
+    neighbours: list[tuple[int, ...]],
     level: int,
-    dependent: Callable[[float], bool],
+    rule: _Rule,
 ) -> _Stops:
     """The pairs (i, j) of `pairs` whose size-`level` subsets of
-    snapshot[i] without j, in lexicographic order, include an independent
+    neighbours[i] without j, in lexicographic order, include an independent
     or singular one: (i, j) -> (dependent sets before it, the set, whether
     it is singular).
 
     The pairs' sets stream, pair after pair, into stacks of at most _STACK
-    blocks, and a pair stops yielding sets once a solved stack has stopped
-    it: it solves its sets up to the end of the stack holding its first
-    stop, and no list of the level's sets is built.
+    blocks, and a pair cut by the end of a stack goes on into the next one
+    only if the stack did not stop it: it solves its sets up to the end of
+    the stack holding its first stop, and no list of the level's sets is
+    built.  Each stack takes a fixed number of numpy calls: `repeat` makes
+    the pair columns and `fromiter` the set columns, from each pair's slice
+    of `combinations`, and every row with |rho| > rule.clear is dependent.
+    `list.index` finds each pair's first row left, and only those rows, up
+    to the pair's first stop, go to rule.dependent.
     """
     stops: _Stops = {}
-
-    def rows() -> Iterator[tuple[tuple[int, int], int, tuple[int, ...]]]:
-        for pair in pairs:
-            i, j = pair
-            for k, s in enumerate(itertools.combinations(_bits(snapshot[i] & ~(1 << j)), level)):
-                if pair in stops:
+    pending = iter(pairs)
+    # The pair the last stack cut: (pair, its sets, sets solved, sets in all).
+    cut = None
+    while True:
+        if cut is not None and cut[0] in stops:
+            cut = None
+        segments: list[tuple[tuple[int, int], int, int]] = []
+        slices = []
+        rows = 0
+        while rows < _STACK:
+            if cut is None:
+                if (pair := next(pending, None)) is None:
                     break
-                yield pair, k, s
-
-    stream = rows()
-    while stack := list(itertools.islice(stream, _STACK)):
-        idx = np.array([(*pair, *s) for pair, _, s in stack])
-        blocks = corr.values[idx[:, :, None], idx[:, None, :]]
-        rhos = _partial_correlations(blocks, corr._blocks_conditioned).tolist()
-        for (pair, k, s), rho in zip(stack, rhos):
-            if pair not in stops and not dependent(rho):
-                stops[pair] = (k, s, math.isnan(rho))
-    return stops
+                i, j = pair
+                k = neighbours[i].index(j)
+                nb = neighbours[i][:k] + neighbours[i][k + 1 :]
+                cut = (pair, itertools.combinations(nb, level), 0, math.comb(len(nb), level))
+            pair, sets, done, total = cut
+            take = min(total - done, _STACK - rows)
+            if take:
+                segments.append((pair, done, take))
+                slices.append(itertools.islice(sets, take))
+                rows += take
+            cut = (pair, sets, done + take, total) if done + take < total else None
+        if not rows:
+            return stops
+        idx = np.empty((rows, level + 2), dtype=np.intp)
+        idx[:, :2] = np.array([seg[0] for seg in segments]).repeat(
+            [seg[2] for seg in segments], axis=0
+        )
+        idx[:, 2:] = np.fromiter(
+            itertools.chain.from_iterable(itertools.chain.from_iterable(slices)),
+            dtype=np.intp,
+            count=rows * level,
+        ).reshape(rows, level)
+        blocks = corr.values.take(idx[:, :, None] * corr.n_columns + idx[:, None, :])
+        rho = _partial_correlations(blocks, corr._blocks_conditioned)
+        # A False at the end stops every search; `left` is the first row
+        # not cleared at or after the last search's start, which stays the
+        # answer for every later start up to it.
+        cleared = (np.abs(rho) > rule.clear).tolist() + [False]
+        left, end = -1, 0
+        for pair, done, take in segments:
+            start = row = end
+            end += take
+            while True:
+                if left < row:
+                    left = cleared.index(False, row)
+                if left >= end:
+                    break
+                r = rho.item(left)
+                if not rule.dependent(r):
+                    s = tuple(idx[left, 2:].tolist())
+                    stops[pair] = (done + left - start, s, math.isnan(r))
+                    break
+                row = left + 1
 
 
 def estimate_skeleton(
@@ -174,10 +227,12 @@ def estimate_skeleton(
     whose edge survived the first phase (level 0 needs only the first,
     one stack of 2 x 2 blocks).  Within a phase the pairs' sets stream into
     stacks of at most _STACK blocks, and a pair stops at the stack holding
-    its first independent or singular set.  The verdicts are then read in
-    the order above (i, then j, then the sets), so `tests_per_level` counts
-    the tests up to the first independent one, and a singular block
-    raises only when it is reached.  Blocks get a condition check of their
+    its first independent or singular set; numpy builds each stack and
+    calls dependent the blocks above the rule's bound (see `_level_stops`),
+    and the rule decides the rest.  The verdicts are then read in the
+    order above (i, then j, then the sets), so `tests_per_level` counts the
+    tests up to the first independent one, and a singular block raises
+    only when it is reached.  Blocks get a condition check of their
     own only when the correlation matrix's eigenvalues do not already rule
     out a singular one.  Data or a finite-n covariance uses the z-transform
     test at cfg.alpha; a population covariance (n=None) declares
@@ -206,14 +261,15 @@ def estimate_skeleton(
             continue
         # Neither rule calls a NaN (a singular block) dependent, so a
         # singular block stops its pair like an independent one.
-        dependent = _population_dependent if n is None else _fisher_z_rule(n, level, cfg.alpha)
+        rule = _POPULATION_RULE if n is None else _fisher_z_rule(n, level, cfg.alpha)
         if level == 0:
             marginal = _marginal_correlations(corr)
         else:
-            first = [(i, j) for i in range(p1) for j in _bits(snapshot[i] >> i + 1 << i + 1)]
-            stops = _level_stops(corr, first, snapshot, level, dependent)
+            neighbours = [tuple(_bits(a)) for a in snapshot]
+            first = [(i, j) for i, nb in enumerate(neighbours) for j in nb if j > i]
+            stops = _level_stops(corr, first, neighbours, level, rule)
             second = ((j, i) for i, j in first if (i, j) not in stops)
-            stops.update(_level_stops(corr, second, snapshot, level, dependent))
+            stops.update(_level_stops(corr, second, neighbours, level, rule))
         tests = 0
         for i in range(p1):
             # Reading row i removes no edge of i but the one read, so the
@@ -221,7 +277,7 @@ def estimate_skeleton(
             for j in _bits(adj[i]):
                 if level == 0:
                     rho = marginal[i][j]
-                    stop = None if dependent(rho) else (0, (), math.isnan(rho))
+                    stop = None if rule.dependent(rho) else (0, (), math.isnan(rho))
                 else:
                     stop = stops.get((i, j))
                 if stop is None:

@@ -221,13 +221,16 @@ def run_scenario(
     the true effect multiset, and runs every requested method against it.
     Failures are recorded per replicate and the scenario continues.  The
     random stream is split per replicate, so any execution order gives the
-    same records.
+    same records.  Each equivalence class is listed once per call: the
+    truth, the global estimate and later replicates reuse the member list
+    of a graph already listed.
     """
     for m in methods:
         if m not in ("local", "global"):
             raise ValueError(f"unknown method: {m}")
     cfg = CITestConfig(alpha)
     records: list[SimRecord] = []
+    classes: dict = {}
     children = np.random.SeedSequence(scenario.seed).spawn(scenario.n_reps)
     block_size = (
         scenario.n_vertices // scenario.blocks
@@ -251,11 +254,11 @@ def run_scenario(
         truth_status = "ok"
         if compute_truth:
             try:
-                truth = population_effects(
-                    w, x, y, "global",
-                    max_component_edges=max_component_edges,
-                    max_dags=max_dags,
-                )
+                # population_effects(w, x, y, "global"), sharing `classes`
+                truth = _theta(
+                    population_covariance(w), cpdag_from_dag(w.graph), (x,), y, (),
+                    max_component_edges, max_dags, classes,
+                ).row_multiset(x)
             except ResourceCapError:
                 truth_status = "truth_resource_error"
             except CausalSpanError:
@@ -290,7 +293,8 @@ def run_scenario(
                         )
                     else:
                         est = _theta(
-                            data, graph, (x,), y, (), max_component_edges, max_dags
+                            data, graph, (x,), y, (), max_component_edges, max_dags,
+                            classes,
                         ).row_multiset(x)
                 except CausalSpanError as e:
                     status = f"failed:{type(e).__name__}"

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 from scipy.stats import norm
 
@@ -27,7 +29,13 @@ from causalspan import (
     sample_covariance,
     structural_covariance,
 )
-from causalspan.gauss import CONDITION_LIMIT, _ndtri, _trek_nonzero_count, _z_quantile
+from causalspan.gauss import (
+    CONDITION_LIMIT,
+    _fisher_z_rule,
+    _ndtri,
+    _trek_nonzero_count,
+    _z_quantile,
+)
 from conftest import (
     _reference_closure,
     ols_coefficient,
@@ -37,6 +45,13 @@ from conftest import (
     to_amat,
     weighted_cov,
 )
+
+
+def ulps_from(x: float, k: int) -> float:
+    """The float k representable steps above x (below for k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
 
 
 def make_dataset(values, names=None, response=None):
@@ -102,6 +117,37 @@ class TestCovMatrix:
     def test_rejects_negative_definite(self):
         with pytest.raises(Exception):
             CovMatrix(np.array([[1.0, 2.0], [2.0, 1.0]]))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(2, 6),
+        log_scale=st.floats(-3, 3),
+        factor=st.sampled_from([0.5, 1.0, 1.5]),
+        ulps=st.integers(-4, 4),
+    )
+    def test_symmetry_check_decides_as_allclose(self, seed, p, log_scale, factor, ulps):
+        # One off-diagonal entry moved by about the tolerance: the check
+        # accepts exactly the matrices np.allclose(v, v.T) accepts.
+        rng = np.random.default_rng(seed)
+        a = rng.normal(size=(p, p)) * 10.0**log_scale
+        v = a @ a.T + p * 10.0 ** (2 * log_scale) * np.eye(p)
+        i, j = rng.choice(p, 2, replace=False)
+        scale = max(1.0, float(np.abs(v).max()))
+        tol = 1e-8 * scale + 1e-05 * abs(v[j, i])
+        v[i, j] = ulps_from(v[j, i] + rng.choice([-1.0, 1.0]) * factor * tol, ulps)
+        try:
+            CovMatrix(v)
+            symmetric = True
+        except ValueError as e:
+            symmetric = str(e) != "covariance must be symmetric"
+        assert symmetric == np.allclose(v, v.T, atol=1e-8 * max(1.0, float(np.abs(v).max())))
+
+    def test_symmetry_tolerance_is_inclusive(self):
+        # |v - v.T| equal to the tolerance 1e-8 * scale passes, as in allclose.
+        CovMatrix(np.array([[1.0, 1e-8], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="symmetric"):
+            CovMatrix(np.array([[1.0, ulps_from(1e-8, 1)], [0.0, 1.0]]))
 
     def test_correlation_unit_diagonal(self):
         c = CovMatrix(np.array([[4.0, 2.0], [2.0, 9.0]]))
@@ -249,6 +295,29 @@ class TestDependenceRule:
     def test_insufficient_sample_raises(self):
         with pytest.raises(InsufficientSampleError):
             fisher_z_dependent(0.5, 5, 2, 0.01)
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(4, 10**6),
+        s_size=st.integers(0, 8),
+        alpha=st.sampled_from([1e-6, 0.01, 0.05, 0.3, 0.9]),
+        near=st.sampled_from(["threshold", "clear", "random"]),
+        ulps=st.integers(-64, 64),
+        u=st.floats(0.0, 1.0),
+        sign=st.sampled_from([1.0, -1.0]),
+    )
+    def test_clear_bound_is_exact(self, n, s_size, alpha, near, ulps, u, sign):
+        # Calling every |rho| above the bound dependent, and leaving the
+        # rest to the test, gives the test's own verdict: near the
+        # threshold tanh(q / root), near the bound, anywhere, at NaN and
+        # at +-1.
+        assume(n - s_size - 3 >= 1)
+        dependent, clear = _fisher_z_rule(n, s_size, alpha)
+        threshold = math.tanh(_z_quantile(alpha) / math.sqrt(n - s_size - 3))
+        base = {"threshold": threshold, "clear": clear, "random": u}[near]
+        rho = sign * min(1.0, ulps_from(base, ulps) if base > 0 else 0.0)
+        for r in (rho, math.nan, 1.0, -1.0):
+            assert (abs(r) > clear or dependent(r)) == dependent(r)
 
     def test_alpha_bounds_enforced(self):
         with pytest.raises(Exception):

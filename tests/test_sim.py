@@ -15,6 +15,7 @@ from causalspan import (
     SimRecord,
     SimScenario,
     WeightedDag,
+    effects,
     error_measures,
     generate_data,
     population_covariance,
@@ -286,6 +287,25 @@ class TestRunScenario:
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError, match="method"):
             run_scenario(self.small(), methods=("magic",))
+
+    def test_each_class_is_listed_once_per_call(self):
+        # At p = 5 the truth and the estimate often share a CPDAG, and
+        # replicates repeat graphs: each distinct graph is listed once per
+        # call, and a second call lists them all again.
+        listed = []
+        list_class = effects._class_parent_masks
+
+        def counted(g, max_component_edges, max_dags):
+            listed.append(g)
+            return list_class(g, max_component_edges, max_dags)
+
+        scenario = SimScenario(5, 3.5, 1000, 20, seed=8424)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(effects, "_class_parent_masks", counted)
+            recs = run_scenario(scenario)
+            assert len(listed) == len(set(listed)) < 2 * scenario.n_reps
+            assert strip_runtime(run_scenario(scenario)) == strip_runtime(recs)
+        assert listed[: len(listed) // 2] == listed[len(listed) // 2 :]
 
     def test_blocked_scenario_keeps_question_inside_a_block(self):
         recs = run_scenario(
