@@ -33,6 +33,15 @@ from .graphs import PDGraph, _reach
 # `CovMatrix._blocks_conditioned`).
 CONDITION_LIMIT = 1e12
 
+# Unit roundoff of float64.
+_U = float(np.finfo(float).eps) / 2
+
+# The largest error bound `_rho_error` may give for a stack to be decided
+# from eliminated partial correlations; past it every block of the stack
+# takes the exact inverse.  It also keeps the first-order terms of that
+# bound dominant.
+_DELTA_CAP = 1e-3
+
 
 @dataclass(frozen=True)
 class Dataset:
@@ -119,11 +128,21 @@ class CovMatrix:
     principal block can come near CONDITION_LIMIT, and the per-block
     condition check is skipped.  The 1e4 margin absorbs the rounding of
     both eigenvalue computations.
+
+    `_eigen_floor` is a lower bound on the smallest eigenvalue of the
+    symmetrised matrix, and so of every principal block: w_min less the
+    backward error of `eigvalsh`.  LAPACK's symmetric eigensolvers return
+    the exact eigenvalues of a matrix within c(p) u ||v||_2 of the input,
+    c(p) a modestly growing function of p (LAPACK Users' Guide, sec.
+    4.7), and Weyl's inequality moves no eigenvalue further than that; the
+    term used, p^2 u w_max, takes c(p) = p^2.  The skeleton reads it only
+    when `_blocks_conditioned` is set (see `_stack_verdicts`).
     """
 
     values: np.ndarray
     n: int | None = None
     _blocks_conditioned: bool = field(init=False, repr=False, compare=False)
+    _eigen_floor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=float)
@@ -146,10 +165,12 @@ class CovMatrix:
             and w[-1] <= (CONDITION_LIMIT / 1e4) * w[0]
             and np.array_equal(v, v.T)
         )
+        floor = float(w[0]) - v.shape[0] ** 2 * _U * float(np.abs(w).max())
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "_blocks_conditioned", conditioned)
+        object.__setattr__(self, "_eigen_floor", floor)
 
     @property
     def n_columns(self) -> int:
@@ -213,12 +234,15 @@ def _solve_checked(
 
 def _partial_correlations(blocks: np.ndarray, conditioned: bool = False) -> np.ndarray:
     """Partial correlation of the first two columns given the rest for each
-    unit-diagonal block of an (m, k, k) stack, clipped to [-1, 1].  NaN
-    marks a block singular beyond CONDITION_LIMIT (kept out of the batched
-    inverse, which would fail on it) or not positive definite.  Each block
-    gets its own condition number unless `conditioned` (every block is a
-    principal block of a CovMatrix whose `_blocks_conditioned` is set);
-    either way the same blocks reach the same inverse."""
+    unit-diagonal block of an (m, k, k) stack, clipped to [-1, 1], from
+    the batched inverse.  NaN marks a block singular beyond
+    CONDITION_LIMIT (kept out of the batched inverse, which would fail on
+    it) or not positive definite.  Each block gets its own condition
+    number unless `conditioned` (every block is a principal block of a
+    CovMatrix whose `_blocks_conditioned` is set); either way the same
+    blocks reach the same inverse.  These are the exact values the
+    skeleton's verdicts are defined by; `_stack_verdicts` computes them
+    only for the blocks a cheaper bound cannot decide."""
     rho = np.full(len(blocks), np.nan)
     ok = slice(None) if conditioned else ~(np.linalg.cond(blocks) > CONDITION_LIMIT)
     om = np.linalg.inv(blocks[ok])
@@ -363,11 +387,13 @@ def _z_quantile(alpha: float) -> float:
 
 
 class _Rule(NamedTuple):
-    """A dependence test and a bound on |rho| above which it always says
-    dependent, so a caller may call such rows dependent without it."""
+    """A dependence test, a bound on |rho| above which it always says
+    dependent and a bound below which it always says independent, so a
+    caller may decide such rows without it."""
 
     dependent: Callable[[float], bool]
     clear: float
+    keep: float
 
 
 def _fisher_z_rule(n: int, s_size: int, alpha: float) -> _Rule:
@@ -375,13 +401,18 @@ def _fisher_z_rule(n: int, s_size: int, alpha: float) -> _Rule:
     arguments checked and the threshold computed once, for callers that
     test many partial correlations under the same settings.
 
-    The bound is tanh(quantile / root) * (1 + 1e-9), capped at 1, and
-    every |rho| above it tests dependent.  It is exact: atanh(t) <=
-    t / (1 - t^2) on [0, 1), and the slope of atanh is 1 / (1 - t^2), so a
-    relative step of 1e-9 in rho moves |atanh(rho)| * root up by at least
-    about 1e-9 relative, while the rounding of `math.tanh`, `math.atanh`,
-    `sqrt` and the products is a few ulps (about 1e-15 relative).  A NaN
-    is never above the bound, so the test decides it.
+    With t = tanh(quantile / root), `clear` is t * (1 + 1e-9), capped at
+    1, and every |rho| above it tests dependent; `keep` is t * (1 - 1e-9),
+    and every |rho| below it tests independent.  Both are exact, by the
+    slope of atanh, 1 / (1 - x^2) >= 1 / (1 - t'^2) on [t', 1) for any
+    t' in [0, 1), and atanh(t') <= t' / (1 - t'^2).  Above t a relative
+    step of 1e-9 raises atanh by at least 1e-9 t / (1 - t^2) >= 1e-9
+    atanh(t); below it, from t' = t (1 - 1e-9) up to t, by at least
+    1e-9 t / (1 - t'^2) >= 1e-9 atanh(t').  So |atanh(rho)| * root moves
+    about 1e-9 relative away from the quantile, while the rounding of
+    `math.tanh`, `math.atanh`, `sqrt` and the products is a few ulps
+    (about 1e-15 relative).  A NaN is neither above `clear` nor below
+    `keep`, so the test decides it.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie strictly between 0 and 1")
@@ -394,7 +425,8 @@ def _fisher_z_rule(n: int, s_size: int, alpha: float) -> _Rule:
     def dependent(rho: float) -> bool:
         return abs(rho) >= 1.0 or abs(math.atanh(rho)) * root > quantile
 
-    return _Rule(dependent, min(1.0, math.tanh(quantile / root) * (1 + 1e-9)))
+    t = math.tanh(quantile / root)
+    return _Rule(dependent, min(1.0, t * (1 + 1e-9)), t * (1 - 1e-9))
 
 
 def fisher_z_dependent(rho: float, n: int, s_size: int, alpha: float) -> bool:
@@ -406,6 +438,94 @@ def fisher_z_dependent(rho: float, n: int, s_size: int, alpha: float) -> bool:
     |rho| = 1 is dependent outright.  Requires n - s_size - 3 >= 1.
     """
     return bool(_fisher_z_rule(n, s_size, alpha).dependent(rho))
+
+
+def _eliminated_partial_correlations(blocks: np.ndarray) -> np.ndarray:
+    """Partial correlation of the first two columns given the rest for each
+    positive definite block of an (m, k, k) stack, by symmetric Gaussian
+    elimination without pivoting: k - 2 numpy steps over the whole stack
+    eliminate the conditioning columns, last first, and rho is
+    S01 / sqrt(S00 S11) of the 2 x 2 Schur complement S that is left.  No
+    call per block; the result is within `_rho_error` of
+    `_partial_correlations`, not equal to it."""
+    # A copy with the stack axis last, so each step runs over m contiguous
+    # values (`ascontiguousarray` would hand back a view when m is 1).
+    a = blocks.transpose(1, 2, 0).copy()
+    for c in range(a.shape[0] - 1, 1, -1):
+        a[:c, :c] -= a[:c, c, None] * (a[c, :c] / a[c, c])
+    return a[0, 1] / np.sqrt(a[0, 0] * a[1, 1])
+
+
+def _rho_error(k: int, floor: float) -> float:
+    """delta_k, a bound on |rho_fast - rho_exact| for every unit-diagonal
+    k x k block whose smallest eigenvalue is at least `floor`, between
+    `_eliminated_partial_correlations` and `_partial_correlations`; inf
+    when floor <= 0.
+
+    Both are backward stable (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2002, chs. 9-10): each reads rho off quantities exact for
+    A + E with ||E||_2 <= eta (one E per column of the inverse), and
+    rounds its last quotient to a few u; clipping to [-1, 1] only moves
+    rho toward the true value.
+    - Elimination without pivoting on a positive definite A leaves the
+      Schur complement of A + E with |E| <= gamma_k |L| |D| |L^T|
+      (Thm 9.3), and || |L| |D| |L^T| ||_2 <= k ||A||_2 <= k^2 for a
+      unit-diagonal A, as for |R^T| |R| in Cholesky (sec. 10.1); so
+      eta <= k^3 u to first order.
+    - `np.linalg.inv` solves A X = I by LU with partial pivoting; column j
+      of X is exact for A + E_j with |E_j| <= gamma_3k |L| |U| (Thm 9.4),
+      |l_ij| <= 1 and |u_ij| <= 2^(k-1) max |a_ij| = 2^(k-1); so
+      eta <= 1.5 k^3 2^k u.
+    With Omega = A^-1 and x_i its i-th column, rho = -Omega_01 /
+    sqrt(Omega_00 Omega_11), and to first order E moves Omega_ij by
+    |x_i^T E x_j| <= eta ||x_i|| ||x_j|| <= eta sqrt(Omega_ii Omega_jj) /
+    lambda_min, since ||x_i||^2 <= ||Omega||_2 Omega_ii.  So each side
+    moves rho by at most (1 + |rho|) eta / lambda_min, and in all
+    |rho_fast - rho_exact| <= (2 + 3 2^k) k^3 u / lambda_min + 6u
+    <= 4 k^3 2^k u / lambda_min (lambda_min <= 1 on a unit diagonal).
+    The constant 1e3 leaves a factor 250 for the slack in the gamma
+    constants and for the second-order terms, which _DELTA_CAP keeps
+    below a relative 1e-3.
+    """
+    return 1e3 * k**3 * 2.0**k * _U / floor if floor > 0 else math.inf
+
+
+def _stack_verdicts(blocks: np.ndarray, rule: _Rule, floor: float) -> np.ndarray:
+    """The verdict of `rule` on the partial correlation of the first two
+    columns given the rest for each unit-diagonal block of an (m, k, k)
+    stack: 0 dependent, 1 independent, 2 singular (NaN rho, which no rule
+    calls dependent).
+
+    `floor` > 0 says every block is a principal block of a CovMatrix whose
+    `_blocks_conditioned` is set, and bounds their smallest eigenvalues
+    from below (its `_eigen_floor`).  Then, while delta_k = `_rho_error`
+    is at most _DELTA_CAP, rho comes from `_eliminated_partial_correlations`
+    and a row is decided from it unless |rho| lies in [keep - delta_k,
+    clear + delta_k]: above that band the exact rho is above `clear`,
+    below it under `keep`, so the verdict is the one the exact rho gets.
+    Only the band rows take `_partial_correlations`.  Otherwise (floor 0:
+    n < p, duplicated or collinear columns, a near-singular population
+    matrix; or delta_k past the cap) every block takes it, with its own
+    condition check when floor is 0.  Rows between `keep` and `clear`
+    after that go to rule.dependent one by one.
+    """
+    delta = _rho_error(blocks.shape[1], floor)
+    if delta <= _DELTA_CAP:
+        rho = _eliminated_partial_correlations(blocks)
+        size = np.abs(rho)
+        below = size < rule.keep - delta
+        band = ~(below | (size > rule.clear + delta))
+        if not band.any():
+            return below.view(np.int8)
+        rho[band] = _partial_correlations(blocks[band], True)
+    else:
+        rho = _partial_correlations(blocks, floor > 0)
+    size = np.abs(rho)
+    verdicts = (~(size > rule.clear)).astype(np.int8)
+    for row in np.flatnonzero(verdicts & ~(size < rule.keep)).tolist():
+        r = rho.item(row)
+        verdicts[row] = 2 if math.isnan(r) else 1 - rule.dependent(r)
+    return verdicts
 
 
 def beta_given_s(

@@ -9,15 +9,17 @@ solved in two phases (first the pairs (i, j) with i < j, then the pairs
 (j, i) whose edge survived); within a phase the pairs' sets stream into
 stacks of a fixed number of blocks that span pairs, and a pair stops at
 the stack holding its first independent or singular set.  numpy builds
-each stack and calls dependent every block whose |rho| is above a bound
-the test always calls dependent; the test decides the rest, pair by pair
-up to its first stop, so no Python step runs per conditioning set.  The
-verdicts are then read in the order of one test at a time, so tests,
-separating sets and errors are those of that order.  A block gets a
-singularity check by its own SVD only when the correlation matrix's
-eigenvalues cannot vouch for all of its principal blocks at once (see
-`CovMatrix`), as with n < p, duplicated or collinear columns, or a
-near-singular population matrix.
+each stack, and `gauss._stack_verdicts` decides it: when the correlation
+matrix's eigenvalues vouch for all of its principal blocks at once (see
+`CovMatrix`), by partial correlations from Gaussian elimination with an
+error bound, sending to the exact inverse only the blocks whose |rho| is
+within that bound of the test's threshold band (a stack whose bound is
+too wide is inverted whole); otherwise, as with n < p, duplicated or
+collinear columns or a near-singular population matrix, by the exact
+inverse of every block, each with its own SVD singularity check.  Either way every verdict is the one the exact inverse gets, and
+no Python step runs per conditioning set.  The verdicts are then read in
+the order of one test at a time, so tests, separating sets and errors
+are those of that order.
 Collider orientation walks candidate triples in lexicographic order and
 lets later triples overwrite earlier arrowheads; every overwrite is
 recorded, because on finite samples the oriented graph can fail to admit
@@ -40,8 +42,8 @@ from .gauss import (
     CovMatrix,
     Dataset,
     _fisher_z_rule,
-    _partial_correlations,
     _Rule,
+    _stack_verdicts,
     bic_score,
     correlation_matrix,
 )
@@ -109,21 +111,23 @@ def _population_dependent(rho: float) -> bool:
     return abs(rho) > POPULATION_RHO_TOL
 
 
-# The population test calls dependent exactly the |rho| above its bound.
-_POPULATION_RULE = _Rule(_population_dependent, POPULATION_RHO_TOL)
+# The population test calls dependent exactly the |rho| above its bound,
+# and independent every |rho| below it.
+_POPULATION_RULE = _Rule(_population_dependent, POPULATION_RHO_TOL, POPULATION_RHO_TOL)
 
 
-def _marginal_correlations(corr: CovMatrix) -> list[list[float]]:
-    """Level-0 partial correlations of every pair, from one stack of the
-    2 x 2 blocks (i, j) with i < j; the matrix is exactly symmetric, so the
-    block (j, i) equals (i, j) and the result is mirrored."""
+def _marginal_verdicts(corr: CovMatrix, rule: _Rule, floor: float) -> list[list[int]]:
+    """Level-0 verdicts of every pair (see `_stack_verdicts`), from one
+    stack of the 2 x 2 blocks (i, j) with i < j; the matrix is exactly
+    symmetric, so the block (j, i) equals (i, j) and the result is
+    mirrored."""
     p = corr.n_columns
-    rho = np.full((p, p), np.nan)
+    verdicts = np.zeros((p, p), dtype=np.int8)
     iu, ju = np.triu_indices(p, 1)
     idx = np.stack([iu, ju], axis=1)
     blocks = corr.values[idx[:, :, None], idx[:, None, :]]
-    rho[iu, ju] = rho[ju, iu] = _partial_correlations(blocks, corr._blocks_conditioned)
-    return rho.tolist()
+    verdicts[iu, ju] = verdicts[ju, iu] = _stack_verdicts(blocks, rule, floor)
+    return verdicts.tolist()
 
 
 def _level_stops(
@@ -132,6 +136,7 @@ def _level_stops(
     neighbours: list[tuple[int, ...]],
     level: int,
     rule: _Rule,
+    floor: float,
 ) -> _Stops:
     """The pairs (i, j) of `pairs` whose size-`level` subsets of
     neighbours[i] without j, in lexicographic order, include an independent
@@ -144,9 +149,10 @@ def _level_stops(
     the stack holding its first stop, and no list of the level's sets is
     built.  Each stack takes a fixed number of numpy calls: `repeat` makes
     the pair columns and `fromiter` the set columns, from each pair's slice
-    of `combinations`, and every row with |rho| > rule.clear is dependent.
-    `list.index` finds each pair's first row left, and only those rows, up
-    to the pair's first stop, go to rule.dependent.
+    of `combinations`, and `_stack_verdicts` decides every row, given
+    `floor`, the bound on the blocks' smallest eigenvalue (0.0 when the
+    matrix does not vouch for them).  `list.index` then finds each pair's
+    first stop.
     """
     stops: _Stops = {}
     pending = iter(pairs)
@@ -185,26 +191,19 @@ def _level_stops(
             count=rows * level,
         ).reshape(rows, level)
         blocks = corr.values.take(idx[:, :, None] * corr.n_columns + idx[:, None, :])
-        rho = _partial_correlations(blocks, corr._blocks_conditioned)
-        # A False at the end stops every search; `left` is the first row
-        # not cleared at or after the last search's start, which stays the
-        # answer for every later start up to it.
-        cleared = (np.abs(rho) > rule.clear).tolist() + [False]
+        verdicts = _stack_verdicts(blocks, rule, floor)
+        # A False at the end stops every search; `left` is the first stop
+        # at or after the last search's start, which stays the answer for
+        # every later start up to it.
+        dependent = (verdicts == 0).tolist() + [False]
         left, end = -1, 0
         for pair, done, take in segments:
-            start = row = end
-            end += take
-            while True:
-                if left < row:
-                    left = cleared.index(False, row)
-                if left >= end:
-                    break
-                r = rho.item(left)
-                if not rule.dependent(r):
-                    s = tuple(idx[left, 2:].tolist())
-                    stops[pair] = (done + left - start, s, math.isnan(r))
-                    break
-                row = left + 1
+            start, end = end, end + take
+            if left < start:
+                left = dependent.index(False, start)
+            if left < end:
+                s = tuple(idx[left, 2:].tolist())
+                stops[pair] = (done + left - start, s, verdicts.item(left) == 2)
 
 
 def estimate_skeleton(
@@ -227,15 +226,15 @@ def estimate_skeleton(
     whose edge survived the first phase (level 0 needs only the first,
     one stack of 2 x 2 blocks).  Within a phase the pairs' sets stream into
     stacks of at most _STACK blocks, and a pair stops at the stack holding
-    its first independent or singular set; numpy builds each stack and
-    calls dependent the blocks above the rule's bound (see `_level_stops`),
-    and the rule decides the rest.  The verdicts are then read in the
-    order above (i, then j, then the sets), so `tests_per_level` counts the
+    its first independent or singular set; numpy builds and decides each
+    stack (see `_level_stops`).  The verdicts are then read in the order
+    above (i, then j, then the sets), so `tests_per_level` counts the
     tests up to the first independent one, and a singular block raises
-    only when it is reached.  Blocks get a condition check of their
-    own only when the correlation matrix's eigenvalues do not already rule
-    out a singular one.  Data or a finite-n covariance uses the z-transform
-    test at cfg.alpha; a population covariance (n=None) declares
+    only when it is reached.  When the correlation matrix's eigenvalues
+    rule out a singular block, the stacks are decided from eliminated
+    partial correlations, and only blocks near the threshold are inverted;
+    otherwise every block is inverted after a condition check of its own.
+    Data or a finite-n covariance uses the z-transform test at cfg.alpha; a population covariance (n=None) declares
     independence when |rho| <= POPULATION_RHO_TOL.  When n - l - 3 < 1
     every subset counts in `skipped_insufficient_n` and the edge stays.
     """
@@ -246,6 +245,8 @@ def estimate_skeleton(
     else:
         raise TypeError("source must be a Dataset or CovMatrix")
     n, p1 = corr.n, corr.n_columns
+    # The eigenvalue bound on every block, when the matrix vouches for them.
+    floor = corr._eigen_floor if corr._blocks_conditioned else 0.0
     diag = PcDiagnostics()
     adj = [(1 << p1) - 1 & ~(1 << i) for i in range(p1)]
     sepsets: SepsetTable = {}
@@ -263,21 +264,21 @@ def estimate_skeleton(
         # singular block stops its pair like an independent one.
         rule = _POPULATION_RULE if n is None else _fisher_z_rule(n, level, cfg.alpha)
         if level == 0:
-            marginal = _marginal_correlations(corr)
+            marginal = _marginal_verdicts(corr, rule, floor)
         else:
             neighbours = [tuple(_bits(a)) for a in snapshot]
             first = [(i, j) for i, nb in enumerate(neighbours) for j in nb if j > i]
-            stops = _level_stops(corr, first, neighbours, level, rule)
+            stops = _level_stops(corr, first, neighbours, level, rule, floor)
             second = ((j, i) for i, j in first if (i, j) not in stops)
-            stops.update(_level_stops(corr, second, neighbours, level, rule))
+            stops.update(_level_stops(corr, second, neighbours, level, rule, floor))
         tests = 0
         for i in range(p1):
             # Reading row i removes no edge of i but the one read, so the
             # mask at the row's start lists the pairs left to read.
             for j in _bits(adj[i]):
                 if level == 0:
-                    rho = marginal[i][j]
-                    stop = None if rule.dependent(rho) else (0, (), math.isnan(rho))
+                    verdict = marginal[i][j]
+                    stop = (0, (), verdict == 2) if verdict else None
                 else:
                     stop = stops.get((i, j))
                 if stop is None:

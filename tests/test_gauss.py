@@ -29,13 +29,19 @@ from causalspan import (
     sample_covariance,
     structural_covariance,
 )
+from causalspan import gauss
 from causalspan.gauss import (
     CONDITION_LIMIT,
+    _eliminated_partial_correlations,
     _fisher_z_rule,
     _ndtri,
+    _partial_correlations,
+    _rho_error,
+    _stack_verdicts,
     _trek_nonzero_count,
     _z_quantile,
 )
+from causalspan.pc import _POPULATION_RULE, POPULATION_RHO_TOL
 from conftest import (
     _reference_closure,
     ols_coefficient,
@@ -301,29 +307,118 @@ class TestDependenceRule:
         n=st.integers(4, 10**6),
         s_size=st.integers(0, 8),
         alpha=st.sampled_from([1e-6, 0.01, 0.05, 0.3, 0.9]),
-        near=st.sampled_from(["threshold", "clear", "random"]),
+        near=st.sampled_from(["threshold", "clear", "keep", "random"]),
         ulps=st.integers(-64, 64),
         u=st.floats(0.0, 1.0),
         sign=st.sampled_from([1.0, -1.0]),
     )
     def test_clear_bound_is_exact(self, n, s_size, alpha, near, ulps, u, sign):
-        # Calling every |rho| above the bound dependent, and leaving the
-        # rest to the test, gives the test's own verdict: near the
-        # threshold tanh(q / root), near the bound, anywhere, at NaN and
-        # at +-1.
+        # Calling every |rho| above `clear` dependent and every |rho|
+        # below `keep` independent, and leaving the rest to the test,
+        # gives the test's own verdict: near the threshold tanh(q / root),
+        # near either bound, anywhere, at NaN and at +-1.
         assume(n - s_size - 3 >= 1)
-        dependent, clear = _fisher_z_rule(n, s_size, alpha)
+        dependent, clear, keep = _fisher_z_rule(n, s_size, alpha)
         threshold = math.tanh(_z_quantile(alpha) / math.sqrt(n - s_size - 3))
-        base = {"threshold": threshold, "clear": clear, "random": u}[near]
+        assert keep < threshold <= clear
+        base = {"threshold": threshold, "clear": clear, "keep": keep, "random": u}[near]
         rho = sign * min(1.0, ulps_from(base, ulps) if base > 0 else 0.0)
         for r in (rho, math.nan, 1.0, -1.0):
             assert (abs(r) > clear or dependent(r)) == dependent(r)
+            assert (abs(r) >= keep and dependent(r)) == dependent(r)
 
     def test_alpha_bounds_enforced(self):
         with pytest.raises(Exception):
             CITestConfig(alpha=0.0)
         with pytest.raises(Exception):
             CITestConfig(alpha=1.0)
+
+
+def blocks_near(rho: float, k: int, rng, sweep: int = 4) -> np.ndarray:
+    """2 * sweep + 1 unit-diagonal k x k blocks whose partial correlation of
+    the first two columns given the rest is rho up to rounding, with the
+    (0, 1) entry stepped -sweep ... sweep ulps, so the exact values straddle
+    rho.  The conditioning columns are weakly correlated with each other
+    and with the pair, so the blocks are well conditioned."""
+    a = np.eye(k)
+    a[:2, 2:] = rng.uniform(-0.2, 0.2, (2, k - 2))
+    a[2:, :2] = a[:2, 2:].T
+    if k > 3:
+        a[2, 3] = a[3, 2] = rng.uniform(-0.2, 0.2)
+    q = a[:2, 2:] @ np.linalg.solve(a[2:, 2:], a[2:, :2])
+    r01 = rho * math.sqrt((1 - q[0, 0]) * (1 - q[1, 1])) + q[0, 1]
+    out = np.repeat(a[None], 2 * sweep + 1, axis=0)
+    for row, step in enumerate(range(-sweep, sweep + 1)):
+        out[row, 0, 1] = out[row, 1, 0] = ulps_from(r01, step)
+    return out
+
+
+class TestStackVerdicts:
+    """`_stack_verdicts` decides a stack from partial correlations by
+    elimination, and sends only the rows whose |rho| lies within the error
+    bound delta of the band [keep, clear] to the exact inverse; every
+    verdict is the one the exact rho gets."""
+
+    # Every block `blocks_near` makes has smallest eigenvalue above this.
+    FLOOR = 0.2
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        n=st.integers(8, 5000),
+        alpha=st.sampled_from([0.01, 0.05, 0.3]),
+        population=st.booleans(),
+        k=st.sampled_from([3, 4]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_band_rows_alone_reach_the_exact_inverse(self, n, alpha, population, k, seed):
+        s_size = k - 2
+        assume(n - s_size - 3 >= 1)
+        if population:
+            rule, t = _POPULATION_RULE, POPULATION_RHO_TOL
+            keep = clear = t
+        else:
+            rule = _fisher_z_rule(n, s_size, alpha)
+            t = math.tanh(_z_quantile(alpha) / math.sqrt(n - s_size - 3))
+            keep, clear = t * (1 - 1e-9), min(1.0, t * (1 + 1e-9))
+        delta = _rho_error(k, self.FLOOR)
+        assume(clear + 2 * delta < 0.7)
+        rng = np.random.default_rng(seed)
+        targets = {
+            "threshold": t,
+            "keep - delta": keep - delta,
+            "clear + delta": clear + delta,
+            "inside keep": keep - delta / 2,
+            "inside clear": clear + delta / 2,
+            "outside keep": keep - 2 * delta,
+            "outside clear": clear + 2 * delta,
+        }
+        parts = {name: blocks_near(float(rng.choice([-1, 1])) * r, k, rng)
+                 for name, r in targets.items()}
+        blocks = np.concatenate(list(parts.values()))
+        assert np.linalg.eigvalsh(blocks)[:, 0].min() > self.FLOOR
+        exact = _partial_correlations(blocks, True)
+        fast = _eliminated_partial_correlations(blocks)
+        assert np.abs(fast - exact).max() <= delta
+        band = (np.abs(fast) >= keep - delta) & (np.abs(fast) <= clear + delta)
+
+        seen = []
+
+        def spy(stack, conditioned):
+            seen.append(stack.copy())
+            return _partial_correlations(stack, conditioned)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gauss, "_partial_correlations", spy)
+            verdicts = _stack_verdicts(blocks, rule, self.FLOOR)
+        assert verdicts.tolist() == [0 if rule.dependent(r) else 1 for r in exact.tolist()]
+        reached = np.concatenate(seen) if seen else blocks[:0]
+        assert np.array_equal(reached, blocks[band])
+        rows = np.cumsum([0] + [len(b) for b in parts.values()])
+        where = {name: slice(a, b) for name, a, b in zip(parts, rows, rows[1:])}
+        for name in ("threshold", "inside keep", "inside clear"):
+            assert band[where[name]].all(), name
+        for name in ("outside keep", "outside clear"):
+            assert not band[where[name]].any(), name
 
 
 class TestNormalQuantile:

@@ -4,7 +4,7 @@ repair, and alpha selection."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from causalspan import (
@@ -17,8 +17,10 @@ from causalspan import (
     PDGraph,
     beta_given_s,
     bic_select_alpha,
+    correlation_matrix,
     cpdag_from_dag,
     estimate_skeleton,
+    gauss,
     generate_data,
     orient_v_structures,
     pc,
@@ -38,19 +40,19 @@ from conftest import (
 
 def counted_skeleton(source, alpha):
     """`estimate_skeleton` at alpha, plus the blocks and the stacked calls
-    per level that it solved."""
+    per level that it decided (by elimination or by the exact inverse)."""
     blocks: dict[int, int] = {}
     calls: dict[int, int] = {}
-    solve = pc._partial_correlations
+    decide = pc._stack_verdicts
 
-    def counted(stack, conditioned):
+    def counted(stack, rule, floor):
         level = stack.shape[1] - 2
         calls[level] = calls.get(level, 0) + 1
         blocks[level] = blocks.get(level, 0) + len(stack)
-        return solve(stack, conditioned)
+        return decide(stack, rule, floor)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(pc, "_partial_correlations", counted)
+        mp.setattr(pc, "_stack_verdicts", counted)
         g, sepsets, diag = estimate_skeleton(source, CITestConfig(alpha))
     return g, sepsets, diag, (blocks, calls)
 
@@ -276,6 +278,89 @@ class TestConditioningFlag:
             assert flags == (False, False)
         elif kind == "population" or (kind != "near-duplicate" and n >= 30):
             assert flags == (True, True)
+
+    @staticmethod
+    def traced_skeleton(source, alpha):
+        """The skeleton's outputs, plus per block size k the rows of every
+        stack decided, the rows that took elimination, and the rows and
+        `conditioned` argument of every exact-inverse call."""
+        stacks, eliminated, exact = {}, {}, []
+        decide = pc._stack_verdicts
+        eliminate = gauss._eliminated_partial_correlations
+        invert = gauss._partial_correlations
+
+        def add(log, blocks):
+            log[blocks.shape[1]] = log.get(blocks.shape[1], 0) + len(blocks)
+
+        def traced_decide(blocks, rule, floor):
+            add(stacks, blocks)
+            return decide(blocks, rule, floor)
+
+        def traced_eliminate(blocks):
+            add(eliminated, blocks)
+            return eliminate(blocks)
+
+        def traced_invert(blocks, conditioned=False):
+            exact.append((blocks.shape[1], len(blocks), conditioned))
+            return invert(blocks, conditioned)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pc, "_stack_verdicts", traced_decide)
+            mp.setattr(gauss, "_eliminated_partial_correlations", traced_eliminate)
+            mp.setattr(gauss, "_partial_correlations", traced_invert)
+            try:
+                g, sepsets, diag = estimate_skeleton(source, CITestConfig(alpha))
+                out = (g.undirected_edges(), sepsets, diag.tests_per_level,
+                       diag.skipped_insufficient_n)
+            except NumericalRankError as e:
+                out = str(e)
+        return out, stacks, eliminated, exact
+
+    def test_stacks_past_the_error_cap_take_the_exact_path(self):
+        # y = a + b + c + d + e + 1e-3 noise at n = 1000: the correlation's
+        # condition number is about 2e7, inside the flag's 1e8, so the flag
+        # is set, but from 4 x 4 blocks (level 2) on delta_k passes the cap.
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((1000, 5))
+        y = x.sum(axis=1) + 1e-3 * rng.standard_normal(1000)
+        d = Dataset(np.column_stack([x, y]), tuple("abcdey"), 5)
+        corr = correlation_matrix(d)
+        assert corr._blocks_conditioned
+        capped = {k for k in range(2, 8)
+                  if gauss._rho_error(k, corr._eigen_floor) > gauss._DELTA_CAP}
+        assert capped == {4, 5, 6, 7}
+        out, stacks, eliminated, exact = self.traced_skeleton(d, 0.01)
+        assert set(stacks) == {2, 3, 4, 5, 6}
+        assert eliminated == {k: m for k, m in stacks.items() if k not in capped}
+        whole = {}
+        for k, m, conditioned in exact:
+            assert conditioned
+            if k in capped:
+                whole[k] = whole.get(k, 0) + m
+        assert whole == {k: m for k, m in stacks.items() if k in capped}
+        assert out == reference_skeleton(d, 0.01)
+
+    @pytest.mark.parametrize("kind", ["wide", "near-duplicate"])
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 2))
+    def test_unvouched_blocks_each_get_a_condition_check(self, kind, seed):
+        # With the flag off (n < p, or a duplicated or near-duplicated
+        # column), every block of every stack takes the exact inverse with
+        # its own condition number, and none is eliminated.
+        source = self.source(kind, seed)
+        cov = source if isinstance(source, CovMatrix) else source.covariance
+        assume(not cov.correlation()._blocks_conditioned)
+        out, stacks, eliminated, exact = self.traced_skeleton(source, 0.05)
+        assert not eliminated
+        assert all(not conditioned for *_, conditioned in exact)
+        per_k = {}
+        for k, m, _ in exact:
+            per_k[k] = per_k.get(k, 0) + m
+        assert per_k == stacks
+        try:
+            assert out == reference_skeleton(source, 0.05)
+        except NumericalRankError as e:
+            assert out == str(e)
 
 
 class TestColliderOrientation:
