@@ -290,7 +290,6 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     res = pc_cpdag(d, CITestConfig(args.alpha))
     names = list(d.names)
     repair_info = None
-    multisets: list[effects.EffectMultiset] = []
     if args.method == "global":
         g = res.graph
         if not res.validation.is_valid:
@@ -303,13 +302,12 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         multisets = [theta.row_multiset(i) for i in d.covariates]
         graph_used = g
     else:
-        for i in d.covariates:
-            multisets.append(
-                effects.local_effects(
-                    d, res.graph, i, d.response, args.mods,
-                    args.max_sib, args.max_enum,
-                )
-            )
+        multisets = effects._local_multisets(
+            d, res.graph, d.covariates, d.response, args.mods, args.max_sib, args.max_enum
+        )
+        for m in multisets:
+            if isinstance(m, CausalSpanError):
+                raise m
         graph_used = res.graph
     ambiguities = [m.ambiguity() for m in multisets]
     table = {}

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CausalSpanError, ResourceCapError
-from .gauss import CITestConfig, CovMatrix, Dataset, beta_given_s
+from .errors import CausalSpanError, NumericalRankError, ResourceCapError
+from .gauss import CITestConfig, CovMatrix, Dataset, _betas
 from .graphs import (
     DEFAULT_MAX_COMPONENT_EDGES,
     DEFAULT_MAX_DAGS,
@@ -227,18 +227,24 @@ def _theta(
     ancestors = None
     if MOD_ZERO_PATH in mods:
         ancestors = [_reach(pa, 1 << y) for pa in members]
-    matrix = np.zeros((len(covariates), len(members)))
-    adjustments: list[tuple[tuple[int, ...] | None, ...]] = []
-    for r, i in enumerate(covariates):
+    rows = []
+    for i in covariates:
         keys = [pa[i] & keep for pa in members]
         if ancestors is not None:
             keys = [k if a >> i & 1 else None for k, a in zip(keys, ancestors)]
-        effects = {}
-        for k in dict.fromkeys(keys):
-            s = None if k is None else tuple(_bits(k))
-            effects[k] = (s, 0.0 if s is None else beta_given_s(source, i, s, y))
-        matrix[r] = [effects[k][1] for k in keys]
-        adjustments.append(tuple(effects[k][0] for k in keys))
+        sets = {k: None if k is None else tuple(_bits(k)) for k in dict.fromkeys(keys)}
+        rows.append((i, keys, sets))
+    requests = [(i, s) for i, _, sets in rows for s in sets.values() if s is not None]
+    betas = iter(_betas(source, requests, y))
+    matrix = np.zeros((len(covariates), len(members)))
+    adjustments: list[tuple[tuple[int, ...] | None, ...]] = []
+    for r, (i, keys, sets) in enumerate(rows):
+        effects = {k: 0.0 if s is None else next(betas) for k, s in sets.items()}
+        for v in effects.values():
+            if isinstance(v, NumericalRankError):
+                raise v
+        matrix[r] = [effects[k] for k in keys]
+        adjustments.append(tuple(sets[k] for k in keys))
     return ThetaMatrix(covariates, y, matrix, tuple(adjustments), mods)
 
 
@@ -259,6 +265,78 @@ def global_effects(
     """
     covariates = tuple(i for i in range(g.n) if i != y)
     return _theta(source, g, covariates, y, mods, max_component_edges, max_dags)
+
+
+def _local_plan(
+    g: PDGraph,
+    i: int,
+    y: int,
+    mods: frozenset[str],
+    max_siblings: int,
+    max_component_edges: int,
+    max_dags: int,
+) -> list[tuple[int, ...]] | None:
+    """The adjustment sets of `local_effects`, in entry order, or None
+    when `zero_path` finds no directed path from i to y."""
+    _check_vertex(g, y, "response")
+    _check_vertex(g, i, "covariate")
+    if i == y:
+        raise ValueError("covariate and response must differ")
+    if MOD_ZERO_PATH in mods and not allows_directed_path(
+        g, i, y, max_component_edges, max_dags
+    ):
+        return None
+    adj = g._adjacency()
+    keep = _reach(adj, 1 << y) if MOD_PRUNE_Y in mods else (1 << g.n) - 1
+    pa, sibs = g._pa[i] & keep, g._sib[i] & keep
+    k = sibs.bit_count()
+    if k > max_siblings:
+        raise ResourceCapError(
+            f"covariate {i} has {k} undirected neighbours "
+            f"(cap {max_siblings})"
+        )
+    cliques = [0]
+    for v in _bits(sibs):
+        if not g._pa[i] & ~adj[v]:
+            cliques += [c | 1 << v for c in cliques if not c & ~adj[v]]
+    return [tuple(_bits(pa | s)) for s in cliques]
+
+
+def _local_multisets(
+    source: Dataset | CovMatrix,
+    g: PDGraph,
+    covariates: tuple[int, ...],
+    y: int,
+    mods: frozenset[str] | tuple[str, ...],
+    max_siblings: int,
+    max_component_edges: int,
+    max_dags: int = DEFAULT_MAX_DAGS,
+) -> list[EffectMultiset | CausalSpanError]:
+    """`local_effects` for each covariate, or the package error it would
+    raise.  Every covariate's adjustment sets are planned first, and all
+    their regressions are solved in one `_betas` call."""
+    mods = _check_mods(mods)
+    plans: list[list[tuple[int, ...]] | None | CausalSpanError] = []
+    for i in covariates:
+        try:
+            plans.append(_local_plan(g, i, y, mods, max_siblings, max_component_edges, max_dags))
+        except CausalSpanError as e:
+            plans.append(e)
+    requests = [(i, s) for i, plan in zip(covariates, plans) if isinstance(plan, list)
+                for s in plan]
+    betas = iter(_betas(source, requests, y))
+    out: list[EffectMultiset | CausalSpanError] = []
+    for i, plan in zip(covariates, plans):
+        if plan is None:
+            out.append(EffectMultiset(i, y, (EffectEntry(0.0, None, 1),), "local", mods))
+        elif isinstance(plan, CausalSpanError):
+            out.append(plan)
+        else:
+            values = [next(betas) for _ in plan]
+            error = next((v for v in values if isinstance(v, NumericalRankError)), None)
+            entries = tuple(map(EffectEntry, values, plan))
+            out.append(error or EffectMultiset(i, y, entries, "local", mods))
+    return out
 
 
 def local_effects(
@@ -286,35 +364,12 @@ def local_effects(
     largest sibling so far, in the order of the cliques they extend, so
     the entries come in increasing subset-mask order.
     """
-    mods = _check_mods(mods)
-    _check_vertex(g, y, "response")
-    _check_vertex(g, i, "covariate")
-    if i == y:
-        raise ValueError("covariate and response must differ")
-    if MOD_ZERO_PATH in mods and not allows_directed_path(
-        g, i, y, max_component_edges, max_dags
-    ):
-        entry = EffectEntry(0.0, None, 1)
-        return EffectMultiset(i, y, (entry,), "local", mods)
-    adj = g._adjacency()
-    keep = _reach(adj, 1 << y) if MOD_PRUNE_Y in mods else (1 << g.n) - 1
-    pa, sibs = g._pa[i] & keep, g._sib[i] & keep
-    k = sibs.bit_count()
-    if k > max_siblings:
-        raise ResourceCapError(
-            f"covariate {i} has {k} undirected neighbours "
-            f"(cap {max_siblings})"
-        )
-    cliques = [0]
-    for v in _bits(sibs):
-        if not g._pa[i] & ~adj[v]:
-            cliques += [c | 1 << v for c in cliques if not c & ~adj[v]]
-    entries: list[EffectEntry] = []
-    for s in cliques:
-        adjustment = tuple(_bits(pa | s))
-        value = beta_given_s(source, i, adjustment, y)
-        entries.append(EffectEntry(value, adjustment, 1))
-    return EffectMultiset(i, y, tuple(entries), "local", mods)
+    (m,) = _local_multisets(
+        source, g, (i,), y, mods, max_siblings, max_component_edges, max_dags
+    )
+    if isinstance(m, CausalSpanError):
+        raise m
+    return m
 
 
 def oracle_multiplicities(
@@ -409,17 +464,15 @@ def bootstrap_scores(
     y = d.response
     covariates = d.covariates
 
-    def run(ds: Dataset):
+    def run(ds: Dataset) -> dict[int, EffectMultiset | None]:
         res = pc_cpdag(ds, cfg)
-        out: dict[int, EffectMultiset | None] = {}
-        for i in covariates:
-            try:
-                out[i] = local_effects(
-                    ds, res.graph, i, y, mods, max_siblings, max_component_edges
-                )
-            except CausalSpanError:
-                out[i] = None
-        return out
+        rows = _local_multisets(
+            ds, res.graph, covariates, y, mods, max_siblings, max_component_edges
+        )
+        return {
+            i: None if isinstance(m, CausalSpanError) else m
+            for i, m in zip(covariates, rows)
+        }
 
     full = run(d)
     mins: dict[int, list[float]] = {i: [] for i in covariates}

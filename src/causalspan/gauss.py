@@ -221,13 +221,9 @@ def correlation_matrix(d: Dataset) -> CovMatrix:
     return d.covariance.correlation()
 
 
-def _solve_checked(
-    a: np.ndarray, b: np.ndarray, what: str, conditioned: bool = False
-) -> np.ndarray:
-    """Solve a x = b; NumericalRankError when cond(a) > CONDITION_LIMIT,
-    checked unless `conditioned` (a is a principal block of a CovMatrix
-    whose `_blocks_conditioned` is set, so the check could not fire)."""
-    if not conditioned and np.linalg.cond(a) > CONDITION_LIMIT:
+def _solve_checked(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
+    """Solve a x = b; NumericalRankError when cond(a) > CONDITION_LIMIT."""
+    if np.linalg.cond(a) > CONDITION_LIMIT:
         raise NumericalRankError(f"{what}: matrix is singular or ill-conditioned")
     return np.linalg.solve(a, b)
 
@@ -528,6 +524,56 @@ def _stack_verdicts(blocks: np.ndarray, rule: _Rule, floor: float) -> np.ndarray
     return verdicts
 
 
+def _betas(
+    source: Dataset | CovMatrix, requests: list[tuple[int, tuple[int, ...]]], y: int
+) -> list[float | NumericalRankError]:
+    """The coefficient of `beta_given_s` for each request (i, s), or the
+    NumericalRankError that call would raise, in request order.
+
+    Requests with y in s get 0.0 and no solve.  The others are grouped by
+    |s|; each group takes one gather of its ({i} union s) x ({i} union s,
+    y) covariance blocks and one batched `np.linalg.solve`, which runs the
+    same LAPACK solve on each block as a call of its own, so every
+    coefficient has the bits of a one-request solve.  Unless the
+    covariance's `_blocks_conditioned` flag vouches for every block, each
+    block gets its own condition number first, and the blocks past
+    CONDITION_LIMIT are kept out of the solve and reported.
+    """
+    out: list[float | NumericalRankError] = [0.0] * len(requests)
+    groups: dict[int, list[int]] = {}
+    for r, (i, s) in enumerate(requests):
+        if i == y:
+            raise ValueError("covariate and response must differ")
+        if i in s:
+            raise ValueError("covariate must not appear in the adjustment set")
+        if y not in s:
+            groups.setdefault(len(s), []).append(r)
+    if not groups:
+        return out
+    cov = source.covariance if isinstance(source, Dataset) else source
+    for rows in groups.values():
+        # Row t of idx is (i, sorted s, y); its block has rows (i, s) and
+        # columns (i, s, y).
+        idx = np.array([[requests[r][0], *sorted(requests[r][1]), y] for r in rows])
+        blocks = cov.values[idx[:, :-1, None], idx[:, None, :]]
+        a, b = blocks[:, :, :-1], blocks[:, :, -1:]
+        if cov._blocks_conditioned:
+            ok = [True] * len(rows)
+        else:
+            ok = (~(np.linalg.cond(a) > CONDITION_LIMIT)).tolist()
+            a, b = a[ok], b[ok]
+        coef = iter(np.linalg.solve(a, b)[:, 0, 0].tolist())
+        for r, good in zip(rows, ok):
+            if good:
+                out[r] = next(coef)
+            else:
+                i, s = requests[r]
+                out[r] = NumericalRankError(
+                    f"regression ({i} | {s}): matrix is singular or ill-conditioned"
+                )
+    return out
+
+
 def beta_given_s(
     source: Dataset | CovMatrix, i: int, s: tuple[int, ...], y: int
 ) -> float:
@@ -539,21 +585,13 @@ def beta_given_s(
     NumericalRankError.  It is decided once for the whole covariance when
     its `_blocks_conditioned` flag is set (no principal block can then
     pass CONDITION_LIMIT); otherwise by the condition number of the
-    {i} union s covariance block.
+    {i} union s covariance block.  This is the one-request form of
+    `_betas`, which solves many requests in a few stacked calls.
     """
-    s = tuple(int(x) for x in s)
-    if i == y:
-        raise ValueError("covariate and response must differ")
-    if i in s:
-        raise ValueError("covariate must not appear in the adjustment set")
-    if y in s:
-        return 0.0
-    cov = source.covariance if isinstance(source, Dataset) else source
-    idx = [i, *sorted(s)]
-    a = cov.values[np.ix_(idx, idx)]
-    b = cov.values[idx, y]
-    coef = _solve_checked(a, b, f"regression ({i} | {s})", cov._blocks_conditioned)
-    return float(coef[0])
+    beta = _betas(source, [(i, tuple(int(x) for x in s))], y)[0]
+    if isinstance(beta, NumericalRankError):
+        raise beta
+    return beta
 
 
 class DagFit(NamedTuple):

@@ -16,10 +16,11 @@ error bound, sending to the exact inverse only the blocks whose |rho| is
 within that bound of the test's threshold band (a stack whose bound is
 too wide is inverted whole); otherwise, as with n < p, duplicated or
 collinear columns or a near-singular population matrix, by the exact
-inverse of every block, each with its own SVD singularity check.  Either way every verdict is the one the exact inverse gets, and
-no Python step runs per conditioning set.  The verdicts are then read in
-the order of one test at a time, so tests, separating sets and errors
-are those of that order.
+inverse of every block, each with its own SVD singularity check.  Either
+way every verdict is the one the exact inverse gets, and no Python step
+runs per conditioning set.  The verdicts are then read back as one test
+at a time would meet them, so tests, separating sets and errors are
+those of that order, with a Python step only per removed edge.
 Collider orientation walks candidate triples in lexicographic order and
 lets later triples overwrite earlier arrowheads; every overwrite is
 recorded, because on finite samples the oriented graph can fail to admit
@@ -116,18 +117,18 @@ def _population_dependent(rho: float) -> bool:
 _POPULATION_RULE = _Rule(_population_dependent, POPULATION_RHO_TOL, POPULATION_RHO_TOL)
 
 
-def _marginal_verdicts(corr: CovMatrix, rule: _Rule, floor: float) -> list[list[int]]:
-    """Level-0 verdicts of every pair (see `_stack_verdicts`), from one
-    stack of the 2 x 2 blocks (i, j) with i < j; the matrix is exactly
-    symmetric, so the block (j, i) equals (i, j) and the result is
-    mirrored."""
+def _marginal_verdicts(corr: CovMatrix, rule: _Rule, floor: float) -> np.ndarray:
+    """Level-0 verdicts of every pair (see `_stack_verdicts`) as a p x p
+    int8 matrix, from one stack of the 2 x 2 blocks (i, j) with i < j;
+    the matrix is exactly symmetric, so the block (j, i) equals (i, j) and
+    the result is mirrored."""
     p = corr.n_columns
     verdicts = np.zeros((p, p), dtype=np.int8)
     iu, ju = np.triu_indices(p, 1)
     idx = np.stack([iu, ju], axis=1)
     blocks = corr.values[idx[:, :, None], idx[:, None, :]]
     verdicts[iu, ju] = verdicts[ju, iu] = _stack_verdicts(blocks, rule, floor)
-    return verdicts.tolist()
+    return verdicts
 
 
 def _level_stops(
@@ -227,16 +228,24 @@ def estimate_skeleton(
     one stack of 2 x 2 blocks).  Within a phase the pairs' sets stream into
     stacks of at most _STACK blocks, and a pair stops at the stack holding
     its first independent or singular set; numpy builds and decides each
-    stack (see `_level_stops`).  The verdicts are then read in the order
-    above (i, then j, then the sets), so `tests_per_level` counts the
-    tests up to the first independent one, and a singular block raises
-    only when it is reached.  When the correlation matrix's eigenvalues
+    stack (see `_level_stops`).  When the correlation matrix's eigenvalues
     rule out a singular block, the stacks are decided from eliminated
     partial correlations, and only blocks near the threshold are inverted;
     otherwise every block is inverted after a condition check of its own.
-    Data or a finite-n covariance uses the z-transform test at cfg.alpha; a population covariance (n=None) declares
-    independence when |rho| <= POPULATION_RHO_TOL.  When n - l - 3 < 1
-    every subset counts in `skipped_insufficient_n` and the edge stays.
+
+    The results are those of reading the verdicts in the order above (i,
+    then j, then the sets), but only the removed edges are read back, in
+    that order: at level 0 the upper triangle of the verdict matrix,
+    whose nonzero entries give the removed edges in bulk, at higher
+    levels the sorted stopped pairs.  A singular stop raises when it is
+    the first one in that order.  `tests_per_level` counts every set of
+    every pair read, less the sets after each stop, and the pair (j, i),
+    j > i, is not read when (i, j) stopped.
+
+    Data or a finite-n covariance uses the z-transform test at cfg.alpha;
+    a population covariance (n=None) declares independence when |rho| <=
+    POPULATION_RHO_TOL.  When n - l - 3 < 1 every subset counts in
+    `skipped_insufficient_n` and the edge stays.
     """
     if isinstance(source, Dataset):
         corr = correlation_matrix(source)
@@ -264,32 +273,38 @@ def estimate_skeleton(
         # singular block stops its pair like an independent one.
         rule = _POPULATION_RULE if n is None else _fisher_z_rule(n, level, cfg.alpha)
         if level == 0:
-            marginal = _marginal_verdicts(corr, rule, floor)
+            # Every pair (i, j) with i < j is read, and each stops on its
+            # one set or not; the pair (j, i) is read only if (i, j) did
+            # not stop, and then its mirrored verdict cannot stop it.
+            verdicts = _marginal_verdicts(corr, rule, floor)
+            iu, ju = np.nonzero(np.triu(verdicts, 1))
+            singular = np.flatnonzero(verdicts[iu, ju] == 2)
+            if singular.size:
+                i, j = int(iu[singular[0]]), int(ju[singular[0]])
+                raise NumericalRankError(f"correlation submatrix for ({i}, {j} | ()) is singular")
+            keep = verdicts == 0
+            np.fill_diagonal(keep, False)
+            adj = [int.from_bytes(row.tobytes(), "little")
+                   for row in np.packbits(keep, axis=1, bitorder="little")]
+            sepsets.update(dict.fromkeys(zip(iu.tolist(), ju.tolist()), ()))
+            tests = p1 * (p1 - 1) - len(iu)
         else:
             neighbours = [tuple(_bits(a)) for a in snapshot]
             first = [(i, j) for i, nb in enumerate(neighbours) for j in nb if j > i]
             stops = _level_stops(corr, first, neighbours, level, rule, floor)
             second = ((j, i) for i, j in first if (i, j) not in stops)
             stops.update(_level_stops(corr, second, neighbours, level, rule, floor))
-        tests = 0
-        for i in range(p1):
-            # Reading row i removes no edge of i but the one read, so the
-            # mask at the row's start lists the pairs left to read.
-            for j in _bits(adj[i]):
-                if level == 0:
-                    verdict = marginal[i][j]
-                    stop = (0, (), verdict == 2) if verdict else None
-                else:
-                    stop = stops.get((i, j))
-                if stop is None:
-                    tests += math.comb(degree[i] - 1, level)
-                    continue
-                read, s, singular = stop
+            # Every pair read tests all its sets unless it stops; a pair
+            # (j, i) with j > i is not read when (i, j) stopped.
+            sets = [math.comb(d - 1, level) if d else 0 for d in degree]
+            tests = sum(d * c for d, c in zip(degree, sets))
+            for i, j in sorted(stops):
+                read, s, singular = stops[(i, j)]
                 if singular:
                     raise NumericalRankError(
                         f"correlation submatrix for ({i}, {j} | {s}) is singular"
                     )
-                tests += read + 1
+                tests += read + 1 - sets[i] - (sets[j] if i < j else 0)
                 adj[i] &= ~(1 << j)
                 adj[j] &= ~(1 << i)
                 sepsets[(i, j) if i < j else (j, i)] = s

@@ -10,11 +10,11 @@ import sys
 import numpy as np
 import pytest
 
-from causalspan import cli, generate_data
+from causalspan import cli, effects, generate_data
 from causalspan.cli import read_dataset
-from causalspan.errors import InputError, NotExtendableError
+from causalspan.errors import CausalSpanError, InputError, NotExtendableError
 
-from conftest import _weighted, cli_env, weighted_cov
+from conftest import _weighted, cli_env, reference_local_effects, weighted_cov
 
 
 def run_cli(args, cwd, env_extra=None):
@@ -613,3 +613,54 @@ class TestFailureModes:
         assert not target.exists()
         leftovers = [p.name for p in tmp_path.iterdir() if "causalspan" in p.name]
         assert leftovers == []
+
+
+class TestBatchedLocalRoute:
+    """`score` and `estimate --method local` solve all covariates'
+    regressions of a graph at once.  With a sibling cap that fails some
+    covariates, their outputs, exit codes and messages must equal those of
+    the route run one covariate and one regression at a time."""
+
+    @staticmethod
+    def one_at_a_time(source, g, covariates, y, mods, max_siblings, max_component_edges,
+                      max_dags=effects.DEFAULT_MAX_DAGS):
+        out = []
+        for i in covariates:
+            try:
+                out.append(reference_local_effects(
+                    source, g, i, y, mods, max_siblings, max_component_edges, max_dags))
+            except CausalSpanError as e:
+                out.append(e)
+        return out
+
+    @staticmethod
+    def run(argv, capsys):
+        code = cli.main(argv)
+        return code, capsys.readouterr().err
+
+    def test_outputs_match_one_covariate_at_a_time(self, tmp_path, capsys):
+        rng = np.random.default_rng(2)
+        p = 15
+        b = np.tril(rng.uniform(0.5, 1.0, (p, p)) * (rng.uniform(size=(p, p)) < 0.25), -1)
+        x = rng.standard_normal((300, p)) @ np.linalg.inv(np.eye(p) - b).T
+        src = tmp_path / "in.csv"
+        write_csv(src, x, [f"X{i}" for i in range(p)])
+        common = ["--input", str(src), "--response", f"X{p - 1}", "--max-sib", "1"]
+        outputs = []
+        for patched in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                if patched:
+                    mp.setattr(effects, "_local_multisets", self.one_at_a_time)
+                score = tmp_path / f"score{patched}.csv"
+                assert self.run(["score", *common, "--bootstrap", "3", "--seed", "1",
+                                 "--out", str(score)], capsys) == (0, "")
+                estimate = self.run(["estimate", *common, "--out", str(tmp_path / "e.json")],
+                                    capsys)
+            outputs.append((score.read_bytes(), estimate))
+        assert outputs[0] == outputs[1]
+        rows = list(csv.DictReader(outputs[0][0].decode().splitlines()))
+        assert {r["failures"] == "0" for r in rows} == {True, False}
+        code, err = outputs[0][1]
+        assert code == 5
+        assert err.startswith("error: covariate ") and err.endswith("(cap 1)\n")
+        assert not (tmp_path / "e.json").exists()

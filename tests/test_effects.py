@@ -3,6 +3,7 @@ subset) routes, their agreement, the optional modifications, multiset
 distance, and bootstrap covariate scores."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -37,6 +38,8 @@ from causalspan import (
     random_weighted_dag,
     summarize,
 )
+from causalspan.effects import _local_multisets
+from causalspan.gauss import sample_covariance
 
 from conftest import (
     reference_global_effects,
@@ -502,6 +505,51 @@ class TestRouteGuards:
         cov = CovMatrix(np.eye(7))
         with pytest.raises(ResourceCapError, match="local route"):
             global_effects(cov, g, y=6)
+
+
+class TestBatchedLocalRoute:
+    """`_local_multisets` plans every covariate and solves all their
+    regressions at once; each covariate must still get the multiset or
+    the error of the one-covariate route."""
+
+    @staticmethod
+    def one_at_a_time(source, g, covariates, y, mods, max_siblings):
+        out = []
+        for i in covariates:
+            try:
+                out.append(reference_local_effects(
+                    source, g, i, y, mods, max_siblings, 10**6, 10**6))
+            except CausalSpanError as e:
+                out.append((type(e).__name__, str(e)))
+        return out
+
+    @pytest.mark.parametrize("as_dataset", [False, True])
+    def test_cap_and_singular_failures_stay_per_covariate(self, as_dataset):
+        # Column 4 copies column 1, so covariate 0 (parents 1 and 4) and
+        # the entries of 1 and 4 that adjust for each other are singular;
+        # covariate 2 has three undirected neighbours, past a cap of 2;
+        # covariates 3 and 5 solve regressions of the same sizes.
+        rng = np.random.default_rng(3)
+        v = rng.standard_normal((80, 7))
+        v[:, 4] = v[:, 1]
+        d = Dataset(v, tuple(f"v{k}" for k in range(7)), 6)
+        g = PDGraph(7, directed=[(1, 0), (4, 0), (0, 6), (5, 3)],
+                    undirected=[(1, 2), (2, 3), (2, 5), (1, 4), (3, 6)])
+        source = d if as_dataset else sample_covariance(d)
+        covariates = (0, 1, 2, 3, 4, 5)
+        got = [m if isinstance(m, EffectMultiset) else (type(m).__name__, str(m))
+               for m in _local_multisets(source, g, covariates, 6, (), 2, 10**6)]
+        want = self.one_at_a_time(source, g, covariates, 6, frozenset(), 2)
+        assert got == want
+        kinds = [w[0] if isinstance(w, tuple) else "ok" for w in want]
+        assert kinds == ["NumericalRankError", "NumericalRankError", "ResourceCapError",
+                         "ok", "NumericalRankError", "ok"]
+        for i, m in zip(covariates, got):
+            if isinstance(m, EffectMultiset):
+                assert m == local_effects(source, g, i, 6, (), 2)
+            else:
+                with pytest.raises(CausalSpanError, match=re.escape(m[1])):
+                    local_effects(source, g, i, 6, (), 2)
 
 
 class TestMultisetDistance:

@@ -32,6 +32,7 @@ from causalspan import (
 from causalspan import gauss
 from causalspan.gauss import (
     CONDITION_LIMIT,
+    _betas,
     _eliminated_partial_correlations,
     _fisher_z_rule,
     _ndtri,
@@ -497,6 +498,103 @@ class TestBetaGivenS:
         d = make_dataset(vals, response=2)
         with pytest.raises(NumericalRankError):
             beta_given_s(d, 0, (1,), 2)
+
+
+def one_request(cov: CovMatrix, i: int, s: tuple[int, ...], y: int) -> str:
+    """A regression as its own covariance solve, with its own condition
+    check unless the matrix vouches for its blocks: the coefficient's hex,
+    or the NumericalRankError message."""
+    if y in s:
+        return (0.0).hex()
+    idx = [i, *sorted(s)]
+    a = cov.values[np.ix_(idx, idx)]
+    if not cov._blocks_conditioned and np.linalg.cond(a) > CONDITION_LIMIT:
+        return f"regression ({i} | {s}): matrix is singular or ill-conditioned"
+    return float(np.linalg.solve(a, cov.values[idx, y])[0]).hex()
+
+
+def stacked(source, requests, y) -> list[str]:
+    return [b.hex() if isinstance(b, float) else str(b) for b in _betas(source, requests, y)]
+
+
+class TestStackedRegressions:
+    """`_betas` solves many regressions in a few stacked calls; each must
+    keep the bits and the error of a solve of its own."""
+
+    @staticmethod
+    def covariance(kind: str, seed: int) -> CovMatrix:
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(3, 9))
+        n = int(rng.integers(2, p)) if kind == "wide" else int(rng.choice([12, 200]))
+        v = rng.standard_normal((n, p)) @ rng.uniform(-1.0, 1.0, (p, p))
+        if kind == "duplicate":
+            a, b = rng.choice(p, 2, replace=False)
+            v[:, b] = v[:, a] * float(rng.choice([1.0, -2.0]))
+        return sample_covariance(make_dataset(v))
+
+    @staticmethod
+    def requests(p: int, seed: int) -> tuple[list[tuple[int, tuple[int, ...]]], int]:
+        """Random (i, s) for one response, some with y in s, some repeated."""
+        rng = np.random.default_rng(seed + 1)
+        y = int(rng.integers(p))
+        out = []
+        for _ in range(int(rng.integers(1, 25))):
+            i = int(rng.choice([k for k in range(p) if k != y]))
+            others = [k for k in range(p) if k != i]
+            size = int(rng.integers(0, p))
+            out.append((i, tuple(int(k) for k in rng.choice(others, size, replace=False))))
+        return out + out[: len(out) // 3], y
+
+    @pytest.mark.parametrize("flag", ["on", "off"])
+    @pytest.mark.parametrize("kind", ["data", "duplicate", "wide"])
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 2))
+    def test_same_bits_and_errors_as_one_request_solves(self, kind, flag, seed):
+        post_init = CovMatrix.__post_init__
+
+        def flag_off(c):
+            post_init(c)
+            object.__setattr__(c, "_blocks_conditioned", False)
+
+        with pytest.MonkeyPatch.context() as mp:
+            if flag == "off":
+                mp.setattr(CovMatrix, "__post_init__", flag_off)
+            cov = self.covariance(kind, seed)
+        if kind != "data":
+            assert not cov._blocks_conditioned
+        requests, y = self.requests(cov.n_columns, seed)
+        expected = [one_request(cov, i, s, y) for i, s in requests]
+        assert stacked(cov, requests, y) == expected
+        for (i, s), want in zip(requests, expected):
+            try:
+                got = beta_given_s(cov, i, s, y).hex()
+            except NumericalRankError as e:
+                got = str(e)
+            assert got == want
+
+    def test_singular_blocks_leave_their_stack_and_report_alone(self):
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal((50, 5))
+        v[:, 3] = v[:, 0]
+        cov = sample_covariance(make_dataset(v))
+        # Sizes 1 and 2 each mix regular and singular blocks; y = 4 in s
+        # gives 0.0 with no block.
+        requests = [(1, (0,)), (0, (3,)), (1, (3, 0)), (2, (0, 1)), (0, (4,)),
+                    (0, (1, 3)), (3, ()), (2, (4, 1)), (2, (3,))]
+        out = stacked(cov, requests, 4)
+        assert out == [one_request(cov, i, s, 4) for i, s in requests]
+        for k, (i, s) in enumerate(requests):
+            if k in (1, 2, 5):
+                assert out[k] == f"regression ({i} | {s}): matrix is singular or ill-conditioned"
+            elif k in (4, 7):
+                assert out[k] == (0.0).hex()
+            else:
+                assert not out[k].startswith("regression")
+
+    def test_empty_and_response_only_requests_solve_nothing(self):
+        cov = CovMatrix(np.eye(3))
+        assert _betas(cov, [], 2) == []
+        assert _betas(cov, [(0, (2,)), (1, (0, 2))], 2) == [0.0, 0.0]
 
 
 class TestDagMle:
