@@ -101,15 +101,19 @@ class EffectMultiset:
             for e in self.entries
         )
 
+    def _present(self) -> list[float]:
+        """`values()` without the repeats: the same min and max."""
+        return [e.value for e in self.entries if e.multiplicity > 0]
+
     def min_abs(self) -> float:
-        return min(abs(v) for v in self.values())
+        return min(abs(v) for v in self._present())
 
     def mean_abs(self) -> float:
         vals = self.values()
         return sum(abs(v) for v in vals) / len(vals)
 
     def value_range(self) -> float:
-        vals = self.values()
+        vals = self._present()
         return max(vals) - min(vals)
 
     def ambiguity(self) -> int:
@@ -150,9 +154,9 @@ def summarize(e: EffectMultiset, stat: str) -> float:
     if stat == "mean_abs":
         return e.mean_abs()
     if stat == "min":
-        return min(e.values())
+        return min(e._present())
     if stat == "max":
-        return max(e.values())
+        return max(e._present())
     raise ValueError(f"unknown summary statistic: {stat}")
 
 
@@ -267,41 +271,6 @@ def global_effects(
     return _theta(source, g, covariates, y, mods, max_component_edges, max_dags)
 
 
-def _local_plan(
-    g: PDGraph,
-    i: int,
-    y: int,
-    mods: frozenset[str],
-    max_siblings: int,
-    max_component_edges: int,
-    max_dags: int,
-) -> list[tuple[int, ...]] | None:
-    """The adjustment sets of `local_effects`, in entry order, or None
-    when `zero_path` finds no directed path from i to y."""
-    _check_vertex(g, y, "response")
-    _check_vertex(g, i, "covariate")
-    if i == y:
-        raise ValueError("covariate and response must differ")
-    if MOD_ZERO_PATH in mods and not allows_directed_path(
-        g, i, y, max_component_edges, max_dags
-    ):
-        return None
-    adj = g._adjacency()
-    keep = _reach(adj, 1 << y) if MOD_PRUNE_Y in mods else (1 << g.n) - 1
-    pa, sibs = g._pa[i] & keep, g._sib[i] & keep
-    k = sibs.bit_count()
-    if k > max_siblings:
-        raise ResourceCapError(
-            f"covariate {i} has {k} undirected neighbours "
-            f"(cap {max_siblings})"
-        )
-    cliques = [0]
-    for v in _bits(sibs):
-        if not g._pa[i] & ~adj[v]:
-            cliques += [c | 1 << v for c in cliques if not c & ~adj[v]]
-    return [tuple(_bits(pa | s)) for s in cliques]
-
-
 def _local_multisets(
     source: Dataset | CovMatrix,
     g: PDGraph,
@@ -313,13 +282,41 @@ def _local_multisets(
     max_dags: int = DEFAULT_MAX_DAGS,
 ) -> list[EffectMultiset | CausalSpanError]:
     """`local_effects` for each covariate, or the package error it would
-    raise.  Every covariate's adjustment sets are planned first, and all
-    their regressions are solved in one `_betas` call."""
+    raise.  g's adjacency masks and y's component are built once; every
+    covariate's adjustment sets are planned first, and all their
+    regressions are solved in one `_betas` call."""
     mods = _check_mods(mods)
+    _check_vertex(g, y, "response")
+    adj = g._adjacency()
+    keep = _reach(adj, 1 << y) if MOD_PRUNE_Y in mods else (1 << g.n) - 1
+
+    def adjustment_sets(i: int) -> list[tuple[int, ...]] | None:
+        """i's adjustment sets, in entry order, or None when `zero_path`
+        finds no directed path from i to y."""
+        _check_vertex(g, i, "covariate")
+        if i == y:
+            raise ValueError("covariate and response must differ")
+        if MOD_ZERO_PATH in mods and not allows_directed_path(
+            g, i, y, max_component_edges, max_dags
+        ):
+            return None
+        pa, sibs = g._pa[i] & keep, g._sib[i] & keep
+        k = sibs.bit_count()
+        if k > max_siblings:
+            raise ResourceCapError(
+                f"covariate {i} has {k} undirected neighbours "
+                f"(cap {max_siblings})"
+            )
+        cliques = [0]
+        for v in _bits(sibs):
+            if not g._pa[i] & ~adj[v]:
+                cliques += [c | 1 << v for c in cliques if not c & ~adj[v]]
+        return [tuple(_bits(pa | s)) for s in cliques]
+
     plans: list[list[tuple[int, ...]] | None | CausalSpanError] = []
     for i in covariates:
         try:
-            plans.append(_local_plan(g, i, y, mods, max_siblings, max_component_edges, max_dags))
+            plans.append(adjustment_sets(i))
         except CausalSpanError as e:
             plans.append(e)
     requests = [(i, s) for i, plan in zip(covariates, plans) if isinstance(plan, list)

@@ -38,8 +38,8 @@ _U = float(np.finfo(float).eps) / 2
 
 # The largest error bound `_rho_error` may give for a stack to be decided
 # from eliminated partial correlations; past it every block of the stack
-# takes the exact inverse.  It also keeps the first-order terms of that
-# bound dominant.
+# takes the exact solve of `_partial_correlations`.  It also keeps the
+# first-order terms of that bound dominant.
 _DELTA_CAP = 1e-3
 
 
@@ -221,30 +221,37 @@ def correlation_matrix(d: Dataset) -> CovMatrix:
     return d.covariance.correlation()
 
 
-def _solve_checked(a: np.ndarray, b: np.ndarray, what: str) -> np.ndarray:
-    """Solve a x = b; NumericalRankError when cond(a) > CONDITION_LIMIT."""
-    if np.linalg.cond(a) > CONDITION_LIMIT:
-        raise NumericalRankError(f"{what}: matrix is singular or ill-conditioned")
-    return np.linalg.solve(a, b)
+def _solve_blocks(
+    a: np.ndarray, b: np.ndarray, conditioned: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """x and the mask of solved blocks for a[t] x[t] = b[t], an (m, k, k)
+    stack with (m, k, r) right-hand sides, in one batched `np.linalg.solve`
+    (the LAPACK solve of a call per block).  This is every estimator's
+    singularity decision: unless `conditioned` (the blocks are principal
+    blocks of a CovMatrix whose `_blocks_conditioned` is set), each block
+    gets its own condition number, and the blocks past CONDITION_LIMIT
+    are kept out of the solve, with NaN rows in x."""
+    ok = np.ones(len(a), dtype=bool) if conditioned else ~(np.linalg.cond(a) > CONDITION_LIMIT)
+    if ok.all():
+        return np.linalg.solve(a, b), ok
+    x = np.full(b.shape, np.nan)
+    x[ok] = np.linalg.solve(a[ok], b[ok])
+    return x, ok
 
 
 def _partial_correlations(blocks: np.ndarray, conditioned: bool = False) -> np.ndarray:
     """Partial correlation of the first two columns given the rest for each
-    unit-diagonal block of an (m, k, k) stack, clipped to [-1, 1], from
-    the batched inverse.  NaN marks a block singular beyond
-    CONDITION_LIMIT (kept out of the batched inverse, which would fail on
-    it) or not positive definite.  Each block gets its own condition
-    number unless `conditioned` (every block is a principal block of a
-    CovMatrix whose `_blocks_conditioned` is set); either way the same
-    blocks reach the same inverse.  These are the exact values the
-    skeleton's verdicts are defined by; `_stack_verdicts` computes them
-    only for the blocks a cheaper bound cannot decide."""
-    rho = np.full(len(blocks), np.nan)
-    ok = slice(None) if conditioned else ~(np.linalg.cond(blocks) > CONDITION_LIMIT)
-    om = np.linalg.inv(blocks[ok])
+    unit-diagonal block of an (m, k, k) stack, clipped to [-1, 1], from the
+    first two columns of each block's inverse (`_solve_blocks` against the
+    first two unit vectors, which gives the bits of `np.linalg.inv`).  NaN
+    marks a block that `_solve_blocks` refuses, or one that is not
+    positive definite.  These are the exact values the skeleton's
+    verdicts are defined by; `_stack_verdicts` computes them only for the
+    blocks a cheaper bound cannot decide."""
+    m, k = blocks.shape[:2]
+    om, _ = _solve_blocks(blocks, np.broadcast_to(np.eye(k)[:, :2], (m, k, 2)), conditioned)
     with np.errstate(invalid="ignore"):
-        rho[ok] = np.clip(-om[:, 0, 1] / np.sqrt(om[:, 0, 0] * om[:, 1, 1]), -1.0, 1.0)
-    return rho
+        return np.clip(-om[:, 0, 1] / np.sqrt(om[:, 0, 0] * om[:, 1, 1]), -1.0, 1.0)
 
 
 def partial_correlation(c: CovMatrix, i: int, j: int, s: tuple[int, ...] = ()) -> float:
@@ -468,10 +475,10 @@ def _rho_error(k: int, floor: float) -> float:
       (Thm 9.3), and || |L| |D| |L^T| ||_2 <= k ||A||_2 <= k^2 for a
       unit-diagonal A, as for |R^T| |R| in Cholesky (sec. 10.1); so
       eta <= k^3 u to first order.
-    - `np.linalg.inv` solves A X = I by LU with partial pivoting; column j
-      of X is exact for A + E_j with |E_j| <= gamma_3k |L| |U| (Thm 9.4),
-      |l_ij| <= 1 and |u_ij| <= 2^(k-1) max |a_ij| = 2^(k-1); so
-      eta <= 1.5 k^3 2^k u.
+    - `_partial_correlations` solves A X = [e_0 e_1] by LU with partial
+      pivoting, as `np.linalg.inv` solves A X = I; column j of X is exact
+      for A + E_j with |E_j| <= gamma_3k |L| |U| (Thm 9.4), |l_ij| <= 1
+      and |u_ij| <= 2^(k-1) max |a_ij| = 2^(k-1); so eta <= 1.5 k^3 2^k u.
     With Omega = A^-1 and x_i its i-th column, rho = -Omega_01 /
     sqrt(Omega_00 Omega_11), and to first order E moves Omega_ij by
     |x_i^T E x_j| <= eta ||x_i|| ||x_j|| <= eta sqrt(Omega_ii Omega_jj) /
@@ -499,23 +506,24 @@ def _stack_verdicts(blocks: np.ndarray, rule: _Rule, floor: float) -> np.ndarray
     and a row is decided from it unless |rho| lies in [keep - delta_k,
     clear + delta_k]: above that band the exact rho is above `clear`,
     below it under `keep`, so the verdict is the one the exact rho gets.
-    Only the band rows take `_partial_correlations`.  Otherwise (floor 0:
-    n < p, duplicated or collinear columns, a near-singular population
-    matrix; or delta_k past the cap) every block takes it, with its own
-    condition check when floor is 0.  Rows between `keep` and `clear`
-    after that go to rule.dependent one by one.
+    Without that bound (floor 0: n < p, duplicated or collinear columns,
+    a near-singular population matrix; or delta_k past the cap) rho
+    starts as NaN, so every row lands in the band.  The band rows take
+    `_partial_correlations`, with their own condition checks when floor
+    is 0.  Rows between `keep` and `clear` after that go to
+    rule.dependent one by one.
     """
     delta = _rho_error(blocks.shape[1], floor)
     if delta <= _DELTA_CAP:
         rho = _eliminated_partial_correlations(blocks)
-        size = np.abs(rho)
-        below = size < rule.keep - delta
-        band = ~(below | (size > rule.clear + delta))
-        if not band.any():
-            return below.view(np.int8)
-        rho[band] = _partial_correlations(blocks[band], True)
     else:
-        rho = _partial_correlations(blocks, floor > 0)
+        rho = np.full(len(blocks), np.nan)
+    size = np.abs(rho)
+    below = size < rule.keep - delta
+    band = ~(below | (size > rule.clear + delta))
+    if not band.any():
+        return below.view(np.int8)
+    rho[band] = _partial_correlations(blocks[band], floor > 0)
     size = np.abs(rho)
     verdicts = (~(size > rule.clear)).astype(np.int8)
     for row in np.flatnonzero(verdicts & ~(size < rule.keep)).tolist():
@@ -532,12 +540,9 @@ def _betas(
 
     Requests with y in s get 0.0 and no solve.  The others are grouped by
     |s|; each group takes one gather of its ({i} union s) x ({i} union s,
-    y) covariance blocks and one batched `np.linalg.solve`, which runs the
-    same LAPACK solve on each block as a call of its own, so every
-    coefficient has the bits of a one-request solve.  Unless the
-    covariance's `_blocks_conditioned` flag vouches for every block, each
-    block gets its own condition number first, and the blocks past
-    CONDITION_LIMIT are kept out of the solve and reported.
+    y) covariance blocks and one `_solve_blocks` call, so every
+    coefficient has the bits of a one-request solve, and the blocks it
+    refuses are reported.
     """
     out: list[float | NumericalRankError] = [0.0] * len(requests)
     groups: dict[int, list[int]] = {}
@@ -556,16 +561,10 @@ def _betas(
         # columns (i, s, y).
         idx = np.array([[requests[r][0], *sorted(requests[r][1]), y] for r in rows])
         blocks = cov.values[idx[:, :-1, None], idx[:, None, :]]
-        a, b = blocks[:, :, :-1], blocks[:, :, -1:]
-        if cov._blocks_conditioned:
-            ok = [True] * len(rows)
-        else:
-            ok = (~(np.linalg.cond(a) > CONDITION_LIMIT)).tolist()
-            a, b = a[ok], b[ok]
-        coef = iter(np.linalg.solve(a, b)[:, 0, 0].tolist())
-        for r, good in zip(rows, ok):
+        coef, ok = _solve_blocks(blocks[:, :, :-1], blocks[:, :, -1:], cov._blocks_conditioned)
+        for r, c, good in zip(rows, coef[:, 0, 0].tolist(), ok.tolist()):
             if good:
-                out[r] = next(coef)
+                out[r] = c
             else:
                 i, s = requests[r]
                 out[r] = NumericalRankError(
@@ -620,10 +619,13 @@ def dag_mle(d: Dataset, dag: PDGraph) -> DagFit:
         pa = sorted(dag.parents(i))
         if pa:
             x = v[:, pa]
-            g = x.T @ x
-            coef = _solve_checked(g, x.T @ v[:, i], f"vertex {i} regression")
-            b[i, pa] = coef
-            resid = v[:, i] - x @ coef
+            coef, ok = _solve_blocks((x.T @ x)[None], (x.T @ v[:, i])[None, :, None], False)
+            if not ok[0]:
+                raise NumericalRankError(
+                    f"vertex {i} regression: matrix is singular or ill-conditioned"
+                )
+            b[i, pa] = coef[0, :, 0]
+            resid = v[:, i] - x @ coef[0, :, 0]
         else:
             resid = v[:, i]
         s2 = float(resid @ resid) / n

@@ -12,11 +12,11 @@ the stack holding its first independent or singular set.  numpy builds
 each stack, and `gauss._stack_verdicts` decides it: when the correlation
 matrix's eigenvalues vouch for all of its principal blocks at once (see
 `CovMatrix`), by partial correlations from Gaussian elimination with an
-error bound, sending to the exact inverse only the blocks whose |rho| is
+error bound, sending to the exact solve only the blocks whose |rho| is
 within that bound of the test's threshold band (a stack whose bound is
-too wide is inverted whole); otherwise, as with n < p, duplicated or
+too wide takes it whole); otherwise, as with n < p, duplicated or
 collinear columns or a near-singular population matrix, by the exact
-inverse of every block, each with its own SVD singularity check.  Either
+solve of every block, each with its own SVD singularity check.  Either
 way every verdict is the one the exact inverse gets, and no Python step
 runs per conditioning set.  The verdicts are then read back as one test
 at a time would meet them, so tests, separating sets and errors are
@@ -230,8 +230,8 @@ def estimate_skeleton(
     its first independent or singular set; numpy builds and decides each
     stack (see `_level_stops`).  When the correlation matrix's eigenvalues
     rule out a singular block, the stacks are decided from eliminated
-    partial correlations, and only blocks near the threshold are inverted;
-    otherwise every block is inverted after a condition check of its own.
+    partial correlations, and only blocks near the threshold take the
+    exact solve; otherwise every block takes it, with its own check.
 
     The results are those of reading the verdicts in the order above (i,
     then j, then the sets), but only the removed edges are read back, in

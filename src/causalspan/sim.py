@@ -179,14 +179,25 @@ def population_effects(
     max_siblings: int = DEFAULT_MAX_SIBLINGS,
 ) -> EffectMultiset:
     """The effect multiset a perfect oracle would report: the CPDAG of the
-    true DAG combined with the exact covariance.  The global route solves
-    covariate i's row only; its entries equal
-    `global_effects(...).row_multiset(i)`."""
-    g = cpdag_from_dag(w.graph)
-    source = population_covariance(w)
+    true DAG combined with the exact covariance."""
+    return _route_effects(
+        population_covariance(w), cpdag_from_dag(w.graph), i, y, method, mods,
+        max_component_edges, max_dags, max_siblings,
+    )
+
+
+def _route_effects(
+    source: Dataset | CovMatrix, g: PDGraph, i: int, y: int, method: str,
+    mods: frozenset[str] | tuple[str, ...], max_component_edges: int, max_dags: int,
+    max_siblings: int, classes: dict | None = None,
+) -> EffectMultiset:
+    """Covariate i's effect multiset by one route.  The global route
+    solves i's row only (its entries equal
+    `global_effects(...).row_multiset(i)`) and reads or adds g's member
+    list in `classes` (see `_theta`); the local route is `local_effects`."""
     if method == "global":
         return _theta(
-            source, g, (i,), y, mods, max_component_edges, max_dags
+            source, g, (i,), y, mods, max_component_edges, max_dags, classes
         ).row_multiset(i)
     if method == "local":
         return local_effects(
@@ -232,11 +243,7 @@ def run_scenario(
     records: list[SimRecord] = []
     classes: dict = {}
     children = np.random.SeedSequence(scenario.seed).spawn(scenario.n_reps)
-    block_size = (
-        scenario.n_vertices // scenario.blocks
-        if scenario.blocks is not None
-        else scenario.n_vertices
-    )
+    block_size = scenario.n_vertices // (scenario.blocks or 1)
     for k, child in enumerate(children):
         rng = np.random.default_rng(child)
         w = random_weighted_dag(
@@ -254,11 +261,10 @@ def run_scenario(
         truth_status = "ok"
         if compute_truth:
             try:
-                # population_effects(w, x, y, "global"), sharing `classes`
-                truth = _theta(
-                    population_covariance(w), cpdag_from_dag(w.graph), (x,), y, (),
-                    max_component_edges, max_dags, classes,
-                ).row_multiset(x)
+                truth = _route_effects(
+                    population_covariance(w), cpdag_from_dag(w.graph), x, y, "global", (),
+                    max_component_edges, max_dags, max_siblings, classes,
+                )
             except ResourceCapError:
                 truth_status = "truth_resource_error"
             except CausalSpanError:
@@ -284,18 +290,10 @@ def run_scenario(
                 status = f"failed:{type(pc_error).__name__}"
             else:
                 try:
-                    if method == "local":
-                        est = local_effects(
-                            data, graph, x, y,
-                            max_siblings=max_siblings,
-                            max_component_edges=max_component_edges,
-                            max_dags=max_dags,
-                        )
-                    else:
-                        est = _theta(
-                            data, graph, (x,), y, (), max_component_edges, max_dags,
-                            classes,
-                        ).row_multiset(x)
+                    est = _route_effects(
+                        data, graph, x, y, method, (), max_component_edges, max_dags,
+                        max_siblings, classes,
+                    )
                 except CausalSpanError as e:
                     status = f"failed:{type(e).__name__}"
             runtime = structure_time + (time.perf_counter() - t1)

@@ -273,6 +273,50 @@ class TestPartialCorrelation:
         with pytest.raises(NumericalRankError):
             partial_correlation(c, 0, 2, (1,))
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        k=st.integers(2, 12),
+        kind=st.sampled_from(["plain", "duplicated", "near-collinear", "few rows"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stacked_solve_has_the_bits_of_the_inverse(self, k, kind, seed):
+        # The stacked partial correlations read the first two columns of
+        # each block's inverse from a solve against the first two unit
+        # vectors; they must equal the full `np.linalg.inv` values bit for
+        # bit, with NaN exactly where the block is past the condition
+        # limit (a duplicated column) or not positive definite.
+        rng = np.random.default_rng(seed)
+        m = 256
+        n = int(rng.integers(2, k + 1)) if kind == "few rows" else int(rng.integers(k, 3 * k + 5))
+        x = rng.standard_normal((m, n, k))
+        if kind in ("duplicated", "near-collinear"):
+            rows = np.arange(m)
+            src = rng.integers(0, k, m)
+            dst = (src + rng.integers(1, k, m)) % k
+            x[rows, :, dst] = x[rows, :, src]
+            if kind == "near-collinear":
+                x[rows, :, dst] += 10.0 ** rng.uniform(-9, -3, (m, 1)) * rng.standard_normal((m, n))
+        g = np.einsum("mni,mnj->mij", x, x)
+        d = np.sqrt(np.einsum("mii->mi", g))
+        blocks = g / (d[:, :, None] * d[:, None, :])
+        blocks[:, range(k), range(k)] = 1.0
+        blocks = (blocks + blocks.transpose(0, 2, 1)) / 2.0
+
+        ok = ~(np.linalg.cond(blocks) > CONDITION_LIMIT)
+        om = np.linalg.inv(blocks[ok])
+        want = np.full(m, np.nan)
+        with np.errstate(invalid="ignore"):
+            want[ok] = np.clip(-om[:, 0, 1] / np.sqrt(om[:, 0, 0] * om[:, 1, 1]), -1.0, 1.0)
+
+        def same_bits(got, want):
+            return np.array_equal(np.isnan(got), np.isnan(want)) and np.array_equal(
+                got[~np.isnan(got)].view(np.uint64), want[~np.isnan(want)].view(np.uint64)
+            )
+
+        assert same_bits(_partial_correlations(blocks, False), want)
+        # Vouched-for blocks are never past the limit: pass only those.
+        assert same_bits(_partial_correlations(blocks[ok], True), want[ok])
+
 
 class TestDependenceRule:
     def test_moderate_correlation_at_n100_is_dependent(self):
@@ -647,6 +691,17 @@ class TestDagMle:
         small = PDGraph(3, directed=[(0, 1)])
         big = PDGraph(3, directed=[(0, 1), (0, 2), (1, 2)])
         assert dag_mle(d, big).loglik >= dag_mle(d, small).loglik - 1e-9
+
+    def test_duplicated_parent_columns_raise(self):
+        # Vertex 2's parents 0 and 1 are the same column, so its regression
+        # matrix is singular.
+        rng = np.random.default_rng(41)
+        vals = rng.normal(size=(100, 3))
+        vals[:, 1] = vals[:, 0]
+        dag = PDGraph(3, directed=[(0, 2), (1, 2)])
+        with pytest.raises(NumericalRankError) as err:
+            dag_mle(make_dataset(vals), dag)
+        assert str(err.value) == "vertex 2 regression: matrix is singular or ill-conditioned"
 
 
 class TestBic:
