@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CausalSpanError, NumericalRankError, ResourceCapError
-from .gauss import CITestConfig, CovMatrix, Dataset, _betas
+from .gauss import CITestConfig, CovMatrix, Dataset, _betas, correlation_matrix
 from .graphs import (
     DEFAULT_MAX_COMPONENT_EDGES,
     DEFAULT_MAX_DAGS,
@@ -41,7 +41,7 @@ from .graphs import (
     _reach,
     allows_directed_path,
 )
-from .pc import pc_cpdag
+from .pc import _batch_size, _pc_result, _skeletons
 
 MOD_ZERO_PATH = "zero_path"
 MOD_PRUNE_Y = "prune_y"
@@ -454,6 +454,13 @@ def bootstrap_scores(
     implies a strong effect.  Per-covariate failures inside a replicate
     (for example a sibling cap hit) are counted and excluded from the
     median; the full-data ambiguity is reported alongside.
+
+    The full data and the b resamples run in groups of
+    `pc._batch_size(p)`: each sample keeps only its covariance and
+    correlation matrices, a group's PC skeletons run as one batch
+    (`pc._skeletons`), and the local route reads each sample through its
+    covariance.  The first error in the order full data then resamples is
+    raised.
     """
     if b < 1:
         raise ValueError("need at least one bootstrap replicate")
@@ -461,25 +468,40 @@ def bootstrap_scores(
     y = d.response
     covariates = d.covariates
 
-    def run(ds: Dataset) -> dict[int, EffectMultiset | None]:
-        res = pc_cpdag(ds, cfg)
+    def sample(ds: Dataset) -> tuple[CovMatrix | None, CovMatrix | CausalSpanError]:
+        try:
+            corr = correlation_matrix(ds)
+        except CausalSpanError as e:
+            return None, e
+        return ds.covariance, corr
+
+    def run(cov: CovMatrix, skeleton) -> dict[int, EffectMultiset | None]:
         rows = _local_multisets(
-            ds, res.graph, covariates, y, mods, max_siblings, max_component_edges
+            cov, _pc_result(*skeleton).graph, covariates, y, mods, max_siblings,
+            max_component_edges,
         )
         return {
             i: None if isinstance(m, CausalSpanError) else m
             for i, m in zip(covariates, rows)
         }
 
-    full = run(d)
+    resamples = (
+        d.resample_rows(np.random.default_rng(child).integers(0, d.n, size=d.n))
+        for child in np.random.SeedSequence(seed).spawn(b)
+    )
+    pending = itertools.chain([d], resamples)
+    results = []
+    while samples := [sample(ds) for ds in itertools.islice(pending, _batch_size(d.n_columns))]:
+        skeletons = _skeletons([corr for _, corr in samples], cfg)
+        for (cov, _), skeleton in zip(samples, skeletons):
+            if isinstance(skeleton, CausalSpanError):
+                raise skeleton
+            results.append(run(cov, skeleton))
+    full, *replicates = results
     mins: dict[int, list[float]] = {i: [] for i in covariates}
     ambigs: dict[int, list[int]] = {i: [] for i in covariates}
     failures: dict[int, int] = {i: 0 for i in covariates}
-    children = np.random.SeedSequence(seed).spawn(b)
-    for child in children:
-        rng = np.random.default_rng(child)
-        idx = rng.integers(0, d.n, size=d.n)
-        rep = run(d.resample_rows(idx))
+    for rep in replicates:
         for i in covariates:
             ms = rep[i]
             if ms is None:

@@ -225,17 +225,25 @@ def _solve_blocks(
     a: np.ndarray, b: np.ndarray, conditioned: bool
 ) -> tuple[np.ndarray, np.ndarray]:
     """x and the mask of solved blocks for a[t] x[t] = b[t], an (m, k, k)
-    stack with (m, k, r) right-hand sides, in one batched `np.linalg.solve`
-    (the LAPACK solve of a call per block).  This is every estimator's
-    singularity decision: unless `conditioned` (the blocks are principal
-    blocks of a CovMatrix whose `_blocks_conditioned` is set), each block
-    gets its own condition number, and the blocks past CONDITION_LIMIT
-    are kept out of the solve, with NaN rows in x."""
+    stack with (m, k, r) right-hand sides, or one (k, r) set shared by
+    every block, in one batched `np.linalg.solve` (the LAPACK solve of a
+    call per block).  This is every estimator's singularity decision:
+    unless `conditioned` (the blocks are principal blocks of a CovMatrix
+    whose `_blocks_conditioned` is set), each block gets its own condition
+    number, and the blocks past CONDITION_LIMIT are kept out of the solve,
+    with NaN rows in x.  A shared set is broadcast to the blocks solved,
+    never copied per block."""
     ok = np.ones(len(a), dtype=bool) if conditioned else ~(np.linalg.cond(a) > CONDITION_LIMIT)
-    if ok.all():
-        return np.linalg.solve(a, b), ok
-    x = np.full(b.shape, np.nan)
-    x[ok] = np.linalg.solve(a[ok], b[ok])
+    every = ok.all()
+    kept = a if every else a[ok]
+    if b.ndim == 2:
+        rhs = np.broadcast_to(b, (len(kept), *b.shape))
+    else:
+        rhs = b if every else b[ok]
+    if every:
+        return np.linalg.solve(kept, rhs), ok
+    x = np.full((len(a), *b.shape[-2:]), np.nan)
+    x[ok] = np.linalg.solve(kept, rhs)
     return x, ok
 
 
@@ -248,8 +256,7 @@ def _partial_correlations(blocks: np.ndarray, conditioned: bool = False) -> np.n
     positive definite.  These are the exact values the skeleton's
     verdicts are defined by; `_stack_verdicts` computes them only for the
     blocks a cheaper bound cannot decide."""
-    m, k = blocks.shape[:2]
-    om, _ = _solve_blocks(blocks, np.broadcast_to(np.eye(k)[:, :2], (m, k, 2)), conditioned)
+    om, _ = _solve_blocks(blocks, np.eye(blocks.shape[1])[:, :2], conditioned)
     with np.errstate(invalid="ignore"):
         return np.clip(-om[:, 0, 1] / np.sqrt(om[:, 0, 0] * om[:, 1, 1]), -1.0, 1.0)
 
@@ -459,11 +466,11 @@ def _eliminated_partial_correlations(blocks: np.ndarray) -> np.ndarray:
     return a[0, 1] / np.sqrt(a[0, 0] * a[1, 1])
 
 
-def _rho_error(k: int, floor: float) -> float:
+def _rho_error(k: int, floor: float | np.ndarray) -> np.ndarray:
     """delta_k, a bound on |rho_fast - rho_exact| for every unit-diagonal
     k x k block whose smallest eigenvalue is at least `floor`, between
     `_eliminated_partial_correlations` and `_partial_correlations`; inf
-    when floor <= 0.
+    where floor <= 0.  One delta_k per entry of `floor`.
 
     Both are backward stable (Higham, Accuracy and Stability of Numerical
     Algorithms, 2002, chs. 9-10): each reads rho off quantities exact for
@@ -490,32 +497,42 @@ def _rho_error(k: int, floor: float) -> float:
     constants and for the second-order terms, which _DELTA_CAP keeps
     below a relative 1e-3.
     """
-    return 1e3 * k**3 * 2.0**k * _U / floor if floor > 0 else math.inf
+    floor = np.asarray(floor, dtype=float)
+    with np.errstate(divide="ignore"):
+        return np.where(floor > 0, 1e3 * k**3 * 2.0**k * _U / floor, np.inf)
 
 
-def _stack_verdicts(blocks: np.ndarray, rule: _Rule, floor: float) -> np.ndarray:
+def _stack_verdicts(blocks: np.ndarray, rule: _Rule, floor: float | np.ndarray) -> np.ndarray:
     """The verdict of `rule` on the partial correlation of the first two
     columns given the rest for each unit-diagonal block of an (m, k, k)
     stack: 0 dependent, 1 independent, 2 singular (NaN rho, which no rule
     calls dependent).
 
-    `floor` > 0 says every block is a principal block of a CovMatrix whose
-    `_blocks_conditioned` is set, and bounds their smallest eigenvalues
-    from below (its `_eigen_floor`).  Then, while delta_k = `_rho_error`
-    is at most _DELTA_CAP, rho comes from `_eliminated_partial_correlations`
-    and a row is decided from it unless |rho| lies in [keep - delta_k,
+    `floor` gives each row its matrix's floor (one per row, or one that
+    every row shares), so a stack may mix the blocks of several matrices.
+    A row's floor > 0 says its block is a principal block of a CovMatrix
+    whose `_blocks_conditioned` is set, and bounds its smallest eigenvalue
+    from below (that matrix's `_eigen_floor`).  Then, while the row's delta_k = `_rho_error` is at
+    most _DELTA_CAP, its rho comes from `_eliminated_partial_correlations`
+    and the row is decided from it unless |rho| lies in [keep - delta_k,
     clear + delta_k]: above that band the exact rho is above `clear`,
     below it under `keep`, so the verdict is the one the exact rho gets.
-    Without that bound (floor 0: n < p, duplicated or collinear columns,
-    a near-singular population matrix; or delta_k past the cap) rho
-    starts as NaN, so every row lands in the band.  The band rows take
-    `_partial_correlations`, with their own condition checks when floor
-    is 0.  Rows between `keep` and `clear` after that go to
-    rule.dependent one by one.
+    A row without that bound (floor 0: n < p, duplicated or collinear
+    columns, a near-singular population matrix; or delta_k past the cap)
+    lands in the band whatever its rho.  The band rows take
+    `_partial_correlations`, one call for the rows with floor > 0 and one,
+    with their own condition checks, for the rest; a call that takes every
+    row gets the stack itself.  Rows between `keep` and `clear` after that
+    go to rule.dependent one by one.
     """
     delta = _rho_error(blocks.shape[1], floor)
-    if delta <= _DELTA_CAP:
-        rho = _eliminated_partial_correlations(blocks)
+    fast = delta <= _DELTA_CAP
+    # The rows past the cap or without a bound land in the band whatever
+    # their rho, which a singular block makes NaN or inf.
+    delta = np.where(fast, delta, np.inf)
+    if fast.any():
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rho = _eliminated_partial_correlations(blocks)
     else:
         rho = np.full(len(blocks), np.nan)
     size = np.abs(rho)
@@ -523,7 +540,13 @@ def _stack_verdicts(blocks: np.ndarray, rule: _Rule, floor: float) -> np.ndarray
     band = ~(below | (size > rule.clear + delta))
     if not band.any():
         return below.view(np.int8)
-    rho[band] = _partial_correlations(blocks[band], floor > 0)
+    conditioned = np.asarray(floor) > 0
+    for value in (True, False):
+        rows = band & (conditioned == value)
+        if rows.all():
+            rho = _partial_correlations(blocks, value)
+        elif rows.any():
+            rho[rows] = _partial_correlations(blocks[rows], value)
     size = np.abs(rho)
     verdicts = (~(size > rule.clear)).astype(np.int8)
     for row in np.flatnonzero(verdicts & ~(size < rule.keep)).tolist():

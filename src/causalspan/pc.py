@@ -8,19 +8,28 @@ every pair's conditioning sets before the level runs, so each level is
 solved in two phases (first the pairs (i, j) with i < j, then the pairs
 (j, i) whose edge survived); within a phase the pairs' sets stream into
 stacks of a fixed number of blocks that span pairs, and a pair stops at
-the stack holding its first independent or singular set.  numpy builds
-each stack, and `gauss._stack_verdicts` decides it: when the correlation
-matrix's eigenvalues vouch for all of its principal blocks at once (see
-`CovMatrix`), by partial correlations from Gaussian elimination with an
-error bound, sending to the exact solve only the blocks whose |rho| is
-within that bound of the test's threshold band (a stack whose bound is
-too wide takes it whole); otherwise, as with n < p, duplicated or
-collinear columns or a near-singular population matrix, by the exact
-solve of every block, each with its own SVD singularity check.  Either
-way every verdict is the one the exact inverse gets, and no Python step
-runs per conditioning set.  The verdicts are then read back as one test
-at a time would meet them, so tests, separating sets and errors are
-those of that order, with a Python step only per removed edge.
+the stack holding its first independent or singular set.  The search
+runs on a batch of correlation matrices that share n and p (`_skeletons`;
+`estimate_skeleton` is its batch of one): the matrices go through the
+levels together, and each phase streams the (matrix, i, j) items of all
+of them into the same stacks, so many small problems, such as a
+simulation's replicates or a bootstrap's resamples, fill stacks that each
+would leave nearly empty alone.  A batch holds only as many matrices as
+fit their level-0 pairs in one stack (`_batch_size`), so at large p it is
+one matrix, and its memory is that of one search.  numpy builds each
+stack, and `gauss._stack_verdicts` decides it, row by row from the row's
+own matrix: when that matrix's eigenvalues vouch for all of its principal
+blocks at once (see `CovMatrix`), by partial correlations from Gaussian
+elimination with an error bound, sending to the exact solve only the
+blocks whose |rho| is within that bound of the test's threshold band (a
+block whose bound is too wide takes it outright); otherwise, as with
+n < p, duplicated or collinear columns or a near-singular population
+matrix, by the exact solve of every block, each with its own SVD
+singularity check.  Either way every verdict is the one the exact inverse
+gets, and no Python step runs per conditioning set.  The verdicts are
+then read back as one test at a time would meet them, so tests,
+separating sets and errors are those of that order, with a Python step
+only per removed edge; a singular stop ends only its own matrix's search.
 Collider orientation walks candidate triples in lexicographic order and
 lets later triples overwrite earlier arrowheads; every overwrite is
 recorded, because on finite samples the oriented graph can fail to admit
@@ -63,10 +72,11 @@ from .graphs import (
 # testing against a population covariance.
 POPULATION_RHO_TOL = 1e-9
 
-# Blocks per stacked solve, across pairs; fixed, so memory stays bounded
-# however many pairs and sets a level has.  With no Python step per set,
-# each stack's fixed cost (a dozen numpy calls) is what is left to
-# amortise; 4096 blocks of k x k floats take 32 k^2 KB (3.2 MB at level 8).
+# Blocks per stacked solve, across pairs and matrices; fixed, so memory
+# stays bounded however many pairs and sets a level has.  With no Python
+# step per set, each stack's fixed cost (a dozen numpy calls) is what is
+# left to amortise; 4096 blocks of k x k floats take 32 k^2 KB (3.2 MB at
+# level 8).
 _STACK = 4096
 
 # Candidates `repair_cpdag` examines in its exact searches: sides of the
@@ -75,9 +85,9 @@ _REPAIR_SEARCH_CAP = 4096
 
 SepsetTable = dict[tuple[int, int], tuple[int, ...]]
 
-# A level's stopped pairs: (i, j) -> (dependent sets read before the
-# stopping set, that set, whether its block is singular).
-_Stops = dict[tuple[int, int], tuple[int, tuple[int, ...], bool]]
+# A level's stopped items: (matrix, i, j) -> (dependent sets read before
+# the stopping set, that set, whether its block is singular).
+_Stops = dict[tuple[int, int, int], tuple[int, tuple[int, ...], bool]]
 
 
 @dataclass
@@ -117,94 +127,240 @@ def _population_dependent(rho: float) -> bool:
 _POPULATION_RULE = _Rule(_population_dependent, POPULATION_RHO_TOL, POPULATION_RHO_TOL)
 
 
-def _marginal_verdicts(corr: CovMatrix, rule: _Rule, floor: float) -> np.ndarray:
-    """Level-0 verdicts of every pair (see `_stack_verdicts`) as a p x p
-    int8 matrix, from one stack of the 2 x 2 blocks (i, j) with i < j;
-    the matrix is exactly symmetric, so the block (j, i) equals (i, j) and
-    the result is mirrored."""
-    p = corr.n_columns
-    verdicts = np.zeros((p, p), dtype=np.int8)
+# A skeleton: the graph, its separating sets and the search's counters.
+_Skeleton = tuple[PDGraph, SepsetTable, PcDiagnostics]
+
+
+def _batch_size(p: int) -> int:
+    """Matrices of p columns per `_skeletons` call: as many as keep the
+    level-0 stack, every matrix's p(p - 1)/2 pairs, within _STACK rows, or
+    one matrix when its pairs alone pass that.  So a batch holds only a
+    few p x p matrices, and at large p it is the search of one matrix."""
+    return max(1, _STACK // max(1, p * (p - 1) // 2))
+
+
+def _gather(
+    values: np.ndarray, floors: np.ndarray, matrix: np.ndarray, idx: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The blocks of a stack for `_stack_verdicts`, and their floors: row r
+    is the block idx[r] x idx[r] of matrix[r] in the (M, p, p) stack
+    `values`, read through one flat offset per cell."""
+    p = values.shape[1]
+    cells = (matrix[:, None] * p + idx)[:, :, None] * p + idx[:, None, :]
+    return values.take(cells), floors.take(matrix)
+
+
+def _marginal_verdicts(
+    values: np.ndarray, floors: np.ndarray, batch: list[int], rule: _Rule
+) -> np.ndarray:
+    """Level-0 verdicts (see `_stack_verdicts`) of the matrices in `batch`
+    as a (len(batch), p, p) int8 array: the verdict of the pair (i, j),
+    i < j, of the b-th at [b, i, j], zeros elsewhere.  One stack holds
+    every pair's 2 x 2 block, gathered by fancy indexing with no flat
+    index as large as the blocks: at large p this stack is the skeleton's
+    largest.  The floors are a broadcast view, no copy, when the batch is
+    one matrix."""
+    p = values.shape[1]
+    verdicts = np.zeros((len(batch), p, p), dtype=np.int8)
     iu, ju = np.triu_indices(p, 1)
-    idx = np.stack([iu, ju], axis=1)
-    blocks = corr.values[idx[:, :, None], idx[:, None, :]]
-    verdicts[iu, ju] = verdicts[ju, iu] = _stack_verdicts(blocks, rule, floor)
+    pair = np.stack([iu, ju], axis=1)
+    m = np.array(batch)[:, None, None, None]
+    blocks = values[m, pair[:, :, None], pair[:, None, :]].reshape(-1, 2, 2)
+    floor = np.broadcast_to(floors.take(batch)[:, None], (len(batch), len(pair))).reshape(-1)
+    verdicts[:, iu, ju] = _stack_verdicts(blocks, rule, floor).reshape(len(batch), len(pair))
     return verdicts
 
 
 def _level_stops(
-    corr: CovMatrix,
-    pairs: Iterable[tuple[int, int]],
-    neighbours: list[tuple[int, ...]],
+    values: np.ndarray,
+    items: Iterable[tuple[int, int, int]],
+    neighbours: dict[int, list[tuple[int, ...]]],
     level: int,
     rule: _Rule,
-    floor: float,
+    floors: np.ndarray,
 ) -> _Stops:
-    """The pairs (i, j) of `pairs` whose size-`level` subsets of
-    neighbours[i] without j, in lexicographic order, include an independent
-    or singular one: (i, j) -> (dependent sets before it, the set, whether
-    it is singular).
+    """The items (m, i, j) whose size-`level` subsets of neighbours[m][i]
+    without j, in lexicographic order, include an independent or singular
+    one in matrix m of the (M, p, p) stack `values`: (m, i, j) -> (dependent
+    sets before it, the set, whether it is singular).
 
-    The pairs' sets stream, pair after pair, into stacks of at most _STACK
-    blocks, and a pair cut by the end of a stack goes on into the next one
-    only if the stack did not stop it: it solves its sets up to the end of
-    the stack holding its first stop, and no list of the level's sets is
-    built.  Each stack takes a fixed number of numpy calls: `repeat` makes
-    the pair columns and `fromiter` the set columns, from each pair's slice
-    of `combinations`, and `_stack_verdicts` decides every row, given
-    `floor`, the bound on the blocks' smallest eigenvalue (0.0 when the
-    matrix does not vouch for them).  `list.index` then finds each pair's
-    first stop.
+    The items' sets stream, item after item, into stacks of at most _STACK
+    blocks, whichever matrix they come from, and an item cut by the end of
+    a stack goes on into the next one only if the stack did not stop it:
+    it solves its sets up to the end of the stack holding its first stop,
+    and no list of the level's sets is built.  Each stack takes a fixed
+    number of numpy calls: `repeat` makes the item columns and `fromiter`
+    the set columns, from each item's slice of `combinations`, `_gather`
+    reads each row's block from its matrix, and `_stack_verdicts` decides
+    every row, given its matrix's entry of `floors`, the bound on the
+    blocks' smallest eigenvalue (0.0 when the matrix does not vouch for
+    them).  `list.index` then finds each item's first stop.
     """
     stops: _Stops = {}
-    pending = iter(pairs)
-    # The pair the last stack cut: (pair, its sets, sets solved, sets in all).
+    pending = iter(items)
+    # The item the last stack cut: (item, its sets, sets solved, sets in all).
     cut = None
     while True:
         if cut is not None and cut[0] in stops:
             cut = None
-        segments: list[tuple[tuple[int, int], int, int]] = []
+        segments: list[tuple[tuple[int, int, int], int, int]] = []
         slices = []
+        # The segments' items, flat, and their row counts: numpy reads a
+        # flat list of ints far faster than a list of tuples.
+        heads: list[int] = []
+        takes: list[int] = []
         rows = 0
         while rows < _STACK:
             if cut is None:
-                if (pair := next(pending, None)) is None:
+                if (item := next(pending, None)) is None:
                     break
-                i, j = pair
-                k = neighbours[i].index(j)
-                nb = neighbours[i][:k] + neighbours[i][k + 1 :]
-                cut = (pair, itertools.combinations(nb, level), 0, math.comb(len(nb), level))
-            pair, sets, done, total = cut
+                m, i, j = item
+                nb = neighbours[m][i]
+                k = nb.index(j)
+                nb = nb[:k] + nb[k + 1 :]
+                cut = (item, itertools.combinations(nb, level), 0, math.comb(len(nb), level))
+            item, sets, done, total = cut
             take = min(total - done, _STACK - rows)
             if take:
-                segments.append((pair, done, take))
+                segments.append((item, done, take))
                 slices.append(itertools.islice(sets, take))
+                heads += item
+                takes.append(take)
                 rows += take
-            cut = (pair, sets, done + take, total) if done + take < total else None
+            cut = (item, sets, done + take, total) if done + take < total else None
         if not rows:
             return stops
+        head = np.array(heads, dtype=np.intp).reshape(-1, 3).repeat(takes, axis=0)
         idx = np.empty((rows, level + 2), dtype=np.intp)
-        idx[:, :2] = np.array([seg[0] for seg in segments]).repeat(
-            [seg[2] for seg in segments], axis=0
-        )
+        idx[:, :2] = head[:, 1:]
         idx[:, 2:] = np.fromiter(
             itertools.chain.from_iterable(itertools.chain.from_iterable(slices)),
             dtype=np.intp,
             count=rows * level,
         ).reshape(rows, level)
-        blocks = corr.values.take(idx[:, :, None] * corr.n_columns + idx[:, None, :])
+        blocks, floor = _gather(values, floors, head[:, 0], idx)
         verdicts = _stack_verdicts(blocks, rule, floor)
         # A False at the end stops every search; `left` is the first stop
         # at or after the last search's start, which stays the answer for
         # every later start up to it.
         dependent = (verdicts == 0).tolist() + [False]
         left, end = -1, 0
-        for pair, done, take in segments:
+        for item, done, take in segments:
             start, end = end, end + take
             if left < start:
                 left = dependent.index(False, start)
             if left < end:
                 s = tuple(idx[left, 2:].tolist())
-                stops[pair] = (done + left - start, s, verdicts.item(left) == 2)
+                stops[item] = (done + left - start, s, verdicts.item(left) == 2)
+
+
+def _skeletons(
+    corrs: list[CovMatrix | CausalSpanError], cfg: CITestConfig
+) -> list[_Skeleton | CausalSpanError]:
+    """`estimate_skeleton` on each correlation matrix of a batch that
+    shares n and p, or the error it raises; an error in `corrs` (a
+    correlation that could not be made) is passed through.
+
+    The matrices run level by level together.  Level 0 is one stack of
+    every matrix's pairs i < j; above it each phase streams the items
+    (matrix, i, j) of every matrix into the same stacks (see
+    `_level_stops`), so a batch of small problems fills stacks that one
+    problem alone would leave nearly empty.  Every item reads only its own
+    matrix's blocks and floor, so each result, error and counter is the
+    one the matrix gets alone.  A matrix whose level stops on a singular
+    block leaves the batch with that error, and the others go on.  Callers
+    pass at most `_batch_size(p)` matrices at a time, which keeps the
+    level-0 stack and the stacked matrices small.
+    """
+    out: list[_Skeleton | CausalSpanError] = list(corrs)
+    live = [m for m, c in enumerate(corrs) if isinstance(c, CovMatrix)]
+    if not live:
+        return out
+    mats = [corrs[m] for m in live]
+    n, p = mats[0].n, mats[0].n_columns
+    if any(c.n != n or c.n_columns != p for c in mats):
+        raise ValueError("a batch's matrices must share n and the column count")
+    # A batch of one is read in place, not copied: at large p the copy
+    # would be as large as the matrix.
+    values = mats[0].values[None] if len(mats) == 1 else np.stack([c.values for c in mats])
+    # The eigenvalue bound on every block, when the matrix vouches for them.
+    floors = np.array([c._eigen_floor if c._blocks_conditioned else 0.0 for c in mats])
+    adj = [[(1 << p) - 1 & ~(1 << i) for i in range(p)] for _ in mats]
+    sepsets: list[SepsetTable] = [{} for _ in mats]
+    diags = [PcDiagnostics() for _ in mats]
+    errors: dict[int, CausalSpanError] = {}
+    active = list(range(len(mats)))
+    level = 0
+    while True:
+        degrees = {m: [a.bit_count() for a in adj[m]] for m in active}
+        active = [m for m in active if max(degrees[m], default=0) > level]
+        if not active:
+            break
+        if n is not None and n - level - 3 < 1:
+            for m in active:
+                diags[m].skipped_insufficient_n += sum(
+                    d * math.comb(d - 1, level) for d in degrees[m] if d
+                )
+            level += 1
+            continue
+        # Neither rule calls a NaN (a singular block) dependent, so a
+        # singular block stops its pair like an independent one.
+        rule = _POPULATION_RULE if n is None else _fisher_z_rule(n, level, cfg.alpha)
+        tests = {}
+        if level == 0:
+            # Every pair (i, j) with i < j is read, and each stops on its
+            # one set or not; the pair (j, i) is read only if (i, j) did
+            # not stop, and then its mirrored verdict cannot stop it.  The
+            # matrix is exactly symmetric, so the block (j, i) equals (i, j).
+            verdicts = _marginal_verdicts(values, floors, active, rule)
+            keep = (verdicts | verdicts.transpose(0, 2, 1)) == 0
+            keep[:, np.arange(p), np.arange(p)] = False
+            masks = np.packbits(keep, axis=2, bitorder="little")
+            for m, square, mask in zip(active, verdicts, masks):
+                iu, ju = np.nonzero(square)
+                singular = np.flatnonzero(square[iu, ju] == 2)
+                if singular.size:
+                    i, j = int(iu[singular[0]]), int(ju[singular[0]])
+                    errors[m] = NumericalRankError(
+                        f"correlation submatrix for ({i}, {j} | ()) is singular"
+                    )
+                    continue
+                adj[m] = [int.from_bytes(b.tobytes(), "little") for b in mask]
+                sepsets[m].update(dict.fromkeys(zip(iu.tolist(), ju.tolist()), ()))
+                tests[m] = p * (p - 1) - len(iu)
+        else:
+            neighbours = {m: [tuple(_bits(a)) for a in adj[m]] for m in active}
+            first = [(m, i, j) for m in active for i, nb in enumerate(neighbours[m])
+                     for j in nb if j > i]
+            stops = _level_stops(values, first, neighbours, level, rule, floors)
+            second = ((m, j, i) for m, i, j in first if (m, i, j) not in stops)
+            stops.update(_level_stops(values, second, neighbours, level, rule, floors))
+            # Every pair read tests all its sets unless it stops; a pair
+            # (j, i) with j > i is not read when (i, j) stopped.
+            sets = {m: [math.comb(d - 1, level) if d else 0 for d in degrees[m]] for m in active}
+            tests = {m: sum(d * c for d, c in zip(degrees[m], sets[m])) for m in active}
+            for (m, i, j), (read, s, singular) in sorted(stops.items()):
+                if m in errors:
+                    continue
+                if singular:
+                    errors[m] = NumericalRankError(
+                        f"correlation submatrix for ({i}, {j} | {s}) is singular"
+                    )
+                    continue
+                tests[m] += read + 1 - sets[m][i] - (sets[m][j] if i < j else 0)
+                adj[m][i] &= ~(1 << j)
+                adj[m][j] &= ~(1 << i)
+                sepsets[m][(i, j) if i < j else (j, i)] = s
+        active = [m for m in active if m not in errors]
+        for m in active:
+            if tests[m]:
+                diags[m].tests_per_level[level] = tests[m]
+        level += 1
+    zeros = [0] * p
+    for m, c in enumerate(live):
+        graph = PDGraph._from_masks(zeros, zeros, adj[m])
+        out[c] = errors[m] if m in errors else (graph, sepsets[m], diags[m])
+    return out
 
 
 def estimate_skeleton(
@@ -231,16 +387,18 @@ def estimate_skeleton(
     stack (see `_level_stops`).  When the correlation matrix's eigenvalues
     rule out a singular block, the stacks are decided from eliminated
     partial correlations, and only blocks near the threshold take the
-    exact solve; otherwise every block takes it, with its own check.
+    exact solve; otherwise every block takes it, with its own check.  This
+    is the batch of one of `_skeletons`, which runs many matrices' searches
+    through the same stacks.
 
     The results are those of reading the verdicts in the order above (i,
     then j, then the sets), but only the removed edges are read back, in
-    that order: at level 0 the upper triangle of the verdict matrix,
-    whose nonzero entries give the removed edges in bulk, at higher
-    levels the sorted stopped pairs.  A singular stop raises when it is
-    the first one in that order.  `tests_per_level` counts every set of
-    every pair read, less the sets after each stop, and the pair (j, i),
-    j > i, is not read when (i, j) stopped.
+    that order: at level 0 the verdicts of the pairs i < j, whose nonzero
+    entries give the removed edges in bulk, at higher levels the sorted
+    stopped pairs.  A singular stop raises when it is the first one in
+    that order.  `tests_per_level` counts every set of every pair read,
+    less the sets after each stop, and the pair (j, i), j > i, is not read
+    when (i, j) stopped.
 
     Data or a finite-n covariance uses the z-transform test at cfg.alpha;
     a population covariance (n=None) declares independence when |rho| <=
@@ -253,66 +411,10 @@ def estimate_skeleton(
         corr = source.correlation()
     else:
         raise TypeError("source must be a Dataset or CovMatrix")
-    n, p1 = corr.n, corr.n_columns
-    # The eigenvalue bound on every block, when the matrix vouches for them.
-    floor = corr._eigen_floor if corr._blocks_conditioned else 0.0
-    diag = PcDiagnostics()
-    adj = [(1 << p1) - 1 & ~(1 << i) for i in range(p1)]
-    sepsets: SepsetTable = {}
-    level = 0
-    while True:
-        snapshot = adj.copy()
-        degree = [a.bit_count() for a in snapshot]
-        if max(degree, default=0) <= level:
-            break
-        if n is not None and n - level - 3 < 1:
-            diag.skipped_insufficient_n += sum(d * math.comb(d - 1, level) for d in degree if d)
-            level += 1
-            continue
-        # Neither rule calls a NaN (a singular block) dependent, so a
-        # singular block stops its pair like an independent one.
-        rule = _POPULATION_RULE if n is None else _fisher_z_rule(n, level, cfg.alpha)
-        if level == 0:
-            # Every pair (i, j) with i < j is read, and each stops on its
-            # one set or not; the pair (j, i) is read only if (i, j) did
-            # not stop, and then its mirrored verdict cannot stop it.
-            verdicts = _marginal_verdicts(corr, rule, floor)
-            iu, ju = np.nonzero(np.triu(verdicts, 1))
-            singular = np.flatnonzero(verdicts[iu, ju] == 2)
-            if singular.size:
-                i, j = int(iu[singular[0]]), int(ju[singular[0]])
-                raise NumericalRankError(f"correlation submatrix for ({i}, {j} | ()) is singular")
-            keep = verdicts == 0
-            np.fill_diagonal(keep, False)
-            adj = [int.from_bytes(row.tobytes(), "little")
-                   for row in np.packbits(keep, axis=1, bitorder="little")]
-            sepsets.update(dict.fromkeys(zip(iu.tolist(), ju.tolist()), ()))
-            tests = p1 * (p1 - 1) - len(iu)
-        else:
-            neighbours = [tuple(_bits(a)) for a in snapshot]
-            first = [(i, j) for i, nb in enumerate(neighbours) for j in nb if j > i]
-            stops = _level_stops(corr, first, neighbours, level, rule, floor)
-            second = ((j, i) for i, j in first if (i, j) not in stops)
-            stops.update(_level_stops(corr, second, neighbours, level, rule, floor))
-            # Every pair read tests all its sets unless it stops; a pair
-            # (j, i) with j > i is not read when (i, j) stopped.
-            sets = [math.comb(d - 1, level) if d else 0 for d in degree]
-            tests = sum(d * c for d, c in zip(degree, sets))
-            for i, j in sorted(stops):
-                read, s, singular = stops[(i, j)]
-                if singular:
-                    raise NumericalRankError(
-                        f"correlation submatrix for ({i}, {j} | {s}) is singular"
-                    )
-                tests += read + 1 - sets[i] - (sets[j] if i < j else 0)
-                adj[i] &= ~(1 << j)
-                adj[j] &= ~(1 << i)
-                sepsets[(i, j) if i < j else (j, i)] = s
-        if tests:
-            diag.tests_per_level[level] = tests
-        level += 1
-    zeros = [0] * p1
-    return PDGraph._from_masks(zeros, zeros, adj), sepsets, diag
+    (skeleton,) = _skeletons([corr], cfg)
+    if isinstance(skeleton, CausalSpanError):
+        raise skeleton
+    return skeleton
 
 
 def _collider_triples(skeleton: PDGraph, sepsets: SepsetTable) -> list[tuple[int, int, int]]:
@@ -360,7 +462,12 @@ def pc_cpdag(
     report says whether the estimate can be used as a CPDAG directly or
     needs repair_cpdag first.
     """
-    skeleton, sepsets, diag = estimate_skeleton(source, cfg)
+    return _pc_result(*estimate_skeleton(source, cfg))
+
+
+def _pc_result(skeleton: PDGraph, sepsets: SepsetTable, diag: PcDiagnostics) -> PcResult:
+    """`pc_cpdag` from its skeleton: collider orientation, Meek closure
+    and validation."""
     oriented = orient_v_structures(skeleton, sepsets, diag)
     closed = meek_closure(oriented)
     return PcResult(closed, sepsets, diag, validate_cpdag(closed))

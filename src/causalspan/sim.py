@@ -20,9 +20,9 @@ import numpy as np
 
 from .effects import DEFAULT_MAX_SIBLINGS, EffectMultiset, _theta, local_effects
 from .errors import CausalSpanError, ResourceCapError
-from .gauss import CITestConfig, CovMatrix, Dataset, structural_covariance
+from .gauss import CITestConfig, CovMatrix, Dataset, correlation_matrix, structural_covariance
 from .graphs import DEFAULT_MAX_COMPONENT_EDGES, DEFAULT_MAX_DAGS, PDGraph, cpdag_from_dag
-from .pc import pc_cpdag, repair_cpdag
+from .pc import _batch_size, _pc_result, _skeletons, repair_cpdag
 
 
 @dataclass(frozen=True)
@@ -235,77 +235,115 @@ def run_scenario(
     same records.  Each equivalence class is listed once per call: the
     truth, the global estimate and later replicates reuse the member list
     of a graph already listed.
+
+    The replicates run in groups of `pc._batch_size(p)`, each in three
+    passes.  The first draws the group's replicates in turn and keeps only
+    each one's sample covariance and correlation matrix, not its n x p
+    values.  The second runs the group's PC skeletons as one batch
+    (`pc._skeletons`), which fills the skeleton's stacks across
+    replicates.  The third orients, repairs and estimates each replicate;
+    the routes read the data only through the sample covariance.  A
+    replicate's `runtime_s` is its share of the batch's skeleton time (the
+    batch time over the replicates in it), plus its own correlation,
+    orientation and repair time, plus the method's time.
     """
     for m in methods:
         if m not in ("local", "global"):
             raise ValueError(f"unknown method: {m}")
     cfg = CITestConfig(alpha)
+    children = np.random.SeedSequence(scenario.seed).spawn(scenario.n_reps)
+    size = _batch_size(scenario.n_vertices)
     records: list[SimRecord] = []
     classes: dict = {}
-    children = np.random.SeedSequence(scenario.seed).spawn(scenario.n_reps)
-    block_size = scenario.n_vertices // (scenario.blocks or 1)
-    for k, child in enumerate(children):
-        rng = np.random.default_rng(child)
-        w = random_weighted_dag(
-            scenario.n_vertices, scenario.en, rng, scenario.blocks
-        )
-        y = int(rng.integers(scenario.n_vertices))
-        same_block = [
-            v
-            for v in range(scenario.n_vertices)
-            if v != y and _block_of(v, block_size) == _block_of(y, block_size)
-        ]
-        x = int(rng.choice(same_block))
-        data = generate_data(w, scenario.n, rng, response=y)
-        truth: EffectMultiset | None = None
-        truth_status = "ok"
-        if compute_truth:
-            try:
-                truth = _route_effects(
-                    population_covariance(w), cpdag_from_dag(w.graph), x, y, "global", (),
-                    max_component_edges, max_dags, max_siblings, classes,
-                )
-            except ResourceCapError:
-                truth_status = "truth_resource_error"
-            except CausalSpanError:
-                truth_status = "truth_error"
+    for start in range(0, scenario.n_reps, size):
+        draws, corrs = zip(*(_draw(scenario, child) for child in children[start : start + size]))
         t0 = time.perf_counter()
-        graph = None
-        pc_error: CausalSpanError | None = None
-        try:
-            pc_res = pc_cpdag(data, cfg)
-            graph = pc_res.graph
-            if not pc_res.validation.is_valid:
-                # Both methods see the same repaired structure so the error
-                # comparison isolates the effect-computation strategy.
-                graph = repair_cpdag(pc_res, seed=scenario.seed).graph
-        except CausalSpanError as e:
-            pc_error = e
-        structure_time = time.perf_counter() - t0
-        for method in methods:
-            t1 = time.perf_counter()
-            est: EffectMultiset | None = None
-            status = "ok"
-            if pc_error is not None:
-                status = f"failed:{type(pc_error).__name__}"
+        skeletons = _skeletons(list(corrs), cfg)
+        batched = sum(isinstance(corr, CovMatrix) for corr in corrs)
+        share = (time.perf_counter() - t0) / max(batched, 1)
+        for k, ((w, x, y, cov, own), skeleton) in enumerate(zip(draws, skeletons), start):
+            # The replicate's own correlation time and its share of the batch.
+            own += 0.0 if cov is None else share
+            truth: EffectMultiset | None = None
+            truth_status = "ok"
+            if compute_truth:
+                try:
+                    truth = _route_effects(
+                        population_covariance(w), cpdag_from_dag(w.graph), x, y, "global", (),
+                        max_component_edges, max_dags, max_siblings, classes,
+                    )
+                except ResourceCapError:
+                    truth_status = "truth_resource_error"
+                except CausalSpanError:
+                    truth_status = "truth_error"
+            t0 = time.perf_counter()
+            graph = None
+            pc_error: CausalSpanError | None = None
+            if isinstance(skeleton, CausalSpanError):
+                pc_error = skeleton
             else:
                 try:
-                    est = _route_effects(
-                        data, graph, x, y, method, (), max_component_edges, max_dags,
-                        max_siblings, classes,
-                    )
+                    pc_res = _pc_result(*skeleton)
+                    graph = pc_res.graph
+                    if not pc_res.validation.is_valid:
+                        # Both methods see the same repaired structure so the
+                        # error comparison isolates the effect-computation
+                        # strategy.
+                        graph = repair_cpdag(pc_res, seed=scenario.seed).graph
                 except CausalSpanError as e:
-                    status = f"failed:{type(e).__name__}"
-            runtime = structure_time + (time.perf_counter() - t1)
-            e2_ave = e2_min = None
-            if est is not None and truth is not None:
-                e2_ave, e2_min = error_measures(est, truth)
-            elif est is not None and compute_truth:
-                status = truth_status
-            records.append(
-                SimRecord(k, method, e2_ave, e2_min, runtime, status, x, y)
-            )
+                    pc_error = e
+            structure_time = own + time.perf_counter() - t0
+            for method in methods:
+                t1 = time.perf_counter()
+                est: EffectMultiset | None = None
+                status = "ok"
+                if pc_error is not None:
+                    status = f"failed:{type(pc_error).__name__}"
+                else:
+                    try:
+                        est = _route_effects(
+                            cov, graph, x, y, method, (), max_component_edges, max_dags,
+                            max_siblings, classes,
+                        )
+                    except CausalSpanError as e:
+                        status = f"failed:{type(e).__name__}"
+                runtime = structure_time + (time.perf_counter() - t1)
+                e2_ave = e2_min = None
+                if est is not None and truth is not None:
+                    e2_ave, e2_min = error_measures(est, truth)
+                elif est is not None and compute_truth:
+                    status = truth_status
+                records.append(
+                    SimRecord(k, method, e2_ave, e2_min, runtime, status, x, y)
+                )
     return records
+
+
+def _draw(
+    scenario: SimScenario, child: np.random.SeedSequence
+) -> tuple[tuple, CovMatrix | CausalSpanError]:
+    """One replicate, drawn from its own stream: (its model, covariate,
+    response, sample covariance and the seconds its correlation took), and
+    that correlation matrix, or the error making it raised (the covariance
+    is then None)."""
+    rng = np.random.default_rng(child)
+    block_size = scenario.n_vertices // (scenario.blocks or 1)
+    w = random_weighted_dag(scenario.n_vertices, scenario.en, rng, scenario.blocks)
+    y = int(rng.integers(scenario.n_vertices))
+    same_block = [
+        v
+        for v in range(scenario.n_vertices)
+        if v != y and _block_of(v, block_size) == _block_of(y, block_size)
+    ]
+    x = int(rng.choice(same_block))
+    data = generate_data(w, scenario.n, rng, response=y)
+    t0 = time.perf_counter()
+    try:
+        corr = correlation_matrix(data)
+        cov = data.covariance
+    except CausalSpanError as e:
+        corr, cov = e, None
+    return (w, x, y, cov, time.perf_counter() - t0), corr
 
 
 CSV_COLUMNS = ("rep", "method", "e2_ave", "e2_min", "runtime_s", "status")

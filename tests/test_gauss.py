@@ -466,6 +466,39 @@ class TestStackVerdicts:
             assert not band[where[name]].any(), name
 
 
+    def test_rows_of_several_matrices_take_their_own_floors(self):
+        # One stack with the blocks of a matrix that vouches for them
+        # (floor FLOOR) around those of one that does not (floor 0), one
+        # of them singular: every verdict is the one its part gets alone,
+        # and the exact inverse takes the band rows with a floor in one
+        # call, unchecked, and every row without one in another, checked.
+        rng = np.random.default_rng(4)
+        rule = _fisher_z_rule(500, 1, 0.05)
+        t = math.tanh(_z_quantile(0.05) / math.sqrt(500 - 1 - 3))
+        first = np.concatenate([blocks_near(r, 3, rng) for r in (0.02, t, 0.6)])
+        last = np.concatenate([blocks_near(r, 3, rng) for r in (t, 0.3)])
+        bare = np.concatenate([blocks_near(r, 3, rng) for r in (0.02, 0.6)] + [np.ones((1, 3, 3))])
+        blocks = np.concatenate([first, bare, last])
+        floor = np.repeat([self.FLOOR, 0.0, self.FLOOR], [len(first), len(bare), len(last)])
+        seen = []
+
+        def spy(stack, conditioned):
+            seen.append((len(stack), conditioned))
+            return _partial_correlations(stack, conditioned)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(gauss, "_partial_correlations", spy)
+            alone = [_stack_verdicts(part, rule, f)
+                     for part, f in ((first, self.FLOOR), (bare, 0.0), (last, self.FLOOR))]
+            band = sum(m for m, conditioned in seen if conditioned)
+            seen.clear()
+            verdicts = _stack_verdicts(blocks, rule, floor)
+        assert verdicts.tolist() == np.concatenate(alone).tolist()
+        assert verdicts[len(first) + len(bare) - 1] == 2
+        assert seen == [(band, True), (len(bare), False)]
+        assert 0 < band < len(first) + len(last)
+
+
 class TestNormalQuantile:
     """The pure-Python Cephes port against scipy, compared bit for bit."""
 

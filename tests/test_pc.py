@@ -1,6 +1,8 @@
-"""Structure estimation: skeleton search, collider orientation with
-overwrite logging, the full pipeline in exact and sample modes, incoherence
-repair, and alpha selection."""
+"""Structure estimation: skeleton search, batched skeleton searches,
+collider orientation with overwrite logging, the full pipeline in exact and
+sample modes, incoherence repair, and alpha selection."""
+
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from causalspan import (
+    CausalSpanError,
     CITestConfig,
     CovMatrix,
     Dataset,
@@ -17,8 +20,10 @@ from causalspan import (
     PDGraph,
     beta_given_s,
     bic_select_alpha,
+    bootstrap_scores,
     correlation_matrix,
     cpdag_from_dag,
+    effects,
     estimate_skeleton,
     gauss,
     generate_data,
@@ -27,6 +32,7 @@ from causalspan import (
     pc_cpdag,
     random_weighted_dag,
     repair_cpdag,
+    sim,
     structural_covariance,
     validate_cpdag,
 )
@@ -361,6 +367,205 @@ class TestConditioningFlag:
             assert out == reference_skeleton(source, 0.05)
         except NumericalRankError as e:
             assert out == str(e)
+
+
+def skeleton_outcome(result):
+    """A skeleton's graph, sepsets and counters, or an error's type and
+    message, in one comparable form."""
+    if isinstance(result, CausalSpanError):
+        return type(result).__name__, str(result)
+    g, sepsets, diag = result
+    return g.undirected_edges(), sepsets, diag.tests_per_level, diag.skipped_insufficient_n
+
+
+class TestSkeletonBatch:
+    """`pc._skeletons` streams many matrices' searches through the same
+    stacks, level by level; each matrix must get exactly what
+    `estimate_skeleton` gives it alone, errors included."""
+
+    @staticmethod
+    def sample(kind: str, p: int, n: int | None, rng):
+        """One source: a population matrix when n is None, else n rows of
+        a random model, with a column duplicated, nearly duplicated, made
+        the sum of two others or made constant as `kind` says."""
+        w = random_weighted_dag(p, float(rng.uniform(1.0, 4.0)), rng)
+        if n is None:
+            return CovMatrix(structural_covariance(w.weights))
+        d = generate_data(w, n, rng)
+        v = d.values.copy()
+        a, b, c = rng.choice(p, 3, replace=False)
+        if kind == "duplicated":
+            v[:, b] = v[:, a]
+        elif kind == "sum":
+            v[:, b] = v[:, a] + v[:, c]
+        elif kind == "near-collinear":
+            v[:, b] = v[:, a] + float(rng.choice([1e-9, 1e-6, 1e-3])) * rng.standard_normal(n)
+        elif kind == "constant":
+            v[:, b] = 1.0
+        return Dataset(v, d.names, d.response)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(4, 9),
+        rows=st.sampled_from(["n < p", "n = 30", "n = 500", "population"]),
+        kinds=st.lists(
+            st.sampled_from(["plain", "duplicated", "near-collinear", "sum", "constant"]),
+            min_size=1, max_size=8,
+        ),
+        stack=st.sampled_from([1, 3, 7, 4096]),
+        alpha=st.sampled_from([0.01, 0.05, 0.3]),
+    )
+    def test_each_matrix_gets_its_own_skeleton(self, seed, p, rows, kinds, stack, alpha):
+        # One sample size per batch; within it, matrices that vouch for
+        # their blocks share stacks with ones that do not (floor 0), ones
+        # that stop on a singular block at level 0 (a duplicated column)
+        # or above it (a column that sums two others), and ones whose
+        # correlation fails (a constant column).
+        rng = np.random.default_rng(seed)
+        n = {"n < p": int(rng.integers(3, p)), "n = 30": 30, "n = 500": 500}.get(rows)
+        sources = [self.sample(kind, p, n, rng) for kind in kinds]
+        corrs = []
+        for source in sources:
+            try:
+                corrs.append(source.correlation() if n is None else correlation_matrix(source))
+            except CausalSpanError as e:
+                corrs.append(e)
+        cfg = CITestConfig(alpha)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pc, "_STACK", stack)
+            batch = [skeleton_outcome(r) for r in pc._skeletons(corrs, cfg)]
+        for source, got in zip(sources, batch):
+            try:
+                alone = skeleton_outcome(estimate_skeleton(source, cfg))
+            except CausalSpanError as e:
+                alone = skeleton_outcome(e)
+            assert got == alone
+            if got[0] == "DegenerateDataError":
+                continue
+            try:
+                reference = reference_skeleton(source, alpha)
+            except NumericalRankError as e:
+                reference = skeleton_outcome(e)
+            assert got == reference
+
+    def test_matrices_with_different_sample_sizes_are_refused(self):
+        rng = np.random.default_rng(8)
+        w = random_weighted_dag(5, 2.0, rng)
+        a, b = (correlation_matrix(generate_data(w, n, rng)) for n in (50, 60))
+        cfg = CITestConfig(0.01)
+        with pytest.raises(ValueError):
+            pc._skeletons([a, b], cfg)
+        with pytest.raises(ValueError):
+            pc._skeletons([a, CovMatrix(np.eye(4), n=50)], cfg)
+
+    def test_a_batch_holds_one_stack_of_level_0_pairs(self):
+        # As many matrices as keep every matrix's p(p - 1)/2 level-0 pairs
+        # within one stack, and one matrix whose pairs alone pass it.
+        sizes = [pc._batch_size(p) for p in (1, 2, 5, 16, 17, 90, 91, 4088)]
+        assert sizes == [4096, 4096, 409, 34, 30, 1, 1, 1]
+        for p in range(2, 200):
+            pairs, size = p * (p - 1) // 2, pc._batch_size(p)
+            assert size * pairs <= max(pc._STACK, pairs)
+            assert (size + 1) * pairs > pc._STACK
+
+    def test_replicates_run_in_groups_of_the_batch_size(self):
+        # At p = 40 a batch holds 5 matrices (780 pairs each), so 12
+        # replicates run as groups of 5, 5 and 2; one replicate at a time
+        # gives the same records.
+        scenario = sim.SimScenario(40, 2.0, 200, 12, seed=3)
+        sizes = []
+        batch = sim._skeletons
+
+        def captured(corrs, cfg):
+            sizes.append(len(corrs))
+            return batch(corrs, cfg)
+
+        def records():
+            return [(r.rep, r.method, r.e2_ave, r.e2_min, r.status, r.x, r.y)
+                    for r in sim.run_scenario(scenario, methods=("local",))]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_skeletons", captured)
+            grouped = records()
+            assert sizes == [5, 5, 2]
+            mp.setattr(sim, "_batch_size", lambda p: 1)
+            assert records() == grouped
+            assert sizes[3:] == [1] * 12
+        assert any(r[2] is not None for r in grouped)
+
+    def test_bootstrap_samples_run_in_groups_of_the_batch_size(self):
+        # 17 columns make batches of 30 matrices, so the full data and 10
+        # resamples are one batch; in batches of 4 (4, 4 and 3) the scores
+        # are the same.
+        rng = np.random.default_rng(6)
+        d = generate_data(random_weighted_dag(17, 3.0, rng), 500, rng, response=16)
+        sizes = []
+        batch = effects._skeletons
+
+        def captured(corrs, cfg):
+            sizes.append(len(corrs))
+            return batch(corrs, cfg)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(effects, "_skeletons", captured)
+            whole = bootstrap_scores(d, CITestConfig(0.01), b=10, seed=1)
+            mp.setattr(effects, "_batch_size", lambda p: 4)
+            grouped = bootstrap_scores(d, CITestConfig(0.01), b=10, seed=1)
+        assert sizes == [11, 4, 4, 3]
+        assert repr(grouped) == repr(whole)
+
+    def test_simulation_replicates_share_each_level_phase(self):
+        # The sim-small benchmark scenario on seed 201: run_scenario hands
+        # its 60 replicates' matrices to one batch, whose level phases each
+        # fill ceil(rows / _STACK) stacks, where the replicates alone make
+        # a stack per replicate and phase.
+        phases: list[list[tuple[int, int]]] = []
+        decide, stops, batch = pc._stack_verdicts, pc._level_stops, sim._skeletons
+        batches = []
+
+        def counted(stack, rule, floor):
+            level = stack.shape[1] - 2
+            if level == 0:
+                phases.append([])
+            phases[-1].append((level, len(stack)))
+            return decide(stack, rule, floor)
+
+        def phase(*args):
+            phases.append([])
+            return stops(*args)
+
+        def captured(corrs, cfg):
+            batches.append((corrs, cfg))
+            return batch(corrs, cfg)
+
+        def rows_per_level():
+            out: dict[int, int] = {}
+            for stacks in phases:
+                for level, rows in stacks:
+                    out[level] = out.get(level, 0) + rows
+            return out
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pc, "_stack_verdicts", counted)
+            mp.setattr(pc, "_level_stops", phase)
+            mp.setattr(sim, "_skeletons", captured)
+            sim.run_scenario(sim.SimScenario(5, 3.5, 1000, 60, seed=201), alpha=0.01)
+            [(corrs, cfg)] = batches
+            assert len(corrs) == 60
+            stacked = [stacks for stacks in phases if stacks]
+            batched = rows_per_level()
+            phases.clear()
+            for corr in corrs:
+                pc._skeletons([corr], cfg)
+            alone = rows_per_level()
+            alone_calls = sum(len(stacks) for stacks in phases)
+        for stacks in stacked:
+            rows = sum(r for _, r in stacks)
+            assert len(stacks) == math.ceil(rows / pc._STACK)
+        assert set(batched) == set(alone)
+        assert all(batched[level] <= alone[level] for level in alone)
+        assert sum(map(len, stacked)) <= 2 * len(alone) - 1 < alone_calls / 20
 
 
 class TestColliderOrientation:

@@ -24,12 +24,18 @@ from causalspan.sim import SimScenario, run_scenario
 GOLDEN = Path(__file__).with_name("sim_golden.json")
 ALPHA = 0.01
 
-# The sim-small benchmark scenario on two seeds, and one blocked scenario
-# at p = 8 whose classes are larger than any at p = 5.
+# The sim-small benchmark scenario on two seeds, one blocked scenario at
+# p = 8 whose classes are larger than any at p = 5, and two at p = 20: at
+# n = 500 the replicates' level-1 stream (about 22,800 blocks) crosses
+# `pc._STACK`, so stacks span replicates and cut pairs; at n = 15 < p no
+# matrix vouches for its blocks, and every block takes its own condition
+# check.
 SCENARIOS = {
     "sim-small-201": SimScenario(n_vertices=5, en=3.5, n=1000, n_reps=60, seed=201),
     "sim-small-202": SimScenario(n_vertices=5, en=3.5, n=1000, n_reps=60, seed=202),
     "blocked-p8": SimScenario(n_vertices=8, en=2.5, n=500, n_reps=30, blocks=2, seed=7),
+    "p20-n500": SimScenario(n_vertices=20, en=3.0, n=500, n_reps=12, seed=5),
+    "p20-n15": SimScenario(n_vertices=20, en=3.0, n=15, n_reps=12, seed=5),
 }
 
 
