@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CausalSpanError, NumericalRankError, ResourceCapError
-from .gauss import CITestConfig, CovMatrix, Dataset, _betas, correlation_matrix
+from .gauss import CITestConfig, CovMatrix, Dataset, _betas
 from .graphs import (
     DEFAULT_MAX_COMPONENT_EDGES,
     DEFAULT_MAX_DAGS,
@@ -41,7 +41,7 @@ from .graphs import (
     _reach,
     allows_directed_path,
 )
-from .pc import _batch_size, _pc_result, _skeletons
+from .pc import _batch_size, _pc_result, _sample_matrices, _skeletons
 
 MOD_ZERO_PATH = "zero_path"
 MOD_PRUNE_Y = "prune_y"
@@ -468,13 +468,6 @@ def bootstrap_scores(
     y = d.response
     covariates = d.covariates
 
-    def sample(ds: Dataset) -> tuple[CovMatrix | None, CovMatrix | CausalSpanError]:
-        try:
-            corr = correlation_matrix(ds)
-        except CausalSpanError as e:
-            return None, e
-        return ds.covariance, corr
-
     def run(cov: CovMatrix, skeleton) -> dict[int, EffectMultiset | None]:
         rows = _local_multisets(
             cov, _pc_result(*skeleton).graph, covariates, y, mods, max_siblings,
@@ -490,8 +483,8 @@ def bootstrap_scores(
         for child in np.random.SeedSequence(seed).spawn(b)
     )
     pending = itertools.chain([d], resamples)
-    results = []
-    while samples := [sample(ds) for ds in itertools.islice(pending, _batch_size(d.n_columns))]:
+    size, results = _batch_size(d.n_columns), []
+    while samples := [_sample_matrices(ds) for ds in itertools.islice(pending, size)]:
         skeletons = _skeletons([corr for _, corr in samples], cfg)
         for (cov, _), skeleton in zip(samples, skeletons):
             if isinstance(skeleton, CausalSpanError):

@@ -8,7 +8,9 @@ population objects through the n=None sentinel, so every estimator here
 runs the same code on data or on an exact covariance.  Conventions:
 sample covariance and correlation use the n-1 denominator; the per-vertex
 DAG maximum likelihood fit uses 1/n residual variances, as maximum
-likelihood requires.
+likelihood requires.  Every estimator decides singularity in one gated
+block solve (`_solve_blocks`), where one number per matrix,
+`CovMatrix._eigen_floor`, says whether its blocks skip their own check.
 """
 
 from __future__ import annotations
@@ -29,8 +31,9 @@ from .graphs import PDGraph, _reach
 
 # Relative condition-number threshold above which linear systems are
 # treated as rank deficient.  A block is checked against it with its own
-# SVD unless its CovMatrix vouches for every principal block at once (see
-# `CovMatrix._blocks_conditioned`).
+# SVD unless it comes with a positive eigenvalue floor, which its
+# CovMatrix gives every principal block at once (see
+# `CovMatrix._eigen_floor`).
 CONDITION_LIMIT = 1e12
 
 # Unit roundoff of float64.
@@ -120,28 +123,24 @@ class CovMatrix:
     n=None marks a population matrix: tests against it use the exact-zero
     rule instead of a finite-sample test.
 
-    `_blocks_conditioned` is decided once, from the eigenvalues the
-    constructor computes for its semidefiniteness check.  It is true when
-    the stored matrix is exactly symmetric and positive definite with
-    w_max <= (CONDITION_LIMIT / 1e4) * w_min.  By Cauchy interlacing the
-    eigenvalues of every principal block lie in [w_min, w_max], so no
-    principal block can come near CONDITION_LIMIT, and the per-block
-    condition check is skipped.  The 1e4 margin absorbs the rounding of
-    both eigenvalue computations.
-
-    `_eigen_floor` is a lower bound on the smallest eigenvalue of the
-    symmetrised matrix, and so of every principal block: w_min less the
-    backward error of `eigvalsh`.  LAPACK's symmetric eigensolvers return
-    the exact eigenvalues of a matrix within c(p) u ||v||_2 of the input,
-    c(p) a modestly growing function of p (LAPACK Users' Guide, sec.
-    4.7), and Weyl's inequality moves no eigenvalue further than that; the
-    term used, p^2 u w_max, takes c(p) = p^2.  The skeleton reads it only
-    when `_blocks_conditioned` is set (see `_stack_verdicts`).
+    `_eigen_floor` is decided once, from the eigenvalues the constructor
+    computes for its semidefiniteness check.  When the stored matrix is
+    exactly symmetric and positive definite with w_max <= (CONDITION_LIMIT
+    / 1e4) * w_min, it is w_min less the backward error of `eigvalsh`
+    (LAPACK's symmetric eigensolvers return the exact eigenvalues of a
+    matrix within c(p) u ||v||_2 of the input, c(p) a modestly growing
+    function of p, LAPACK Users' Guide sec. 4.7; Weyl's inequality moves no
+    eigenvalue further; the term used, p^2 u w_max, takes c(p) = p^2).  By
+    Cauchy interlacing it then bounds every principal block's smallest
+    eigenvalue from below, and no block can come near CONDITION_LIMIT; the
+    1e4 margin absorbs the rounding of both eigenvalue computations.
+    Otherwise, or when that difference is not positive (only past p of
+    about 9,500, where every block passes the condition check anyway), it
+    is 0.0, and every block gets its own check (see `_solve_blocks`).
     """
 
     values: np.ndarray
     n: int | None = None
-    _blocks_conditioned: bool = field(init=False, repr=False, compare=False)
     _eigen_floor: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -160,16 +159,12 @@ class CovMatrix:
             raise ValueError("covariance must be positive semidefinite")
         if self.n is not None and self.n < 2:
             raise ValueError("sample size must be at least 2")
-        conditioned = bool(
-            w[0] > 0
-            and w[-1] <= (CONDITION_LIMIT / 1e4) * w[0]
-            and np.array_equal(v, v.T)
-        )
-        floor = float(w[0]) - v.shape[0] ** 2 * _U * float(np.abs(w).max())
+        floor = 0.0
+        if w[0] > 0 and w[-1] <= (CONDITION_LIMIT / 1e4) * w[0] and np.array_equal(v, v.T):
+            floor = max(0.0, float(w[0]) - v.shape[0] ** 2 * _U * float(w[-1]))
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "_blocks_conditioned", conditioned)
         object.__setattr__(self, "_eigen_floor", floor)
 
     @property
@@ -222,18 +217,30 @@ def correlation_matrix(d: Dataset) -> CovMatrix:
 
 
 def _solve_blocks(
-    a: np.ndarray, b: np.ndarray, conditioned: bool
+    a: np.ndarray, b: np.ndarray, floor: float | np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """x and the mask of solved blocks for a[t] x[t] = b[t], an (m, k, k)
     stack with (m, k, r) right-hand sides, or one (k, r) set shared by
     every block, in one batched `np.linalg.solve` (the LAPACK solve of a
-    call per block).  This is every estimator's singularity decision:
-    unless `conditioned` (the blocks are principal blocks of a CovMatrix
-    whose `_blocks_conditioned` is set), each block gets its own condition
-    number, and the blocks past CONDITION_LIMIT are kept out of the solve,
-    with NaN rows in x.  A shared set is broadcast to the blocks solved,
-    never copied per block."""
-    ok = np.ones(len(a), dtype=bool) if conditioned else ~(np.linalg.cond(a) > CONDITION_LIMIT)
+    call per block).  This is every estimator's singularity decision.
+    `floor` gives each block a lower bound on its smallest eigenvalue (one
+    per block, or one every block shares; see `CovMatrix._eigen_floor`): a
+    block whose floor is positive cannot pass CONDITION_LIMIT and is solved
+    unchecked; every other block gets its own condition number, and the
+    blocks past CONDITION_LIMIT are kept out of the solve, with NaN rows in
+    x.  When every block is checked, `cond` takes the stack itself.  A
+    block's bits depend on no other block of the stack, so the mask
+    changes none of them.  A shared right-hand side is broadcast to the
+    blocks solved, never copied per block."""
+    vouched = np.asarray(floor) > 0
+    count = np.count_nonzero(vouched)
+    if count == vouched.size:
+        ok = np.ones(len(a), dtype=bool)
+    elif not count:
+        ok = ~(np.linalg.cond(a) > CONDITION_LIMIT)
+    else:
+        ok = vouched.copy()
+        ok[~vouched] = ~(np.linalg.cond(a[~vouched]) > CONDITION_LIMIT)
     every = ok.all()
     kept = a if every else a[ok]
     if b.ndim == 2:
@@ -247,16 +254,16 @@ def _solve_blocks(
     return x, ok
 
 
-def _partial_correlations(blocks: np.ndarray, conditioned: bool = False) -> np.ndarray:
+def _partial_correlations(blocks: np.ndarray, floor: float | np.ndarray = 0.0) -> np.ndarray:
     """Partial correlation of the first two columns given the rest for each
     unit-diagonal block of an (m, k, k) stack, clipped to [-1, 1], from the
     first two columns of each block's inverse (`_solve_blocks` against the
-    first two unit vectors, which gives the bits of `np.linalg.inv`).  NaN
-    marks a block that `_solve_blocks` refuses, or one that is not
-    positive definite.  These are the exact values the skeleton's
-    verdicts are defined by; `_stack_verdicts` computes them only for the
-    blocks a cheaper bound cannot decide."""
-    om, _ = _solve_blocks(blocks, np.eye(blocks.shape[1])[:, :2], conditioned)
+    first two unit vectors, given the blocks' floors, which gives the bits
+    of `np.linalg.inv`).  NaN marks a block that `_solve_blocks` refuses,
+    or one that is not positive definite.  These are the exact values the
+    skeleton's verdicts are defined by; `_stack_verdicts` computes them
+    only for the blocks a cheaper bound cannot decide."""
+    om, _ = _solve_blocks(blocks, np.eye(blocks.shape[1])[:, :2], floor)
     with np.errstate(invalid="ignore"):
         return np.clip(-om[:, 0, 1] / np.sqrt(om[:, 0, 0] * om[:, 1, 1]), -1.0, 1.0)
 
@@ -508,22 +515,21 @@ def _stack_verdicts(blocks: np.ndarray, rule: _Rule, floor: float | np.ndarray) 
     stack: 0 dependent, 1 independent, 2 singular (NaN rho, which no rule
     calls dependent).
 
-    `floor` gives each row its matrix's floor (one per row, or one that
-    every row shares), so a stack may mix the blocks of several matrices.
-    A row's floor > 0 says its block is a principal block of a CovMatrix
-    whose `_blocks_conditioned` is set, and bounds its smallest eigenvalue
-    from below (that matrix's `_eigen_floor`).  Then, while the row's delta_k = `_rho_error` is at
-    most _DELTA_CAP, its rho comes from `_eliminated_partial_correlations`
-    and the row is decided from it unless |rho| lies in [keep - delta_k,
+    `floor` gives each row its matrix's `_eigen_floor` (one per row, or one
+    that every row shares), so a stack may mix the blocks of several
+    matrices.  A row's floor > 0 bounds its block's smallest eigenvalue
+    from below.  Then, while the row's delta_k = `_rho_error` is at most
+    _DELTA_CAP, its rho comes from `_eliminated_partial_correlations` and
+    the row is decided from it unless |rho| lies in [keep - delta_k,
     clear + delta_k]: above that band the exact rho is above `clear`,
     below it under `keep`, so the verdict is the one the exact rho gets.
     A row without that bound (floor 0: n < p, duplicated or collinear
     columns, a near-singular population matrix; or delta_k past the cap)
-    lands in the band whatever its rho.  The band rows take
-    `_partial_correlations`, one call for the rows with floor > 0 and one,
-    with their own condition checks, for the rest; a call that takes every
-    row gets the stack itself.  Rows between `keep` and `clear` after that
-    go to rule.dependent one by one.
+    lands in the band whatever its rho.  The band rows take one
+    `_partial_correlations` call with their floors, in which the rows with
+    floor 0 get their own condition checks; a call that takes every row
+    gets the stack itself.  Rows between `keep` and `clear` after that go
+    to rule.dependent one by one.
     """
     delta = _rho_error(blocks.shape[1], floor)
     fast = delta <= _DELTA_CAP
@@ -540,13 +546,10 @@ def _stack_verdicts(blocks: np.ndarray, rule: _Rule, floor: float | np.ndarray) 
     band = ~(below | (size > rule.clear + delta))
     if not band.any():
         return below.view(np.int8)
-    conditioned = np.asarray(floor) > 0
-    for value in (True, False):
-        rows = band & (conditioned == value)
-        if rows.all():
-            rho = _partial_correlations(blocks, value)
-        elif rows.any():
-            rho[rows] = _partial_correlations(blocks[rows], value)
+    if band.all():
+        rho = _partial_correlations(blocks, floor)
+    else:
+        rho[band] = _partial_correlations(blocks[band], np.broadcast_to(floor, band.shape)[band])
     size = np.abs(rho)
     verdicts = (~(size > rule.clear)).astype(np.int8)
     for row in np.flatnonzero(verdicts & ~(size < rule.keep)).tolist():
@@ -584,7 +587,7 @@ def _betas(
         # columns (i, s, y).
         idx = np.array([[requests[r][0], *sorted(requests[r][1]), y] for r in rows])
         blocks = cov.values[idx[:, :-1, None], idx[:, None, :]]
-        coef, ok = _solve_blocks(blocks[:, :, :-1], blocks[:, :, -1:], cov._blocks_conditioned)
+        coef, ok = _solve_blocks(blocks[:, :, :-1], blocks[:, :, -1:], cov._eigen_floor)
         for r, c, good in zip(rows, coef[:, 0, 0].tolist(), ok.tolist()):
             if good:
                 out[r] = c
@@ -605,10 +608,10 @@ def beta_given_s(
     a response that appears among the regressors indicates y is upstream
     of i, so the effect of i on y is zero.  Rank deficiency raises
     NumericalRankError.  It is decided once for the whole covariance when
-    its `_blocks_conditioned` flag is set (no principal block can then
-    pass CONDITION_LIMIT); otherwise by the condition number of the
-    {i} union s covariance block.  This is the one-request form of
-    `_betas`, which solves many requests in a few stacked calls.
+    its `_eigen_floor` is positive (no principal block can then pass
+    CONDITION_LIMIT); otherwise by the condition number of the {i} union s
+    covariance block.  This is the one-request form of `_betas`, which
+    solves many requests in a few stacked calls.
     """
     beta = _betas(source, [(i, tuple(int(x) for x in s))], y)[0]
     if isinstance(beta, NumericalRankError):
@@ -642,7 +645,7 @@ def dag_mle(d: Dataset, dag: PDGraph) -> DagFit:
         pa = sorted(dag.parents(i))
         if pa:
             x = v[:, pa]
-            coef, ok = _solve_blocks((x.T @ x)[None], (x.T @ v[:, i])[None, :, None], False)
+            coef, ok = _solve_blocks((x.T @ x)[None], (x.T @ v[:, i])[None, :, None], 0.0)
             if not ok[0]:
                 raise NumericalRankError(
                     f"vertex {i} regression: matrix is singular or ill-conditioned"

@@ -18,18 +18,19 @@ would leave nearly empty alone.  A batch holds only as many matrices as
 fit their level-0 pairs in one stack (`_batch_size`), so at large p it is
 one matrix, and its memory is that of one search.  numpy builds each
 stack, and `gauss._stack_verdicts` decides it, row by row from the row's
-own matrix: when that matrix's eigenvalues vouch for all of its principal
-blocks at once (see `CovMatrix`), by partial correlations from Gaussian
-elimination with an error bound, sending to the exact solve only the
-blocks whose |rho| is within that bound of the test's threshold band (a
-block whose bound is too wide takes it outright); otherwise, as with
-n < p, duplicated or collinear columns or a near-singular population
-matrix, by the exact solve of every block, each with its own SVD
-singularity check.  Either way every verdict is the one the exact inverse
-gets, and no Python step runs per conditioning set.  The verdicts are
-then read back as one test at a time would meet them, so tests,
-separating sets and errors are those of that order, with a Python step
-only per removed edge; a singular stop ends only its own matrix's search.
+own matrix: when that matrix has a positive eigenvalue floor, a bound on
+all of its principal blocks at once (`CovMatrix._eigen_floor`), by
+partial correlations from Gaussian elimination with an error bound,
+sending to the exact solve only the blocks whose |rho| is within that
+bound of the test's threshold band (a block whose bound is too wide
+takes it outright); otherwise, as with n < p, duplicated or collinear
+columns or a near-singular population matrix, by the exact solve of
+every block, each with its own SVD singularity check.  Either way every
+verdict is the one the exact inverse gets, and no Python step runs per
+conditioning set.  The verdicts are then read back as one test at a
+time would meet them, so tests, separating sets and errors are those of
+that order, with a Python step only per removed edge; a singular stop
+ends only its own matrix's search.
 Collider orientation walks candidate triples in lexicographic order and
 lets later triples overwrite earlier arrowheads; every overwrite is
 recorded, because on finite samples the oriented graph can fail to admit
@@ -61,6 +62,7 @@ from .graphs import (
     CpdagValidation,
     PDGraph,
     _bits,
+    _colliders,
     _orient_colliders,
     cpdag_from_dag,
     extend_to_dag,
@@ -192,9 +194,8 @@ def _level_stops(
     number of numpy calls: `repeat` makes the item columns and `fromiter`
     the set columns, from each item's slice of `combinations`, `_gather`
     reads each row's block from its matrix, and `_stack_verdicts` decides
-    every row, given its matrix's entry of `floors`, the bound on the
-    blocks' smallest eigenvalue (0.0 when the matrix does not vouch for
-    them).  `list.index` then finds each item's first stop.
+    every row, given its matrix's entry of `floors`, the matrix's
+    `_eigen_floor`.  `list.index` then finds each item's first stop.
     """
     stops: _Stops = {}
     pending = iter(items)
@@ -254,6 +255,16 @@ def _level_stops(
                 stops[item] = (done + left - start, s, verdicts.item(left) == 2)
 
 
+def _sample_matrices(ds: Dataset) -> tuple[CovMatrix | None, CovMatrix | CausalSpanError]:
+    """A sample's covariance and its correlation matrix for `_skeletons`,
+    or None and the error that making the correlation raised."""
+    try:
+        corr = correlation_matrix(ds)
+    except CausalSpanError as e:
+        return None, e
+    return ds.covariance, corr
+
+
 def _skeletons(
     corrs: list[CovMatrix | CausalSpanError], cfg: CITestConfig
 ) -> list[_Skeleton | CausalSpanError]:
@@ -283,8 +294,7 @@ def _skeletons(
     # A batch of one is read in place, not copied: at large p the copy
     # would be as large as the matrix.
     values = mats[0].values[None] if len(mats) == 1 else np.stack([c.values for c in mats])
-    # The eigenvalue bound on every block, when the matrix vouches for them.
-    floors = np.array([c._eigen_floor if c._blocks_conditioned else 0.0 for c in mats])
+    floors = np.array([c._eigen_floor for c in mats])
     adj = [[(1 << p) - 1 & ~(1 << i) for i in range(p)] for _ in mats]
     sepsets: list[SepsetTable] = [{} for _ in mats]
     diags = [PcDiagnostics() for _ in mats]
@@ -419,15 +429,10 @@ def estimate_skeleton(
 
 def _collider_triples(skeleton: PDGraph, sepsets: SepsetTable) -> list[tuple[int, int, int]]:
     """Sorted triples (i, j, k), i < k, with i - j - k, i and k nonadjacent
-    and j outside the recorded separating set of (i, k)."""
+    and j outside the recorded separating set of (i, k): the colliders of
+    `graphs._colliders` with every neighbour taken as a parent."""
     adj = skeleton._adjacency()
-    return sorted(
-        (i, j, k)
-        for j, m in enumerate(adj)
-        for i in _bits(m)
-        for k in _bits((m & ~adj[i]) >> i + 1 << i + 1)
-        if j not in sepsets.get((i, k), ())
-    )
+    return sorted(t for t in _colliders(adj, adj) if t[1] not in sepsets.get((t[0], t[2]), ()))
 
 
 def orient_v_structures(

@@ -20,9 +20,9 @@ import numpy as np
 
 from .effects import DEFAULT_MAX_SIBLINGS, EffectMultiset, _theta, local_effects
 from .errors import CausalSpanError, ResourceCapError
-from .gauss import CITestConfig, CovMatrix, Dataset, correlation_matrix, structural_covariance
+from .gauss import CITestConfig, CovMatrix, Dataset, structural_covariance
 from .graphs import DEFAULT_MAX_COMPONENT_EDGES, DEFAULT_MAX_DAGS, PDGraph, cpdag_from_dag
-from .pc import _batch_size, _pc_result, _skeletons, repair_cpdag
+from .pc import _batch_size, _pc_result, _sample_matrices, _skeletons, repair_cpdag
 
 
 @dataclass(frozen=True)
@@ -338,11 +338,7 @@ def _draw(
     x = int(rng.choice(same_block))
     data = generate_data(w, scenario.n, rng, response=y)
     t0 = time.perf_counter()
-    try:
-        corr = correlation_matrix(data)
-        cov = data.covariance
-    except CausalSpanError as e:
-        corr, cov = e, None
+    cov, corr = _sample_matrices(data)
     return (w, x, y, cov, time.perf_counter() - t0), corr
 
 

@@ -630,7 +630,7 @@ def reference_streamed_blocks(
         neither test calls a NaN (a singular block) dependent."""
         idx = np.array([(i, j, *s)])
         rho = _partial_correlations(
-            corr.values[idx[:, :, None], idx[:, None, :]], corr._blocks_conditioned
+            corr.values[idx[:, :, None], idx[:, None, :]], corr._eigen_floor
         )[0]
         dependent = abs(rho) > 1e-9 if n is None else fisher_z_dependent(rho, n, len(s), alpha)
         return None if dependent else (s, math.isnan(rho))

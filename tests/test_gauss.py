@@ -38,6 +38,7 @@ from causalspan.gauss import (
     _ndtri,
     _partial_correlations,
     _rho_error,
+    _solve_blocks,
     _stack_verdicts,
     _trek_nonzero_count,
     _z_quantile,
@@ -174,9 +175,10 @@ class TestCovMatrix:
 
 
 class TestBlocksConditioned:
-    """The whole-matrix flag that lets principal blocks skip their own
-    condition check: on only for an exactly symmetric, positive definite
-    matrix with eigenvalue ratio at most CONDITION_LIMIT / 1e4."""
+    """The whole-matrix eigenvalue floor that lets principal blocks skip
+    their own condition check: positive only for an exactly symmetric,
+    positive definite matrix with eigenvalue ratio at most
+    CONDITION_LIMIT / 1e4, and 0.0 otherwise."""
 
     @staticmethod
     def rotated(eigenvalues):
@@ -185,8 +187,8 @@ class TestBlocksConditioned:
         return (m + m.T) / 2.0
 
     def test_on_for_a_well_conditioned_matrix(self):
-        assert CovMatrix(np.eye(3))._blocks_conditioned
-        assert CovMatrix(self.rotated([1.0, 2.0, 3.0]), n=40)._blocks_conditioned
+        assert CovMatrix(np.eye(3))._eigen_floor > 0
+        assert CovMatrix(self.rotated([1.0, 2.0, 3.0]), n=40)._eigen_floor > 0
 
     def test_off_for_an_accepted_indefinite_matrix(self):
         # Eigenvalue -1e-9 is inside the constructor's tolerance, and the
@@ -196,30 +198,30 @@ class TestBlocksConditioned:
         c = CovMatrix(v)
         assert np.linalg.eigvalsh(v)[0] < 0
         assert np.linalg.cond(v) < 10
-        assert not c._blocks_conditioned
+        assert c._eigen_floor == 0.0
 
     def test_off_for_an_accepted_asymmetric_matrix(self):
         v = np.array([[2.0, 0.5], [0.5, 3.0]])
-        assert CovMatrix(v)._blocks_conditioned
+        assert CovMatrix(v)._eigen_floor > 0
         v[1, 0] += 1e-10
-        assert not CovMatrix(v)._blocks_conditioned
+        assert CovMatrix(v)._eigen_floor == 0.0
 
     def test_ratio_bound_is_inclusive(self):
         limit = CONDITION_LIMIT / 1e4
-        assert CovMatrix(np.diag([2.0, 2.0 * limit]))._blocks_conditioned
-        assert not CovMatrix(np.diag([2.0, 2.0 * limit * (1 + 1e-6)]))._blocks_conditioned
-        assert not CovMatrix(np.diag([0.0, 1.0]))._blocks_conditioned
+        assert CovMatrix(np.diag([2.0, 2.0 * limit]))._eigen_floor > 0
+        assert CovMatrix(np.diag([2.0, 2.0 * limit * (1 + 1e-6)]))._eigen_floor == 0.0
+        assert CovMatrix(np.diag([0.0, 1.0]))._eigen_floor == 0.0
         # All eigenvalues 0 meet the ratio bound; positivity rules it out.
-        assert not CovMatrix(np.zeros((2, 2)))._blocks_conditioned
+        assert CovMatrix(np.zeros((2, 2)))._eigen_floor == 0.0
 
     def test_off_for_duplicated_columns_and_n_below_p(self):
         rng = np.random.default_rng(41)
         x = rng.normal(size=(50, 2))
         d = Dataset(np.column_stack([x[:, 0], x[:, 0], x[:, 1]]), ("a", "b", "y"), 2)
-        assert not d.covariance._blocks_conditioned
-        assert not correlation_matrix(d)._blocks_conditioned
+        assert d.covariance._eigen_floor == 0.0
+        assert correlation_matrix(d)._eigen_floor == 0.0
         wide = Dataset(rng.normal(size=(4, 6)), tuple("abcdef"), 5)
-        assert not correlation_matrix(wide)._blocks_conditioned
+        assert correlation_matrix(wide)._eigen_floor == 0.0
 
 
 class TestPartialCorrelation:
@@ -313,9 +315,70 @@ class TestPartialCorrelation:
                 got[~np.isnan(got)].view(np.uint64), want[~np.isnan(want)].view(np.uint64)
             )
 
-        assert same_bits(_partial_correlations(blocks, False), want)
-        # Vouched-for blocks are never past the limit: pass only those.
-        assert same_bits(_partial_correlations(blocks[ok], True), want[ok])
+        assert same_bits(_partial_correlations(blocks, 0.0), want)
+        # Blocks with a positive floor skip the check, and are never past
+        # the limit: pass only those.
+        assert same_bits(_partial_correlations(blocks[ok], 1.0), want[ok])
+
+
+class TestSolveBlocks:
+    """`_solve_blocks` with one floor per block: the blocks with a positive
+    floor skip the condition check, the others each get their own, and no
+    block's bits depend on which other blocks share its call."""
+
+    @staticmethod
+    def stack(k: int, seed: int) -> tuple[np.ndarray, np.ndarray, int]:
+        """60 Gram blocks of k columns, each with a floor that is half its
+        smallest eigenvalue or 0.0 at random, and the index of one block
+        with a duplicated column (singular, floor 0)."""
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((60, 2 * k + 3, k))
+        singular = int(rng.integers(60))
+        x[singular, :, 1] = x[singular, :, 0]
+        a = np.einsum("mni,mnj->mij", x, x)
+        floor = np.where(rng.uniform(size=60) < 0.5, np.linalg.eigvalsh(a)[:, 0] / 2, 0.0)
+        floor[singular] = 0.0
+        return a, floor, singular
+
+    @staticmethod
+    def bits(x: np.ndarray) -> np.ndarray:
+        return np.ascontiguousarray(x).view(np.uint64)
+
+    @pytest.fixture
+    def checked(self, monkeypatch) -> list[np.ndarray]:
+        """The stacks `np.linalg.cond` receives, in call order."""
+        seen, cond = [], np.linalg.cond
+        monkeypatch.setattr(np.linalg, "cond", lambda blocks: seen.append(blocks) or cond(blocks))
+        return seen
+
+    @pytest.mark.parametrize("k", [2, 3, 5, 8])
+    def test_mixed_floors_give_the_bits_of_one_call_per_floor_class(self, k, checked):
+        a, floor, singular = self.stack(k, k)
+        b = np.eye(k)[:, :2]
+        pos = floor > 0
+        assert 0 < pos.sum() < len(a) - 1
+        x, ok = _solve_blocks(a, b, floor)
+        # The condition check saw exactly the rows with floor 0.
+        assert len(checked) == 1 and np.array_equal(checked[0], a[~pos])
+        x_pos, ok_pos = _solve_blocks(a[pos], b, floor[pos])
+        x_zero, ok_zero = _solve_blocks(a[~pos], b, 0.0)
+        assert ok.tolist() == [i != singular for i in range(len(a))]
+        assert ok_pos.all() and np.array_equal(ok[~pos], ok_zero)
+        assert np.array_equal(self.bits(x[pos]), self.bits(x_pos))
+        assert np.array_equal(self.bits(x[~pos]), self.bits(x_zero))
+        assert np.isnan(x[singular]).all()
+        assert np.array_equal(self.bits(x[ok]), self.bits(np.linalg.inv(a[ok])[:, :, :2]))
+
+    def test_every_floor_zero_checks_the_stack_itself(self, checked):
+        a, _, singular = self.stack(4, 1)
+        _, ok = _solve_blocks(a, np.eye(4)[:, :2], np.zeros(len(a)))
+        _solve_blocks(a, np.eye(4)[:, :2], 0.0)
+        assert len(checked) == 2 and all(blocks is a for blocks in checked)
+        assert ok.tolist() == [i != singular for i in range(len(a))]
+        checked.clear()
+        a[singular] = np.eye(4)
+        _solve_blocks(a, np.eye(4)[:, :2], 1.0)
+        assert not checked
 
 
 class TestDependenceRule:
@@ -441,16 +504,16 @@ class TestStackVerdicts:
                  for name, r in targets.items()}
         blocks = np.concatenate(list(parts.values()))
         assert np.linalg.eigvalsh(blocks)[:, 0].min() > self.FLOOR
-        exact = _partial_correlations(blocks, True)
+        exact = _partial_correlations(blocks, self.FLOOR)
         fast = _eliminated_partial_correlations(blocks)
         assert np.abs(fast - exact).max() <= delta
         band = (np.abs(fast) >= keep - delta) & (np.abs(fast) <= clear + delta)
 
         seen = []
 
-        def spy(stack, conditioned):
+        def spy(stack, floor):
             seen.append(stack.copy())
-            return _partial_correlations(stack, conditioned)
+            return _partial_correlations(stack, floor)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gauss, "_partial_correlations", spy)
@@ -470,8 +533,8 @@ class TestStackVerdicts:
         # One stack with the blocks of a matrix that vouches for them
         # (floor FLOOR) around those of one that does not (floor 0), one
         # of them singular: every verdict is the one its part gets alone,
-        # and the exact inverse takes the band rows with a floor in one
-        # call, unchecked, and every row without one in another, checked.
+        # and the exact inverse takes, in one call, the band rows with a
+        # floor and every row without one, each with its own floor.
         rng = np.random.default_rng(4)
         rule = _fisher_z_rule(500, 1, 0.05)
         t = math.tanh(_z_quantile(0.05) / math.sqrt(500 - 1 - 3))
@@ -482,20 +545,23 @@ class TestStackVerdicts:
         floor = np.repeat([self.FLOOR, 0.0, self.FLOOR], [len(first), len(bare), len(last)])
         seen = []
 
-        def spy(stack, conditioned):
-            seen.append((len(stack), conditioned))
-            return _partial_correlations(stack, conditioned)
+        def spy(stack, floor):
+            seen.append((stack.copy(), np.broadcast_to(floor, len(stack)).copy()))
+            return _partial_correlations(stack, floor)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(gauss, "_partial_correlations", spy)
             alone = [_stack_verdicts(part, rule, f)
                      for part, f in ((first, self.FLOOR), (bare, 0.0), (last, self.FLOOR))]
-            band = sum(m for m, conditioned in seen if conditioned)
+            band = sum(len(stack) for stack, f in seen if (f > 0).all())
             seen.clear()
             verdicts = _stack_verdicts(blocks, rule, floor)
         assert verdicts.tolist() == np.concatenate(alone).tolist()
         assert verdicts[len(first) + len(bare) - 1] == 2
-        assert seen == [(band, True), (len(bare), False)]
+        ((stack, f),) = seen
+        assert np.array_equal(stack[f == 0], bare)
+        assert (f[f != 0] == self.FLOOR).all()
+        assert (f != 0).sum() == band
         assert 0 < band < len(first) + len(last)
 
 
@@ -585,7 +651,7 @@ def one_request(cov: CovMatrix, i: int, s: tuple[int, ...], y: int) -> str:
         return (0.0).hex()
     idx = [i, *sorted(s)]
     a = cov.values[np.ix_(idx, idx)]
-    if not cov._blocks_conditioned and np.linalg.cond(a) > CONDITION_LIMIT:
+    if cov._eigen_floor == 0.0 and np.linalg.cond(a) > CONDITION_LIMIT:
         return f"regression ({i} | {s}): matrix is singular or ill-conditioned"
     return float(np.linalg.solve(a, cov.values[idx, y])[0]).hex()
 
@@ -631,14 +697,14 @@ class TestStackedRegressions:
 
         def flag_off(c):
             post_init(c)
-            object.__setattr__(c, "_blocks_conditioned", False)
+            object.__setattr__(c, "_eigen_floor", 0.0)
 
         with pytest.MonkeyPatch.context() as mp:
             if flag == "off":
                 mp.setattr(CovMatrix, "__post_init__", flag_off)
             cov = self.covariance(kind, seed)
         if kind != "data":
-            assert not cov._blocks_conditioned
+            assert cov._eigen_floor == 0.0
         requests, y = self.requests(cov.n_columns, seed)
         expected = [one_request(cov, i, s, y) for i, s in requests]
         assert stacked(cov, requests, y) == expected

@@ -207,10 +207,11 @@ class TestSkeleton:
 
 
 class TestConditioningFlag:
-    """A CovMatrix whose eigenvalues vouch for all its principal blocks
-    lets the skeleton and `beta_given_s` skip the per-block condition
-    check.  Forcing the flag off runs the per-block path on the same
-    input; both must give the same bits and the same errors."""
+    """A CovMatrix with a positive eigenvalue floor, which bounds all its
+    principal blocks, lets the skeleton and `beta_given_s` skip the
+    per-block condition check.  Forcing the floor to 0.0 runs the
+    per-block path on the same input; both must give the same bits and
+    the same errors."""
 
     @staticmethod
     def source(kind: str, seed: int):
@@ -236,9 +237,9 @@ class TestConditioningFlag:
     @staticmethod
     def outputs(kind: str, seed: int):
         """Skeleton and regressions of a freshly built source (so every
-        CovMatrix in them is made under the current flag rule), each
-        result or NumericalRankError message, plus the flags that served
-        and the sample size."""
+        CovMatrix in them is made under the current floor rule), each
+        result or NumericalRankError message, plus whether the floors that
+        served were positive and the sample size."""
         source = TestConditioningFlag.source(kind, seed)
         cov = source if isinstance(source, CovMatrix) else source.covariance
         try:
@@ -258,7 +259,7 @@ class TestConditioningFlag:
                 betas.append(beta_given_s(source, i, s, y).hex())
             except NumericalRankError as e:
                 betas.append(str(e))
-        flags = (cov._blocks_conditioned, cov.correlation()._blocks_conditioned)
+        flags = (cov._eigen_floor > 0, cov.correlation()._eigen_floor > 0)
         return skeleton, betas, flags, cov.n
 
     @pytest.mark.parametrize(
@@ -272,7 +273,7 @@ class TestConditioningFlag:
 
         def flag_off(c):
             post_init(c)
-            object.__setattr__(c, "_blocks_conditioned", False)
+            object.__setattr__(c, "_eigen_floor", 0.0)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(CovMatrix, "__post_init__", flag_off)
@@ -289,7 +290,7 @@ class TestConditioningFlag:
     def traced_skeleton(source, alpha):
         """The skeleton's outputs, plus per block size k the rows of every
         stack decided, the rows that took elimination, and the rows and
-        `conditioned` argument of every exact-inverse call."""
+        floors of every exact-inverse call."""
         stacks, eliminated, exact = {}, {}, []
         decide = pc._stack_verdicts
         eliminate = gauss._eliminated_partial_correlations
@@ -306,9 +307,9 @@ class TestConditioningFlag:
             add(eliminated, blocks)
             return eliminate(blocks)
 
-        def traced_invert(blocks, conditioned=False):
-            exact.append((blocks.shape[1], len(blocks), conditioned))
-            return invert(blocks, conditioned)
+        def traced_invert(blocks, floor=0.0):
+            exact.append((blocks.shape[1], len(blocks), np.broadcast_to(floor, len(blocks))))
+            return invert(blocks, floor)
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pc, "_stack_verdicts", traced_decide)
@@ -324,14 +325,15 @@ class TestConditioningFlag:
 
     def test_stacks_past_the_error_cap_take_the_exact_path(self):
         # y = a + b + c + d + e + 1e-3 noise at n = 1000: the correlation's
-        # condition number is about 2e7, inside the flag's 1e8, so the flag
-        # is set, but from 4 x 4 blocks (level 2) on delta_k passes the cap.
+        # condition number is about 2e7, inside the floor's 1e8, so the
+        # floor is positive, but from 4 x 4 blocks (level 2) on delta_k
+        # passes the cap.
         rng = np.random.default_rng(3)
         x = rng.standard_normal((1000, 5))
         y = x.sum(axis=1) + 1e-3 * rng.standard_normal(1000)
         d = Dataset(np.column_stack([x, y]), tuple("abcdey"), 5)
         corr = correlation_matrix(d)
-        assert corr._blocks_conditioned
+        assert corr._eigen_floor > 0
         capped = {k for k in range(2, 8)
                   if gauss._rho_error(k, corr._eigen_floor) > gauss._DELTA_CAP}
         assert capped == {4, 5, 6, 7}
@@ -339,8 +341,8 @@ class TestConditioningFlag:
         assert set(stacks) == {2, 3, 4, 5, 6}
         assert eliminated == {k: m for k, m in stacks.items() if k not in capped}
         whole = {}
-        for k, m, conditioned in exact:
-            assert conditioned
+        for k, m, floor in exact:
+            assert (floor > 0).all()
             if k in capped:
                 whole[k] = whole.get(k, 0) + m
         assert whole == {k: m for k, m in stacks.items() if k in capped}
@@ -350,15 +352,16 @@ class TestConditioningFlag:
     @settings(max_examples=20, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 2))
     def test_unvouched_blocks_each_get_a_condition_check(self, kind, seed):
-        # With the flag off (n < p, or a duplicated or near-duplicated
+        # With the floor 0.0 (n < p, or a duplicated or near-duplicated
         # column), every block of every stack takes the exact inverse with
-        # its own condition number, and none is eliminated.
+        # floor 0, so with its own condition number, and none is
+        # eliminated.
         source = self.source(kind, seed)
         cov = source if isinstance(source, CovMatrix) else source.covariance
-        assume(not cov.correlation()._blocks_conditioned)
+        assume(cov.correlation()._eigen_floor == 0.0)
         out, stacks, eliminated, exact = self.traced_skeleton(source, 0.05)
         assert not eliminated
-        assert all(not conditioned for *_, conditioned in exact)
+        assert all((floor == 0).all() for *_, floor in exact)
         per_k = {}
         for k, m, _ in exact:
             per_k[k] = per_k.get(k, 0) + m
