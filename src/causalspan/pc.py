@@ -1,36 +1,24 @@
 """Estimation of the completed partially directed graph from data.
 
-The skeleton search keeps adjacency as vertex bitmasks, as `graphs` does,
-and tests conditional independence level by level against a snapshot of
-them taken at the start of each level, so results do not depend on
-incidental edge-removal order within a level.  The snapshot also fixes
+The skeleton search keeps adjacency as one boolean (matrices, p, p)
+array and tests conditional independence level by level against the
+adjacency at the start of each level, so results do not depend on
+incidental edge-removal order within a level.  That snapshot also fixes
 every pair's conditioning sets before the level runs, so each level is
 solved in two phases (first the pairs (i, j) with i < j, then the pairs
 (j, i) whose edge survived); within a phase the pairs' sets stream into
 stacks of a fixed number of blocks that span pairs, and a pair stops at
 the stack holding its first independent or singular set.  The search
 runs on a batch of correlation matrices that share n and p (`_skeletons`;
-`estimate_skeleton` is its batch of one): the matrices go through the
-levels together, and each phase streams the (matrix, i, j) items of all
-of them into the same stacks, so many small problems, such as a
-simulation's replicates or a bootstrap's resamples, fill stacks that each
-would leave nearly empty alone.  A batch holds only as many matrices as
-fit their level-0 pairs in one stack (`_batch_size`), so at large p it is
-one matrix, and its memory is that of one search.  numpy builds each
-stack, and `gauss._stack_verdicts` decides it, row by row from the row's
-own matrix: when that matrix has a positive eigenvalue floor, a bound on
-all of its principal blocks at once (`CovMatrix._eigen_floor`), by
-partial correlations from Gaussian elimination with an error bound,
-sending to the exact solve only the blocks whose |rho| is within that
-bound of the test's threshold band (a block whose bound is too wide
-takes it outright); otherwise, as with n < p, duplicated or collinear
-columns or a near-singular population matrix, by the exact solve of
-every block, each with its own SVD singularity check.  Either way every
-verdict is the one the exact inverse gets, and no Python step runs per
-conditioning set.  The verdicts are then read back as one test at a
-time would meet them, so tests, separating sets and errors are those of
-that order, with a Python step only per removed edge; a singular stop
-ends only its own matrix's search.
+`estimate_skeleton` is its batch of one), whose (matrix, i, j) items
+share each phase's stacks, so a simulation's replicates or a bootstrap's
+resamples fill stacks that each would leave nearly empty alone.  A phase
+is array work (`_level_stops`), and `gauss._stack_verdicts` decides each
+stack, every row by its own matrix's eigenvalue floor, with the exact
+inverse's verdicts.  The verdicts are read back as one test at a time
+would meet them, so tests, separating sets and errors are those of that
+order, with a Python step only per stack, per matrix and level, and per
+removed edge; a singular stop ends only its own matrix's search.
 Collider orientation walks candidate triples in lexicographic order and
 lets later triples overwrite earlier arrowheads; every overwrite is
 recorded, because on finite samples the oriented graph can fail to admit
@@ -61,7 +49,6 @@ from .gauss import (
 from .graphs import (
     CpdagValidation,
     PDGraph,
-    _bits,
     _colliders,
     _orient_colliders,
     cpdag_from_dag,
@@ -87,9 +74,11 @@ _REPAIR_SEARCH_CAP = 4096
 
 SepsetTable = dict[tuple[int, int], tuple[int, ...]]
 
-# A level's stopped items: (matrix, i, j) -> (dependent sets read before
-# the stopping set, that set, whether its block is singular).
-_Stops = dict[tuple[int, int, int], tuple[int, tuple[int, ...], bool]]
+# The rows of a phase's item table (one column per item (matrix, i, j)):
+# the matrix, i and j, where i's neighbours start in the level's flat
+# neighbour list, j's place among them, and d, their number less one, so
+# the item's sets are the combinations of range(d) with j's place skipped.
+_M, _I, _J, _START, _SKIP, _D = range(6)
 
 
 @dataclass
@@ -152,107 +141,130 @@ def _gather(
     return values.take(cells), floors.take(matrix)
 
 
-def _marginal_verdicts(
-    values: np.ndarray, floors: np.ndarray, batch: list[int], rule: _Rule
-) -> np.ndarray:
-    """Level-0 verdicts (see `_stack_verdicts`) of the matrices in `batch`
-    as a (len(batch), p, p) int8 array: the verdict of the pair (i, j),
-    i < j, of the b-th at [b, i, j], zeros elsewhere.  One stack holds
+def _marginal_verdicts(values: np.ndarray, floors: np.ndarray, rule: _Rule) -> np.ndarray:
+    """Level-0 verdicts (see `_stack_verdicts`) of the (M, p, p) stack
+    `values` as an (M, p, p) int8 array: the verdict of the pair (i, j),
+    i < j, of matrix m at [m, i, j], zeros elsewhere.  One stack holds
     every pair's 2 x 2 block, gathered by fancy indexing with no flat
     index as large as the blocks: at large p this stack is the skeleton's
-    largest.  The floors are a broadcast view, no copy, when the batch is
-    one matrix."""
-    p = values.shape[1]
-    verdicts = np.zeros((len(batch), p, p), dtype=np.int8)
+    largest.  The floors are a broadcast view, no copy, when M is 1."""
+    size, p = values.shape[:2]
+    verdicts = np.zeros((size, p, p), dtype=np.int8)
     iu, ju = np.triu_indices(p, 1)
     pair = np.stack([iu, ju], axis=1)
-    m = np.array(batch)[:, None, None, None]
+    m = np.arange(size)[:, None, None, None]
     blocks = values[m, pair[:, :, None], pair[:, None, :]].reshape(-1, 2, 2)
-    floor = np.broadcast_to(floors.take(batch)[:, None], (len(batch), len(pair))).reshape(-1)
-    verdicts[:, iu, ju] = _stack_verdicts(blocks, rule, floor).reshape(len(batch), len(pair))
+    floor = np.broadcast_to(floors[:, None], (size, len(pair))).reshape(-1)
+    verdicts[:, iu, ju] = _stack_verdicts(blocks, rule, floor).reshape(size, len(pair))
     return verdicts
+
+
+class _Combinations:
+    """The size-`size` combinations of range(d), d <= dmax, in
+    lexicographic order: row r of d is `rows[base[d] + r]`, r < length[d].
+
+    A d's rows are made on demand from `itertools.combinations`, at least
+    twice as many as it had, and appended to the table, which keeps them
+    for the level: a d's rows go only as far as some item reads them, and
+    the rows it outgrew are at most as many as it holds."""
+
+    def __init__(self, size: int, dmax: int):
+        self.size = size
+        self.base = np.zeros(dmax + 1, dtype=np.intp)
+        if size == 1:
+            # The rows of every d are the first d rows of range(dmax).
+            self.rows = np.arange(dmax)[:, None]
+            self.length = np.arange(dmax + 1)
+        else:
+            self.rows = np.empty((0, size), dtype=np.intp)
+            self.length = np.zeros(dmax + 1, dtype=np.intp)
+
+    def take(self, d: np.ndarray, rank: np.ndarray) -> np.ndarray:
+        """Row rank[r] of the combinations of range(d[r]), for every r."""
+        short = rank >= self.length[d]
+        if short.any():
+            need = np.zeros(len(self.length), dtype=np.intp)
+            np.maximum.at(need, d[short], rank[short] + 1)
+            grown = need.nonzero()[0]
+            blocks, end = [self.rows], len(self.rows)
+            lengths = zip(grown.tolist(), need[grown].tolist(), self.length[grown].tolist())
+            for v, k, had in lengths:
+                made = itertools.combinations(range(v), self.size)
+                made = itertools.islice(made, max(k, 2 * had))
+                block = np.fromiter(itertools.chain.from_iterable(made), dtype=np.intp)
+                blocks.append(block.reshape(-1, self.size))
+                self.base[v], self.length[v] = end, len(blocks[-1])
+                end += len(blocks[-1])
+            self.rows = np.concatenate(blocks)
+        return self.rows.take(self.base[d] + rank, axis=0)
 
 
 def _level_stops(
     values: np.ndarray,
-    items: Iterable[tuple[int, int, int]],
-    neighbours: dict[int, list[tuple[int, ...]]],
-    level: int,
-    rule: _Rule,
     floors: np.ndarray,
-) -> _Stops:
-    """The items (m, i, j) whose size-`level` subsets of neighbours[m][i]
-    without j, in lexicographic order, include an independent or singular
-    one in matrix m of the (M, p, p) stack `values`: (m, i, j) -> (dependent
-    sets before it, the set, whether it is singular).
+    items: np.ndarray,
+    counts: np.ndarray,
+    neighbours: np.ndarray,
+    sets: _Combinations,
+    rule: _Rule,
+) -> list[tuple[np.ndarray, ...]]:
+    """The items whose sets include an independent or singular one, in
+    matrix m of the (M, p, p) stack `values`: for each stack that stopped
+    some, in item order, their columns in `items`, the dependent sets read
+    before the first such set, that set and whether its block is singular.
 
-    The items' sets stream, item after item, into stacks of at most _STACK
-    blocks, whichever matrix they come from, and an item cut by the end of
-    a stack goes on into the next one only if the stack did not stop it:
-    it solves its sets up to the end of the stack holding its first stop,
-    and no list of the level's sets is built.  Each stack takes a fixed
-    number of numpy calls: `repeat` makes the item columns and `fromiter`
-    the set columns, from each item's slice of `combinations`, `_gather`
-    reads each row's block from its matrix, and `_stack_verdicts` decides
-    every row, given its matrix's entry of `floors`, the matrix's
-    `_eigen_floor`.  `list.index` then finds each item's first stop.
+    Column t of `items` is an item (see `_M` ... `_D`) with counts[t] sets:
+    the size-`sets.size` combinations of its matrix's neighbours of i
+    without j, read from the flat list `neighbours`, in lexicographic
+    order.  The items' sets stream, item after item, into stacks of at
+    most _STACK blocks, and an item cut by the end of a stack goes on into
+    the next one only if the stack did not stop it.  A stack's rows are a
+    range of stream offsets: `searchsorted` on the items' cumulative counts
+    gives each row its item and its set's rank, `sets` the rank's
+    positions, and one comparison skips j's place.  `_stack_verdicts`
+    decides every row by its matrix's entry of `floors`, and each stop
+    compared with the one before marks each item's first.  So a stack
+    takes a fixed number of numpy calls, none per item or per set.
     """
-    stops: _Stops = {}
-    pending = iter(items)
-    # The item the last stack cut: (item, its sets, sets solved, sets in all).
-    cut = None
-    while True:
-        if cut is not None and cut[0] in stops:
-            cut = None
-        segments: list[tuple[tuple[int, int, int], int, int]] = []
-        slices = []
-        # The segments' items, flat, and their row counts: numpy reads a
-        # flat list of ints far faster than a list of tuples.
-        heads: list[int] = []
-        takes: list[int] = []
-        rows = 0
-        while rows < _STACK:
-            if cut is None:
-                if (item := next(pending, None)) is None:
-                    break
-                m, i, j = item
-                nb = neighbours[m][i]
-                k = nb.index(j)
-                nb = nb[:k] + nb[k + 1 :]
-                cut = (item, itertools.combinations(nb, level), 0, math.comb(len(nb), level))
-            item, sets, done, total = cut
-            take = min(total - done, _STACK - rows)
-            if take:
-                segments.append((item, done, take))
-                slices.append(itertools.islice(sets, take))
-                heads += item
-                takes.append(take)
-                rows += take
-            cut = (item, sets, done + take, total) if done + take < total else None
-        if not rows:
-            return stops
-        head = np.array(heads, dtype=np.intp).reshape(-1, 3).repeat(takes, axis=0)
-        idx = np.empty((rows, level + 2), dtype=np.intp)
-        idx[:, :2] = head[:, 1:]
-        idx[:, 2:] = np.fromiter(
-            itertools.chain.from_iterable(itertools.chain.from_iterable(slices)),
-            dtype=np.intp,
-            count=rows * level,
-        ).reshape(rows, level)
-        blocks, floor = _gather(values, floors, head[:, 0], idx)
+    # Exact in int64: a level's items have at most p - 2 times the sets of
+    # items that the level below solved in full (C(d - 1, l) <= (d - 1)
+    # C(d - 1, l - 1), and every edge left was solved both ways), so a
+    # phase's offsets wrap only past 2^63 / p solved blocks.
+    ends = counts.cumsum()
+    starts = ends - counts
+    total = int(ends[-1]) if len(ends) else 0
+    found = []
+    lo = 0
+    while lo < total:
+        hi = min(lo + _STACK, total)
+        rank = np.arange(lo, hi)
+        item = ends.searchsorted(rank, "right")
+        rank -= starts[item]
+        idx = np.empty((hi - lo, sets.size + 2), dtype=np.intp)
+        idx[:, :2] = items[_I : _J + 1, item].T
+        # The set's positions among i's neighbours, past j's place, then
+        # the neighbours themselves.
+        pos = idx[:, 2:]
+        pos[...] = sets.take(items[_D][item], rank)
+        pos += pos >= items[_SKIP][item][:, None]
+        pos += items[_START][item][:, None]
+        pos[...] = neighbours.take(pos)
+        blocks, floor = _gather(values, floors, items[_M][item], idx)
         verdicts = _stack_verdicts(blocks, rule, floor)
-        # A False at the end stops every search; `left` is the first stop
-        # at or after the last search's start, which stays the answer for
-        # every later start up to it.
-        dependent = (verdicts == 0).tolist() + [False]
-        left, end = -1, 0
-        for item, done, take in segments:
-            start, end = end, end + take
-            if left < start:
-                left = dependent.index(False, start)
-            if left < end:
-                s = tuple(idx[left, 2:].tolist())
-                stops[item] = (done + left - start, s, verdicts.item(left) == 2)
+        stop = verdicts.nonzero()[0]
+        if stop.size:
+            # The first stop of each item: the stops whose item differs
+            # from the one before.
+            at = item[stop]
+            first = at != np.concatenate([[-1], at[:-1]])
+            stop, at = stop[first], at[first]
+            found.append((at, rank[stop], idx[stop, 2:], verdicts[stop] == 2))
+            # The last item, cut by the end of the stack, does not go on
+            # into the next one when this one stopped it.
+            if at[-1] == item[-1]:
+                hi = int(ends[at[-1]])
+        lo = hi
+    return found
 
 
 def _sample_matrices(ds: Dataset) -> tuple[CovMatrix | None, CovMatrix | CausalSpanError]:
@@ -272,16 +284,18 @@ def _skeletons(
     shares n and p, or the error it raises; an error in `corrs` (a
     correlation that could not be made) is passed through.
 
-    The matrices run level by level together.  Level 0 is one stack of
-    every matrix's pairs i < j; above it each phase streams the items
-    (matrix, i, j) of every matrix into the same stacks (see
-    `_level_stops`), so a batch of small problems fills stacks that one
-    problem alone would leave nearly empty.  Every item reads only its own
-    matrix's blocks and floor, so each result, error and counter is the
-    one the matrix gets alone.  A matrix whose level stops on a singular
-    block leaves the batch with that error, and the others go on.  Callers
-    pass at most `_batch_size(p)` matrices at a time, which keeps the
-    level-0 stack and the stacked matrices small.
+    The matrices run level by level together on one boolean (M, p, p)
+    adjacency array.  Level 0 is one stack of every matrix's pairs i < j;
+    above it each phase streams the items (matrix, i, j) of every matrix
+    into the same stacks (see `_level` and `_level_stops`), so a batch of
+    small problems fills stacks that one problem alone would leave nearly
+    empty.  Every item reads only its own matrix's blocks and floor, so
+    each result, error and counter is the one the matrix gets alone.  A
+    matrix whose level stops on a singular block leaves the batch with
+    that error (its adjacency is cleared, so it makes no more items), and
+    the others go on.  Python runs per level and matrix and per removed
+    edge.  Callers pass at most `_batch_size(p)` matrices at a time, which
+    keeps the level-0 stack and the stacked matrices small.
     """
     out: list[_Skeleton | CausalSpanError] = list(corrs)
     live = [m for m, c in enumerate(corrs) if isinstance(c, CovMatrix)]
@@ -295,39 +309,34 @@ def _skeletons(
     # would be as large as the matrix.
     values = mats[0].values[None] if len(mats) == 1 else np.stack([c.values for c in mats])
     floors = np.array([c._eigen_floor for c in mats])
-    adj = [[(1 << p) - 1 & ~(1 << i) for i in range(p)] for _ in mats]
+    adj = np.ones((len(mats), p, p), dtype=bool)
+    adj[:, np.arange(p), np.arange(p)] = False
     sepsets: list[SepsetTable] = [{} for _ in mats]
     diags = [PcDiagnostics() for _ in mats]
     errors: dict[int, CausalSpanError] = {}
-    active = list(range(len(mats)))
     level = 0
     while True:
-        degrees = {m: [a.bit_count() for a in adj[m]] for m in active}
-        active = [m for m in active if max(degrees[m], default=0) > level]
-        if not active:
+        degrees = adj.sum(axis=2)
+        if degrees.max(initial=0) <= level:
             break
         if n is not None and n - level - 3 < 1:
-            for m in active:
-                diags[m].skipped_insufficient_n += sum(
-                    d * math.comb(d - 1, level) for d in degrees[m] if d
-                )
+            for diag, row in zip(diags, degrees.tolist()):
+                diag.skipped_insufficient_n += sum(d * math.comb(d - 1, level) for d in row if d)
             level += 1
             continue
         # Neither rule calls a NaN (a singular block) dependent, so a
         # singular block stops its pair like an independent one.
         rule = _POPULATION_RULE if n is None else _fisher_z_rule(n, level, cfg.alpha)
-        tests = {}
         if level == 0:
             # Every pair (i, j) with i < j is read, and each stops on its
             # one set or not; the pair (j, i) is read only if (i, j) did
             # not stop, and then its mirrored verdict cannot stop it.  The
             # matrix is exactly symmetric, so the block (j, i) equals (i, j).
-            verdicts = _marginal_verdicts(values, floors, active, rule)
-            keep = (verdicts | verdicts.transpose(0, 2, 1)) == 0
-            keep[:, np.arange(p), np.arange(p)] = False
-            masks = np.packbits(keep, axis=2, bitorder="little")
-            for m, square, mask in zip(active, verdicts, masks):
+            verdicts = _marginal_verdicts(values, floors, rule)
+            tests = []
+            for m, square in enumerate(verdicts):
                 iu, ju = np.nonzero(square)
+                tests.append(p * (p - 1) - len(iu))
                 singular = np.flatnonzero(square[iu, ju] == 2)
                 if singular.size:
                     i, j = int(iu[singular[0]]), int(ju[singular[0]])
@@ -335,42 +344,94 @@ def _skeletons(
                         f"correlation submatrix for ({i}, {j} | ()) is singular"
                     )
                     continue
-                adj[m] = [int.from_bytes(b.tobytes(), "little") for b in mask]
                 sepsets[m].update(dict.fromkeys(zip(iu.tolist(), ju.tolist()), ()))
-                tests[m] = p * (p - 1) - len(iu)
+            adj &= (verdicts | verdicts.transpose(0, 2, 1)) == 0
         else:
-            neighbours = {m: [tuple(_bits(a)) for a in adj[m]] for m in active}
-            first = [(m, i, j) for m in active for i, nb in enumerate(neighbours[m])
-                     for j in nb if j > i]
-            stops = _level_stops(values, first, neighbours, level, rule, floors)
-            second = ((m, j, i) for m, i, j in first if (m, i, j) not in stops)
-            stops.update(_level_stops(values, second, neighbours, level, rule, floors))
-            # Every pair read tests all its sets unless it stops; a pair
-            # (j, i) with j > i is not read when (i, j) stopped.
-            sets = {m: [math.comb(d - 1, level) if d else 0 for d in degrees[m]] for m in active}
-            tests = {m: sum(d * c for d, c in zip(degrees[m], sets[m])) for m in active}
-            for (m, i, j), (read, s, singular) in sorted(stops.items()):
+            tests, stops = _level(values, floors, adj, degrees, level, rule)
+            for key, u, s, bad in stops:
+                m, (i, j) = key // (p * p), divmod(key % (p * p), p)
                 if m in errors:
                     continue
-                if singular:
+                if bad:
                     errors[m] = NumericalRankError(
-                        f"correlation submatrix for ({i}, {j} | {s}) is singular"
+                        f"correlation submatrix for ({i}, {j} | {tuple(s)}) is singular"
                     )
                     continue
-                tests[m] += read + 1 - sets[m][i] - (sets[m][j] if i < j else 0)
-                adj[m][i] &= ~(1 << j)
-                adj[m][j] &= ~(1 << i)
-                sepsets[m][(i, j) if i < j else (j, i)] = s
-        active = [m for m in active if m not in errors]
-        for m in active:
-            if tests[m]:
-                diags[m].tests_per_level[level] = tests[m]
+                tests[m] -= u
+                adj[m, i, j] = adj[m, j, i] = False
+                sepsets[m][(i, j) if i < j else (j, i)] = tuple(s)
+        for m, t in enumerate(tests):
+            if m in errors:
+                adj[m] = False
+            elif t:
+                diags[m].tests_per_level[level] = t
         level += 1
     zeros = [0] * p
+    masks = np.packbits(adj, axis=2, bitorder="little")
     for m, c in enumerate(live):
-        graph = PDGraph._from_masks(zeros, zeros, adj[m])
+        sib = [int.from_bytes(row.tobytes(), "little") for row in masks[m]]
+        graph = PDGraph._from_masks(zeros, zeros, sib)
         out[c] = errors[m] if m in errors else (graph, sepsets[m], diags[m])
     return out
+
+
+def _level(
+    values: np.ndarray,
+    floors: np.ndarray,
+    adj: np.ndarray,
+    degrees: np.ndarray,
+    level: int,
+    rule: _Rule,
+) -> tuple[list[int], list[tuple[int, int, list[int], bool]]]:
+    """The two phases of a level above 0 of `_skeletons` on the (M, p, p)
+    adjacency `adj` at the level's start, whose degrees are `degrees`.
+    Returns each matrix's tests if no item stopped (every ordered pair
+    reads all its sets), and the stopped items in search order: the flat
+    offset (m p + i) p + j of each item (m, i, j), the sets it left unread
+    (those after its stop and, in the first phase, all of its mirror's),
+    its stopping set and whether that set's block is singular.
+
+    The level's directed edges (m, i, j), in the order of their flat
+    offsets in `adj`, make its flat neighbour list, in which row (m, i)
+    holds i's neighbours.  The first phase's items are the edges with
+    i < j; the second phase's are the mirrors (m, j, i), found by
+    `searchsorted` on the edges' offsets, of the first phase's items that
+    did not stop.
+    """
+    p = adj.shape[1]
+    keys = adj.ravel().nonzero()[0]
+    rows, vj = np.divmod(keys, p)
+    owner, vi = np.divmod(rows, p)
+    flat = degrees.ravel()
+    d = flat[rows]
+    start = flat.cumsum()[rows] - d
+    dmax = int(flat.max())
+    # Exact in int64 (see `_level_stops`); d = 0 has no sets.
+    combs = np.array([0] + [math.comb(k - 1, level) for k in range(1, dmax + 1)])
+    items = np.array([owner, vi, vj, start, np.arange(len(vj)) - start, d - 1])
+    counts = combs[d]
+    sets = _Combinations(level, dmax - 1)
+    first = (vi < vj).nonzero()[0]
+    # The mirror of the edge at offset (m p + i) p + j is at (m p + j) p + i.
+    mirror = keys.searchsorted(keys[first] + (vj[first] - vi[first]) * (p - 1))
+    counts1 = counts[first]
+    found1 = _level_stops(values, floors, items[:, first], counts1, vj, sets, rule)
+    kept = np.ones(len(first), dtype=bool)
+    for at, *_ in found1:
+        kept[at] = False
+    second = mirror[kept]
+    counts2 = counts[second]
+    found2 = _level_stops(values, floors, items[:, second], counts2, vj, sets, rule)
+    # A stopped item leaves unread the sets after its stop and, in the
+    # first phase, every set of its mirror.
+    stops = []
+    phases = ((first, counts1 + counts[mirror], found1), (second, counts2, found2))
+    for phase, total, found in phases:
+        for at, read, s, bad in found:
+            unread = total[at] - read - 1
+            stops += zip(keys[phase[at]].tolist(), unread.tolist(), s.tolist(), bad.tolist())
+    stops.sort()
+    return (degrees * combs[degrees]).sum(axis=1).tolist(), stops
 
 
 def estimate_skeleton(
@@ -384,8 +445,8 @@ def estimate_skeleton(
     adjacency set of i (snapshotted at the start of the level, j excluded)
     in lexicographic order; on an independence verdict the edge goes and
     the separating set is recorded.  Stops at the first level at which no
-    adjacency set is large enough.  Adjacency sets are vertex bitmasks, as
-    in `graphs`.
+    adjacency set is large enough.  Adjacency is a boolean p x p array,
+    and the returned graph holds it as vertex bitmasks, as in `graphs`.
 
     The snapshot fixes every pair's sets before the level runs, so a level
     is solved in two phases of stacks across pairs: first the pairs (i, j)
@@ -394,21 +455,15 @@ def estimate_skeleton(
     one stack of 2 x 2 blocks).  Within a phase the pairs' sets stream into
     stacks of at most _STACK blocks, and a pair stops at the stack holding
     its first independent or singular set; numpy builds and decides each
-    stack (see `_level_stops`).  When the correlation matrix's eigenvalues
-    rule out a singular block, the stacks are decided from eliminated
-    partial correlations, and only blocks near the threshold take the
-    exact solve; otherwise every block takes it, with its own check.  This
-    is the batch of one of `_skeletons`, which runs many matrices' searches
-    through the same stacks.
+    stack and finds each pair's first stop (see `_level_stops`).  This is
+    the batch of one of `_skeletons`.
 
     The results are those of reading the verdicts in the order above (i,
     then j, then the sets), but only the removed edges are read back, in
-    that order: at level 0 the verdicts of the pairs i < j, whose nonzero
-    entries give the removed edges in bulk, at higher levels the sorted
-    stopped pairs.  A singular stop raises when it is the first one in
-    that order.  `tests_per_level` counts every set of every pair read,
-    less the sets after each stop, and the pair (j, i), j > i, is not read
-    when (i, j) stopped.
+    that order.  A singular stop raises when it is the first one in that
+    order.  `tests_per_level` counts every set of every pair read, less
+    the sets after each stop, and the pair (j, i), j > i, is not read when
+    (i, j) stopped.
 
     Data or a finite-n covariance uses the z-transform test at cfg.alpha;
     a population covariance (n=None) declares independence when |rho| <=

@@ -2,6 +2,7 @@
 collider orientation with overwrite logging, the full pipeline in exact and
 sample modes, incoherence repair, and alpha selection."""
 
+import itertools
 import math
 
 import numpy as np
@@ -204,6 +205,102 @@ class TestSkeleton:
         with pytest.raises(NumericalRankError) as err:
             reference_skeleton(data, 0.01)
         assert str(err.value) == message
+
+    def test_skip_counts_past_2_to_the_63_stay_exact(self):
+        # 70 columns of one common factor at n = 4: level 0 keeps the
+        # complete graph, and levels 1 to 68 are skipped, each with
+        # 70 * 69 * C(68, l) sets, past what an int64 holds.
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((4, 1)) + 1e-3 * rng.standard_normal((4, 70))
+        d = Dataset(x, tuple(f"X{i}" for i in range(70)), 69)
+        g, _, diag = estimate_skeleton(d, CITestConfig(0.01))
+        assert len(g.undirected_edges()) == 70 * 69 // 2
+        assert diag.tests_per_level == {0: 4830}
+        assert diag.skipped_insufficient_n == 4830 * (2**68 - 1)
+        assert type(diag.skipped_insufficient_n) is int
+
+
+class TestLevelStream:
+    """The pieces of a level phase: the combination table a row's set comes
+    from, and the stream of one item's sets through stacks."""
+
+    def test_table_rows_are_the_lexicographic_combinations(self):
+        for level in range(1, 7):
+            table = pc._Combinations(level, 20)
+            for d in range(21):
+                want = list(itertools.combinations(range(d), level))
+                rows = table.take(np.full(len(want), d), np.arange(len(want)))
+                assert rows.shape == (len(want), level)
+                assert [tuple(r) for r in rows.tolist()] == want
+
+    def test_table_grown_in_prefix_steps(self):
+        # Rows of several d in one call, and one d grown four times; every
+        # step reads the rows the earlier steps made.
+        table = pc._Combinations(3, 14)
+        want = {d: list(itertools.combinations(range(d), 3)) for d in (5, 9, 12, 14)}
+        for stop in (1, 5, 40, 220):
+            rows = table.take(np.full(stop, 12), np.arange(stop))
+            assert [tuple(r) for r in rows.tolist()] == want[12][:stop]
+        d = np.array([5, 14, 9, 5, 12, 14])
+        rank = np.array([9, 363, 0, 3, 219, 100])
+        rows = table.take(d, rank)
+        assert [tuple(r) for r in rows.tolist()] == [want[v][r] for v, r in zip(d, rank)]
+
+    @staticmethod
+    def one_item_phase(values, stack):
+        """`_level_stops` at level 2 on the one item (0, 3) whose
+        neighbours are every other vertex of 8, plus the (i, j, set) rows
+        of each stack it made."""
+        corr = CovMatrix(values)
+        stacks = []
+        decide = pc._stack_verdicts
+
+        def recorded(blocks, rule, floor):
+            stacks.append([
+                next(s for s in itertools.combinations((1, 2, 4, 5, 6, 7), 2)
+                     if np.array_equal(block, values[np.ix_((0, 3, *s), (0, 3, *s))]))
+                for block in blocks
+            ])
+            return decide(blocks, rule, floor)
+
+        # The item table's rows: matrix, i, j, start of i's neighbours, j's
+        # place among them, their number less one.
+        items = np.array([[0, 0, 3, 0, 2, 6]]).T
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pc, "_STACK", stack)
+            mp.setattr(pc, "_stack_verdicts", recorded)
+            found = pc._level_stops(
+                corr.values[None], np.array([corr._eigen_floor]), items, np.array([15]),
+                np.array([1, 2, 3, 4, 5, 6, 7]), pc._Combinations(2, 6), pc._POPULATION_RULE,
+            )
+        return stacks, [[a.tolist() for a in part] for part in found]
+
+    def test_one_item_streams_through_several_stacks(self):
+        # A dense population matrix: no set of the item stops it, so its 15
+        # sets fill five stacks of three, in lexicographic order.
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((8, 8))
+        cov = a @ a.T + np.eye(8)
+        scale = 1 / np.sqrt(np.diag(cov))
+        stacks, found = self.one_item_phase(cov * scale[:, None] * scale[None, :], 3)
+        assert stacks == [list(itertools.combinations((1, 2, 4, 5, 6, 7), 2))[k:k + 3]
+                          for k in range(0, 15, 3)]
+        assert found == []
+
+    def test_one_item_stops_inside_its_third_stack(self):
+        # 0 and 3 share the parents 2 and 6 and the child 1, so only the
+        # set (2, 6), the item's eighth, separates them: the item stops in
+        # its third stack, which the end cuts, and goes no further.
+        w = np.zeros((8, 8))
+        edges = [(0, 2), (3, 2), (0, 6), (3, 6), (1, 0), (1, 3), (0, 4), (3, 5), (0, 7)]
+        for k, (child, parent) in enumerate(edges):
+            w[child, parent] = 0.5 + 0.07 * k
+        cov = structural_covariance(w)
+        scale = 1 / np.sqrt(np.diag(cov))
+        stacks, found = self.one_item_phase(cov * scale[:, None] * scale[None, :], 3)
+        sets = list(itertools.combinations((1, 2, 4, 5, 6, 7), 2))
+        assert stacks == [sets[0:3], sets[3:6], sets[6:9]]
+        assert found == [[[0], [7], [[2, 6]], [False]]]
 
 
 class TestConditioningFlag:
