@@ -27,11 +27,19 @@ import itertools
 import math
 import statistics
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import CausalSpanError, NumericalRankError, ResourceCapError
-from .gauss import CITestConfig, CovMatrix, Dataset, _betas
+from .gauss import (
+    CITestConfig,
+    CovMatrix,
+    Dataset,
+    _betas,
+    _covariance_values,
+    _sample_matrices,
+)
 from .graphs import (
     DEFAULT_MAX_COMPONENT_EDGES,
     DEFAULT_MAX_DAGS,
@@ -41,7 +49,7 @@ from .graphs import (
     _reach,
     allows_directed_path,
 )
-from .pc import _batch_size, _pc_result, _sample_matrices, _skeletons
+from .pc import _batch_size, _pc_result, _skeletons
 
 MOD_ZERO_PATH = "zero_path"
 MOD_PRUNE_Y = "prune_y"
@@ -191,8 +199,34 @@ def _check_vertex(g: PDGraph, v: int, role: str) -> None:
         raise ValueError(f"{role} {v} is not a vertex of the graph (0..{g.n - 1})")
 
 
-def _theta(
-    source: Dataset | CovMatrix,
+# A plan: the regressions (i, s) a graph's effects need, and the step that
+# turns their coefficients (or NumericalRankErrors), in request order, into
+# the effects or the error that ends them.
+_Plan = tuple[list[tuple[int, tuple[int, ...]]], Callable[[list], object]]
+
+
+def _finish_plans(plans: list[tuple[Dataset | CovMatrix, int, _Plan]]) -> list:
+    """Each plan (source, y, (requests, finish)), with response y,
+    finished on the coefficients of its requests on source, in plan order.
+    The requests of every plan are solved in one `_betas` call over the
+    distinct sources, so a batch of graphs and a single graph's plan take
+    the same path."""
+    index: dict[int, int] = {}
+    sources, requests = [], []
+    for source, y, (asked, _) in plans:
+        m = index.setdefault(id(source), len(sources))
+        if m == len(sources):
+            sources.append(source)
+        requests += [(m, i, s, y) for i, s in asked]
+    betas = _betas(sources, requests)
+    out, start = [], 0
+    for _, _, (asked, finish) in plans:
+        out.append(finish(betas[start : start + len(asked)]))
+        start += len(asked)
+    return out
+
+
+def _theta_plan(
     g: PDGraph,
     covariates: tuple[int, ...],
     y: int,
@@ -200,9 +234,12 @@ def _theta(
     max_component_edges: int,
     max_dags: int,
     classes: dict | None = None,
-) -> ThetaMatrix:
-    """Enumerate the equivalence class of g and fill one row per covariate
-    i: i's adjustment set in each class member and its effect.
+) -> _Plan:
+    """The global route's plan for g: enumerate the equivalence class and
+    ask for each covariate i's regressions, whose finish fills one row per
+    covariate (i's adjustment set in each class member and its effect)
+    into a ThetaMatrix, or gives the first NumericalRankError in row
+    order.  The enumeration's cap error is raised here.
 
     The adjustment set is the member's parents of i, under `prune_y` only
     those in y's skeleton component.  Under `zero_path` a member in which
@@ -238,18 +275,21 @@ def _theta(
             keys = [k if a >> i & 1 else None for k, a in zip(keys, ancestors)]
         sets = {k: None if k is None else tuple(_bits(k)) for k in dict.fromkeys(keys)}
         rows.append((i, keys, sets))
-    requests = [(i, s) for i, _, sets in rows for s in sets.values() if s is not None]
-    betas = iter(_betas(source, requests, y))
-    matrix = np.zeros((len(covariates), len(members)))
-    adjustments: list[tuple[tuple[int, ...] | None, ...]] = []
-    for r, (i, keys, sets) in enumerate(rows):
-        effects = {k: 0.0 if s is None else next(betas) for k, s in sets.items()}
-        for v in effects.values():
-            if isinstance(v, NumericalRankError):
-                raise v
-        matrix[r] = [effects[k] for k in keys]
-        adjustments.append(tuple(sets[k] for k in keys))
-    return ThetaMatrix(covariates, y, matrix, tuple(adjustments), mods)
+
+    def finish(betas: list) -> ThetaMatrix | NumericalRankError:
+        error = next((b for b in betas if isinstance(b, NumericalRankError)), None)
+        if error is not None:
+            return error
+        solved = iter(betas)
+        matrix = np.zeros((len(covariates), len(members)))
+        adjustments: list[tuple[tuple[int, ...] | None, ...]] = []
+        for r, (_, keys, sets) in enumerate(rows):
+            effects = {k: 0.0 if s is None else next(solved) for k, s in sets.items()}
+            matrix[r] = [effects[k] for k in keys]
+            adjustments.append(tuple(sets[k] for k in keys))
+        return ThetaMatrix(covariates, y, matrix, tuple(adjustments), mods)
+
+    return [(i, s) for i, _, sets in rows for s in sets.values() if s is not None], finish
 
 
 def global_effects(
@@ -268,11 +308,14 @@ def global_effects(
     Requires a graph that validates as a CPDAG (repair first if needed).
     """
     covariates = tuple(i for i in range(g.n) if i != y)
-    return _theta(source, g, covariates, y, mods, max_component_edges, max_dags)
+    plan = _theta_plan(g, covariates, y, mods, max_component_edges, max_dags)
+    (theta,) = _finish_plans([(source, y, plan)])
+    if isinstance(theta, NumericalRankError):
+        raise theta
+    return theta
 
 
-def _local_multisets(
-    source: Dataset | CovMatrix,
+def _local_plan(
     g: PDGraph,
     covariates: tuple[int, ...],
     y: int,
@@ -280,11 +323,12 @@ def _local_multisets(
     max_siblings: int,
     max_component_edges: int,
     max_dags: int = DEFAULT_MAX_DAGS,
-) -> list[EffectMultiset | CausalSpanError]:
-    """`local_effects` for each covariate, or the package error it would
-    raise.  g's adjacency masks and y's component are built once; every
-    covariate's adjustment sets are planned first, and all their
-    regressions are solved in one `_betas` call."""
+) -> _Plan:
+    """The local route's plan for g: every covariate's adjustment sets,
+    asked for in covariate order, whose finish gives `local_effects` for
+    each covariate or the package error it would raise (a cap error found
+    here, or the first NumericalRankError among its regressions).  g's
+    adjacency masks and y's component are built once."""
     mods = _check_mods(mods)
     _check_vertex(g, y, "response")
     adj = g._adjacency()
@@ -319,21 +363,42 @@ def _local_multisets(
             plans.append(adjustment_sets(i))
         except CausalSpanError as e:
             plans.append(e)
+
+    def finish(betas: list) -> list[EffectMultiset | CausalSpanError]:
+        solved = iter(betas)
+        out: list[EffectMultiset | CausalSpanError] = []
+        for i, plan in zip(covariates, plans):
+            if plan is None:
+                out.append(EffectMultiset(i, y, (EffectEntry(0.0, None, 1),), "local", mods))
+            elif isinstance(plan, CausalSpanError):
+                out.append(plan)
+            else:
+                values = [next(solved) for _ in plan]
+                error = next((v for v in values if isinstance(v, NumericalRankError)), None)
+                entries = tuple(map(EffectEntry, values, plan))
+                out.append(error or EffectMultiset(i, y, entries, "local", mods))
+        return out
+
     requests = [(i, s) for i, plan in zip(covariates, plans) if isinstance(plan, list)
                 for s in plan]
-    betas = iter(_betas(source, requests, y))
-    out: list[EffectMultiset | CausalSpanError] = []
-    for i, plan in zip(covariates, plans):
-        if plan is None:
-            out.append(EffectMultiset(i, y, (EffectEntry(0.0, None, 1),), "local", mods))
-        elif isinstance(plan, CausalSpanError):
-            out.append(plan)
-        else:
-            values = [next(betas) for _ in plan]
-            error = next((v for v in values if isinstance(v, NumericalRankError)), None)
-            entries = tuple(map(EffectEntry, values, plan))
-            out.append(error or EffectMultiset(i, y, entries, "local", mods))
-    return out
+    return requests, finish
+
+
+def _local_multisets(
+    source: Dataset | CovMatrix,
+    g: PDGraph,
+    covariates: tuple[int, ...],
+    y: int,
+    mods: frozenset[str] | tuple[str, ...],
+    max_siblings: int,
+    max_component_edges: int,
+    max_dags: int = DEFAULT_MAX_DAGS,
+) -> list[EffectMultiset | CausalSpanError]:
+    """`local_effects` for each covariate, or the package error it would
+    raise: `_local_plan`, its regressions solved in one `_betas` call,
+    then its finish."""
+    plan = _local_plan(g, covariates, y, mods, max_siblings, max_component_edges, max_dags)
+    return _finish_plans([(source, y, plan)])[0]
 
 
 def local_effects(
@@ -456,40 +521,41 @@ def bootstrap_scores(
     median; the full-data ambiguity is reported alongside.
 
     The full data and the b resamples run in groups of
-    `pc._batch_size(p)`: each sample keeps only its covariance and
-    correlation matrices, a group's PC skeletons run as one batch
-    (`pc._skeletons`), and the local route reads each sample through its
-    covariance.  The first error in the order full data then resamples is
-    raised.
+    `pc._batch_size(p)`.  Each sample is reduced at once to its unchecked
+    covariance, so no resample's rows outlive it; a group's matrices are
+    made and checked together (`gauss._sample_matrices`), its PC
+    skeletons run as one batch (`pc._skeletons`), and the local route's
+    plans of all its graphs are solved in one `_betas` call, each reading
+    its sample through its covariance.  The first error in the order full
+    data then resamples is raised.
     """
     if b < 1:
         raise ValueError("need at least one bootstrap replicate")
     mods = _check_mods(mods)
     y = d.response
     covariates = d.covariates
-
-    def run(cov: CovMatrix, skeleton) -> dict[int, EffectMultiset | None]:
-        rows = _local_multisets(
-            cov, _pc_result(*skeleton).graph, covariates, y, mods, max_siblings,
-            max_component_edges,
-        )
-        return {
-            i: None if isinstance(m, CausalSpanError) else m
-            for i, m in zip(covariates, rows)
-        }
-
     resamples = (
         d.resample_rows(np.random.default_rng(child).integers(0, d.n, size=d.n))
         for child in np.random.SeedSequence(seed).spawn(b)
     )
     pending = itertools.chain([d], resamples)
     size, results = _batch_size(d.n_columns), []
-    while samples := [_sample_matrices(ds) for ds in itertools.islice(pending, size)]:
-        skeletons = _skeletons([corr for _, corr in samples], cfg)
-        for (cov, _), skeleton in zip(samples, skeletons):
+    while group := [_covariance_values(ds.values) for ds in itertools.islice(pending, size)]:
+        samples, _ = _sample_matrices(group, d.n, d.names)
+        corrs = [s if isinstance(s, CausalSpanError) else s[1] for s in samples]
+        skeletons = _skeletons(corrs, cfg)
+        plans = []
+        for sample, skeleton in zip(samples, skeletons):
             if isinstance(skeleton, CausalSpanError):
                 raise skeleton
-            results.append(run(cov, skeleton))
+            graph = _pc_result(*skeleton).graph
+            plan = _local_plan(graph, covariates, y, mods, max_siblings, max_component_edges)
+            plans.append((sample[0], y, plan))
+        for rows in _finish_plans(plans):
+            results.append({
+                i: None if isinstance(m, CausalSpanError) else m
+                for i, m in zip(covariates, rows)
+            })
     full, *replicates = results
     mins: dict[int, list[float]] = {i: [] for i in covariates}
     ambigs: dict[int, list[int]] = {i: [] for i in covariates}

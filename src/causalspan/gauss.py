@@ -11,10 +11,15 @@ DAG maximum likelihood fit uses 1/n residual variances, as maximum
 likelihood requires.  Every estimator decides singularity in one gated
 block solve (`_solve_blocks`), where one number per matrix,
 `CovMatrix._eigen_floor`, says whether its blocks skip their own check.
+Batches are the unit of work: a simulation's replicates or a bootstrap's
+resamples make and check their matrices together (`_sample_matrices`, on
+one `_check_stack` pass), and solve the regressions of all their graphs
+in one `_betas` call; a single dataset or matrix is a batch of one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
@@ -93,8 +98,9 @@ class Dataset:
 
     @cached_property
     def covariance(self) -> "CovMatrix":
-        """The sample covariance, computed on first use; `values` is
-        read-only, so the cached matrix cannot go stale."""
+        """The sample covariance, computed on first use or kept from
+        `correlation_matrix`; `values` is read-only, so the cached matrix
+        cannot go stale."""
         return sample_covariance(self)
 
     def standardize(self) -> "Dataset":
@@ -137,6 +143,11 @@ class CovMatrix:
     Otherwise, or when that difference is not positive (only past p of
     about 9,500, where every block passes the condition check anyway), it
     is 0.0, and every block gets its own check (see `_solve_blocks`).
+
+    The checks and the floor have one implementation, `_check_stack`,
+    which works on a stack of matrices: the constructor runs it on its
+    matrix as a stack of one, and `CovMatrix._stack` on a batch's
+    matrices at once (see `_sample_matrices`).
     """
 
     values: np.ndarray
@@ -147,25 +158,33 @@ class CovMatrix:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise ValueError("covariance must be square")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("covariance must be finite")
-        scale = max(1.0, float(np.abs(v).max()))
-        # np.allclose(v, v.T, atol=1e-8 * scale) on finite input, without
-        # its dispatch overhead.
-        if not (np.abs(v - v.T) <= 1e-8 * scale + 1e-05 * np.abs(v.T)).all():
-            raise ValueError("covariance must be symmetric")
-        w = np.linalg.eigvalsh((v + v.T) / 2.0)
-        if w.min() < -1e-8 * scale:
-            raise ValueError("covariance must be positive semidefinite")
-        if self.n is not None and self.n < 2:
-            raise ValueError("sample size must be at least 2")
-        floor = 0.0
-        if w[0] > 0 and w[-1] <= (CONDITION_LIMIT / 1e4) * w[0] and np.array_equal(v, v.T):
-            floor = max(0.0, float(w[0]) - v.shape[0] ** 2 * _U * float(w[-1]))
+        floors, (problem,) = _check_stack(v[None], [self.n])
+        if problem:
+            raise ValueError(problem)
         v = v.copy()
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "_eigen_floor", floor)
+        object.__setattr__(self, "_eigen_floor", floors.item(0))
+
+    @classmethod
+    def _stack(cls, values: np.ndarray, ns: list[int | None]) -> list["CovMatrix | ValueError"]:
+        """A CovMatrix for each matrix of the (m, p, p) stack `values`, with
+        the sample sizes ns, or the ValueError its constructor would raise:
+        one `_check_stack` pass over the stack, which is made read-only,
+        and each matrix a view of it, not a copy."""
+        floors, problems = _check_stack(values, ns)
+        values.setflags(write=False)
+        out: list[CovMatrix | ValueError] = []
+        for v, n, floor, problem in zip(values, ns, floors.tolist(), problems):
+            if problem:
+                out.append(ValueError(problem))
+                continue
+            c = object.__new__(cls)
+            object.__setattr__(c, "values", v)
+            object.__setattr__(c, "n", n)
+            object.__setattr__(c, "_eigen_floor", floor)
+            out.append(c)
+        return out
 
     @property
     def n_columns(self) -> int:
@@ -175,16 +194,70 @@ class CovMatrix:
         return CovMatrix(_unit_diagonal(self.values, range(self.n_columns)), n=self.n)
 
 
+# The messages of the constructor's checks, by `_check_stack`'s code for
+# the first check a matrix fails (0: none).
+_PROBLEMS = (
+    None,
+    "covariance must be finite",
+    "covariance must be symmetric",
+    "covariance must be positive semidefinite",
+    "sample size must be at least 2",
+)
+
+
+def _check_stack(v: np.ndarray, ns: list[int | None]) -> tuple[np.ndarray, list[str | None]]:
+    """`CovMatrix`'s checks for each matrix of the (m, p, p) stack v, with
+    sample sizes ns: each matrix's `_eigen_floor` and the message of the
+    first check it fails (None when it passes them all).
+
+    The checks come in the constructor's order (finite, symmetric,
+    positive semidefinite, sample size), and each step runs once over the
+    matrices that passed the steps before it, as numpy calls that work
+    matrix by matrix (one `eigvalsh` call for the stack).  So a matrix's
+    verdict and floor have the values and bits that it gets alone, and no
+    step sees a matrix that an earlier one refused.
+    """
+    m, p = len(v), v.shape[-1]
+    problem = np.zeros(m, dtype=np.intp)
+    floors = np.zeros(m)
+    finite = np.isfinite(v).all(axis=(1, 2))
+    problem[~finite] = 1
+    live = np.flatnonzero(finite)
+    a = v if live.size == m else v[live]
+    at = a.swapaxes(1, 2)
+    scale = np.maximum(1.0, np.abs(a).max(axis=(1, 2)))
+    # np.allclose(a, a.T, atol=1e-8 * scale) on finite input, without its
+    # dispatch overhead.
+    symmetric = (np.abs(a - at) <= 1e-8 * scale[:, None, None] + 1e-05 * np.abs(at)).all(
+        axis=(1, 2)
+    )
+    if not symmetric.all():
+        problem[live[~symmetric]] = 2
+        live, a, scale = live[symmetric], a[symmetric], scale[symmetric]
+        at = a.swapaxes(1, 2)
+    w = np.linalg.eigvalsh((a + at) / 2.0)
+    problem[live[w.min(axis=1) < -1e-8 * scale]] = 3
+    small = np.array([n is not None and n < 2 for n in ns], dtype=bool)
+    problem[live[small[live] & (problem[live] == 0)]] = 4
+    low, high = w[:, 0], w[:, -1]
+    exact = (a == at).all(axis=(1, 2))
+    vouched = (low > 0) & (high <= (CONDITION_LIMIT / 1e4) * low) & exact
+    floors[live[vouched]] = np.maximum(0.0, low - p**2 * _U * high)[vouched]
+    return floors, [_PROBLEMS[k] for k in problem.tolist()]
+
+
 def _unit_diagonal(v: np.ndarray, columns) -> np.ndarray:
-    """Rescale the covariance block v to unit diagonal; `columns` names
-    the block's columns for the zero-variance error."""
-    d = np.sqrt(np.diag(v))
+    """Rescale the covariance block v, or each block of an (m, k, k)
+    stack, to unit diagonal; `columns` names the block's columns for the
+    zero-variance error."""
+    d = np.sqrt(np.diagonal(v, axis1=-2, axis2=-1))
     if np.any(d <= 0):
-        bad = columns[int(np.nonzero(d <= 0)[0][0])]
+        bad = columns[int(np.nonzero(d <= 0)[-1][0])]
         raise DegenerateDataError(f"column {bad} has zero variance")
-    c = v / np.outer(d, d)
-    np.fill_diagonal(c, 1.0)
-    return (c + c.T) / 2.0
+    c = v / (d[..., :, None] * d[..., None, :])
+    p = v.shape[-1]
+    c.reshape(-1, p * p)[:, :: p + 1] = 1.0
+    return (c + c.swapaxes(-1, -2)) / 2.0
 
 
 @dataclass(frozen=True)
@@ -198,22 +271,93 @@ class CITestConfig:
             raise ValueError("alpha must lie strictly between 0 and 1")
 
 
+def _covariance_values(values: np.ndarray) -> np.ndarray:
+    """The sample covariance of an n x p array, with the n-1 denominator,
+    before any check: the matrix `sample_covariance` checks."""
+    v = values - values.mean(axis=0)
+    return v.T @ v / (len(values) - 1)
+
+
 def sample_covariance(d: Dataset) -> CovMatrix:
     """Sample covariance with the n-1 denominator."""
-    v = d.values - d.values.mean(axis=0)
-    return CovMatrix(v.T @ v / (d.n - 1), n=d.n)
+    return CovMatrix(_covariance_values(d.values), n=d.n)
 
 
 def correlation_matrix(d: Dataset) -> CovMatrix:
     """Sample correlation matrix; constant columns raise
-    DegenerateDataError naming the column."""
-    sd = d.values.std(axis=0, ddof=1)
-    bad = np.nonzero(~(sd > 0))[0]
-    if bad.size:
-        raise DegenerateDataError(
-            f"column '{d.names[int(bad[0])]}' is constant; correlations undefined"
-        )
-    return d.covariance.correlation()
+    DegenerateDataError naming the column.  A dataset whose `covariance`
+    is cached (already checked) is read through it; otherwise this is the
+    batch of one of `_sample_matrices`, and the covariance it checks
+    becomes the dataset's cached `covariance`."""
+    if "covariance" in vars(d):
+        zero = (np.diagonal(d.covariance.values) == 0).tolist()
+        if any(zero):
+            raise _constant_column(zero, d.names)
+        return d.covariance.correlation()
+    (sample,), _ = _sample_matrices([_covariance_values(d.values)], d.n, d.names)
+    if isinstance(sample, DegenerateDataError):
+        raise sample
+    cov, corr = sample
+    vars(d).setdefault("covariance", cov)
+    return corr
+
+
+def _sample_matrices(
+    covariances: list[np.ndarray],
+    n: int,
+    names: tuple[str, ...],
+    weights: list[np.ndarray] = (),
+) -> tuple[list[tuple[CovMatrix, CovMatrix] | DegenerateDataError], list[CovMatrix]]:
+    """The checked matrices of a batch of samples that share n and their
+    column names, from each sample's unchecked covariance
+    (`_covariance_values`), and the population covariances
+    (`structural_covariance`) of the weight matrices `weights`.
+
+    Each sample gives its covariance and correlation, or, when the
+    covariance has a zero diagonal entry, the DegenerateDataError naming
+    its first constant column.  That entry is exactly 0 when the column's
+    standard deviation is, since both sum nonnegative squares of the same
+    centred values, and the test comes before any check of the sample's
+    matrices.  The correlations are made in one stacked `_unit_diagonal`
+    pass and the population matrices in one stacked `inv` and `matmul`;
+    then one `CovMatrix._stack` pass (one `eigvalsh` call) checks all of
+    them.  Every matrix gets the bits and floor of `sample_covariance`,
+    `correlation_matrix` or `population_covariance` alone.  A check's
+    ValueError is raised in the order of those calls: the samples' in
+    turn (the covariance before the correlation), then the populations'.
+    """
+    p = len(names)
+    # One sample is read in place, not copied.
+    raw = covariances[0][None] if len(covariances) == 1 else np.stack(covariances)
+    degenerate = (np.diagonal(raw, axis1=1, axis2=2) == 0).tolist()
+    live = [b for b, zero in enumerate(degenerate) if not any(zero)]
+    covs = raw if len(live) == len(raw) else raw[live]
+    # A covariance that is not finite fails its own check before its
+    # correlation is read.
+    with np.errstate(all="ignore"):
+        corrs = _unit_diagonal(covs, range(p))
+    pops = structural_covariance(np.stack(weights)) if len(weights) else np.empty((0, p, p))
+    k = len(live)
+    checked = CovMatrix._stack(
+        np.concatenate([covs, corrs, pops]), [n] * (2 * k) + [None] * len(weights)
+    )
+    pairs = list(zip(checked[:k], checked[k : 2 * k]))
+    for c in itertools.chain(*pairs, checked[2 * k :]):
+        if isinstance(c, ValueError):
+            raise c
+    made = iter(pairs)
+    samples: list[tuple[CovMatrix, CovMatrix] | DegenerateDataError] = [
+        _constant_column(zero, names) if any(zero) else next(made) for zero in degenerate
+    ]
+    return samples, checked[2 * k :]
+
+
+def _constant_column(zero: list[bool], names: tuple[str, ...]) -> DegenerateDataError:
+    """The error of a sample whose covariance diagonal is 0 where zero is
+    True: it names the first constant column."""
+    return DegenerateDataError(
+        f"column '{names[zero.index(True)]}' is constant; correlations undefined"
+    )
 
 
 def _solve_blocks(
@@ -559,20 +703,25 @@ def _stack_verdicts(blocks: np.ndarray, rule: _Rule, floor: float | np.ndarray) 
 
 
 def _betas(
-    source: Dataset | CovMatrix, requests: list[tuple[int, tuple[int, ...]]], y: int
+    sources: list[Dataset | CovMatrix],
+    requests: list[tuple[int, int, tuple[int, ...], int]],
 ) -> list[float | NumericalRankError]:
-    """The coefficient of `beta_given_s` for each request (i, s), or the
+    """The coefficient of `beta_given_s` for each request (m, i, s, y) on
+    sources[m] (a dataset is read through its cached `covariance`), or the
     NumericalRankError that call would raise, in request order.
 
-    Requests with y in s get 0.0 and no solve.  The others are grouped by
-    |s|; each group takes one gather of its ({i} union s) x ({i} union s,
-    y) covariance blocks and one `_solve_blocks` call, so every
-    coefficient has the bits of a one-request solve, and the blocks it
-    refuses are reported.
+    Requests with y in s get 0.0 and no solve; when no request needs one,
+    no covariance is read.  The others are grouped by |s| across all the
+    sources, which share their column count.  Each group takes one gather
+    of its ({i} union s) x ({i} union s, y) blocks from the stacked
+    matrices (one source is read in place) and one `_solve_blocks` call,
+    in which each row has its own matrix's `_eigen_floor`.  So every
+    coefficient has the bits of a one-request solve on its own matrix, and
+    the blocks that call refuses are reported.
     """
     out: list[float | NumericalRankError] = [0.0] * len(requests)
     groups: dict[int, list[int]] = {}
-    for r, (i, s) in enumerate(requests):
+    for r, (_, i, s, y) in enumerate(requests):
         if i == y:
             raise ValueError("covariate and response must differ")
         if i in s:
@@ -581,18 +730,23 @@ def _betas(
             groups.setdefault(len(s), []).append(r)
     if not groups:
         return out
-    cov = source.covariance if isinstance(source, Dataset) else source
+    covs = [c.covariance if isinstance(c, Dataset) else c for c in sources]
+    values = covs[0].values[None] if len(covs) == 1 else np.stack([c.values for c in covs])
+    floors = np.array([c._eigen_floor for c in covs])
+    p = values.shape[1]
     for rows in groups.values():
-        # Row t of idx is (i, sorted s, y); its block has rows (i, s) and
-        # columns (i, s, y).
-        idx = np.array([[requests[r][0], *sorted(requests[r][1]), y] for r in rows])
-        blocks = cov.values[idx[:, :-1, None], idx[:, None, :]]
-        coef, ok = _solve_blocks(blocks[:, :, :-1], blocks[:, :, -1:], cov._eigen_floor)
+        # Row t of idx is (m, i, sorted s, y); its block is rows (i, s) and
+        # columns (i, s, y) of matrix m, read through one flat offset per
+        # cell.
+        idx = np.array([[m, i, *sorted(s), y] for m, i, s, y in map(requests.__getitem__, rows)])
+        m = idx[:, 0]
+        blocks = values.take((m[:, None, None] * p + idx[:, 1:-1, None]) * p + idx[:, None, 1:])
+        coef, ok = _solve_blocks(blocks[:, :, :-1], blocks[:, :, -1:], floors[m])
         for r, c, good in zip(rows, coef[:, 0, 0].tolist(), ok.tolist()):
             if good:
                 out[r] = c
             else:
-                i, s = requests[r]
+                _, i, s, _ = requests[r]
                 out[r] = NumericalRankError(
                     f"regression ({i} | {s}): matrix is singular or ill-conditioned"
                 )
@@ -611,9 +765,9 @@ def beta_given_s(
     its `_eigen_floor` is positive (no principal block can then pass
     CONDITION_LIMIT); otherwise by the condition number of the {i} union s
     covariance block.  This is the one-request form of `_betas`, which
-    solves many requests in a few stacked calls.
+    solves many requests on many matrices in a few stacked calls.
     """
-    beta = _betas(source, [(i, tuple(int(x) for x in s))], y)[0]
+    beta = _betas([source], [(0, i, tuple(int(x) for x in s), y)])[0]
     if isinstance(beta, NumericalRankError):
         raise beta
     return beta
@@ -687,12 +841,14 @@ def bic_score(d: Dataset, dag: PDGraph) -> float:
 def structural_covariance(weights: np.ndarray) -> np.ndarray:
     """Exact covariance of the linear system X = W X + e where W[i, j] is
     the coefficient of X_j in the equation for X_i and e has independent
-    unit-variance components."""
+    unit-variance components.  A stack of weight matrices gives the stack
+    of their covariances, each with the bits it gets alone: `inv` and
+    `matmul` work matrix by matrix."""
     w = np.asarray(weights, dtype=float)
-    eye = np.eye(w.shape[0])
+    eye = np.eye(w.shape[-1])
     inv_ib = np.linalg.inv(eye - w)
     # Kept as (inv_ib @ eye) @ inv_ib.T: numpy computes inv_ib @ inv_ib.T
     # as a symmetric rank-k update, which rounds differently, and the
     # simulation outputs are pinned to these bits.
-    sigma = inv_ib @ eye @ inv_ib.T
-    return (sigma + sigma.T) / 2.0
+    sigma = inv_ib @ eye @ inv_ib.swapaxes(-1, -2)
+    return (sigma + sigma.swapaxes(-1, -2)) / 2.0

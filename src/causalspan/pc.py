@@ -267,16 +267,6 @@ def _level_stops(
     return found
 
 
-def _sample_matrices(ds: Dataset) -> tuple[CovMatrix | None, CovMatrix | CausalSpanError]:
-    """A sample's covariance and its correlation matrix for `_skeletons`,
-    or None and the error that making the correlation raised."""
-    try:
-        corr = correlation_matrix(ds)
-    except CausalSpanError as e:
-        return None, e
-    return ds.covariance, corr
-
-
 def _skeletons(
     corrs: list[CovMatrix | CausalSpanError], cfg: CITestConfig
 ) -> list[_Skeleton | CausalSpanError]:

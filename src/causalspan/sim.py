@@ -14,15 +14,29 @@ import csv
 import statistics
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .effects import DEFAULT_MAX_SIBLINGS, EffectMultiset, _theta, local_effects
+from .effects import (
+    DEFAULT_MAX_SIBLINGS,
+    EffectMultiset,
+    _finish_plans,
+    _local_plan,
+    _Plan,
+    _theta_plan,
+)
 from .errors import CausalSpanError, ResourceCapError
-from .gauss import CITestConfig, CovMatrix, Dataset, structural_covariance
+from .gauss import (
+    CITestConfig,
+    CovMatrix,
+    Dataset,
+    _covariance_values,
+    _sample_matrices,
+    structural_covariance,
+)
 from .graphs import DEFAULT_MAX_COMPONENT_EDGES, DEFAULT_MAX_DAGS, PDGraph, cpdag_from_dag
-from .pc import _batch_size, _pc_result, _sample_matrices, _skeletons, repair_cpdag
+from .pc import _batch_size, _pc_result, _skeletons, repair_cpdag
 
 
 @dataclass(frozen=True)
@@ -180,29 +194,39 @@ def population_effects(
 ) -> EffectMultiset:
     """The effect multiset a perfect oracle would report: the CPDAG of the
     true DAG combined with the exact covariance."""
-    return _route_effects(
-        population_covariance(w), cpdag_from_dag(w.graph), i, y, method, mods,
-        max_component_edges, max_dags, max_siblings,
+    cov = population_covariance(w)
+    plan = _route_plan(
+        cpdag_from_dag(w.graph), i, y, method, mods, max_component_edges, max_dags, max_siblings
     )
+    (m,) = _finish_plans([(cov, y, plan)])
+    if isinstance(m, CausalSpanError):
+        raise m
+    return m
 
 
-def _route_effects(
-    source: Dataset | CovMatrix, g: PDGraph, i: int, y: int, method: str,
-    mods: frozenset[str] | tuple[str, ...], max_component_edges: int, max_dags: int,
-    max_siblings: int, classes: dict | None = None,
-) -> EffectMultiset:
-    """Covariate i's effect multiset by one route.  The global route
-    solves i's row only (its entries equal
+def _route_plan(
+    g: PDGraph, i: int, y: int, method: str, mods: frozenset[str] | tuple[str, ...],
+    max_component_edges: int, max_dags: int, max_siblings: int, classes: dict | None = None,
+) -> _Plan:
+    """Covariate i's effect multiset by one route, as a plan (see
+    `effects._finish_plans`) whose finish gives the multiset or the
+    package error.  The global route plans i's row only (its entries equal
     `global_effects(...).row_multiset(i)`) and reads or adds g's member
-    list in `classes` (see `_theta`); the local route is `local_effects`."""
+    list in `classes` (see `_theta_plan`); the local route is
+    `local_effects`'s."""
     if method == "global":
-        return _theta(
-            source, g, (i,), y, mods, max_component_edges, max_dags, classes
-        ).row_multiset(i)
+        requests, theta = _theta_plan(g, (i,), y, mods, max_component_edges, max_dags, classes)
+
+        def finish(betas: list) -> EffectMultiset | CausalSpanError:
+            t = theta(betas)
+            return t if isinstance(t, CausalSpanError) else t.row_multiset(i)
+
+        return requests, finish
     if method == "local":
-        return local_effects(
-            source, g, i, y, mods, max_siblings, max_component_edges, max_dags
+        requests, local = _local_plan(
+            g, (i,), y, mods, max_siblings, max_component_edges, max_dags
         )
+        return requests, lambda betas: local(betas)[0]
     raise ValueError("method must be 'global' or 'local'")
 
 
@@ -236,46 +260,67 @@ def run_scenario(
     truth, the global estimate and later replicates reuse the member list
     of a graph already listed.
 
-    The replicates run in groups of `pc._batch_size(p)`, each in three
-    passes.  The first draws the group's replicates in turn and keeps only
-    each one's sample covariance and correlation matrix, not its n x p
-    values.  The second runs the group's PC skeletons as one batch
-    (`pc._skeletons`), which fills the skeleton's stacks across
-    replicates.  The third orients, repairs and estimates each replicate;
-    the routes read the data only through the sample covariance.  A
-    replicate's `runtime_s` is its share of the batch's skeleton time (the
-    batch time over the replicates in it), plus its own correlation,
-    orientation and repair time, plus the method's time.
+    The replicates run in batches of `pc._batch_size(p)`, each in four
+    passes.  The first draws the batch's replicates in turn and reduces
+    each one's values at once to its unchecked sample covariance, so no
+    n x p array outlives its replicate.  The second makes and checks every
+    sample covariance, correlation and (with the truth) population
+    covariance of the batch together (`gauss._sample_matrices`), and runs
+    the batch's PC skeletons as one batch (`pc._skeletons`).  The third
+    orients and repairs each replicate's estimate and plans its truth and
+    its methods' regressions, which the fourth solves in one `_betas` call
+    before it scores each replicate; the routes read the data only through
+    the sample covariance.  A replicate's `runtime_s` leaves out the
+    truth's work, as it did when each replicate ran alone.  It is its own
+    reduction, orientation and repair time; when its correlation was
+    made, its share of the matrix pass (the pass's time over the matrices
+    made, for its two) and of the skeleton batch (the batch's time over
+    the replicates in it); and the method's planning time and its plan's
+    share of the regression solve (the solve's time over the requests,
+    for the plan's).
     """
     for m in methods:
         if m not in ("local", "global"):
             raise ValueError(f"unknown method: {m}")
     cfg = CITestConfig(alpha)
+    caps = (max_component_edges, max_dags, max_siblings)
     children = np.random.SeedSequence(scenario.seed).spawn(scenario.n_reps)
     size = _batch_size(scenario.n_vertices)
     records: list[SimRecord] = []
     classes: dict = {}
     for start in range(0, scenario.n_reps, size):
-        draws, corrs = zip(*(_draw(scenario, child) for child in children[start : start + size]))
+        draws: list[_Draw] = []
+        try:
+            for child in children[start : start + size]:
+                draws.append(_draw(scenario, child))
+        except Exception:
+            # Each replicate's matrices are checked as if right after its
+            # draw: an earlier replicate's check error comes first.
+            if draws:
+                _sample_matrices([d.covariance for d in draws], scenario.n, draws[0].names)
+            raise
         t0 = time.perf_counter()
-        skeletons = _skeletons(list(corrs), cfg)
-        batched = sum(isinstance(corr, CovMatrix) for corr in corrs)
-        share = (time.perf_counter() - t0) / max(batched, 1)
-        for k, ((w, x, y, cov, own), skeleton) in enumerate(zip(draws, skeletons), start):
-            # The replicate's own correlation time and its share of the batch.
-            own += 0.0 if cov is None else share
-            truth: EffectMultiset | None = None
-            truth_status = "ok"
+        samples, pops = _sample_matrices(
+            [d.covariance for d in draws], scenario.n, draws[0].names,
+            [d.w.weights for d in draws] if compute_truth else [],
+        )
+        t1 = time.perf_counter()
+        skeletons = _skeletons(
+            [s if isinstance(s, CausalSpanError) else s[1] for s in samples], cfg
+        )
+        batched = sum(not isinstance(s, CausalSpanError) for s in samples)
+        # The pass's time split evenly over the matrices it made: the
+        # population matrices' part is truth work, which runtime_s leaves out.
+        matrix_share = 2 * (t1 - t0) / max(2 * batched + len(pops), 1)
+        skeleton_share = (time.perf_counter() - t1) / max(batched, 1)
+        plans: list = []
+        planned = []
+        for k, (draw, sample, skeleton) in enumerate(zip(draws, samples, skeletons)):
+            truth: int | CausalSpanError | None = None
             if compute_truth:
-                try:
-                    truth = _route_effects(
-                        population_covariance(w), cpdag_from_dag(w.graph), x, y, "global", (),
-                        max_component_edges, max_dags, max_siblings, classes,
-                    )
-                except ResourceCapError:
-                    truth_status = "truth_resource_error"
-                except CausalSpanError:
-                    truth_status = "truth_error"
+                truth = _planned(
+                    plans, pops[k], cpdag_from_dag(draw.w.graph), draw, "global", caps, classes
+                )
             t0 = time.perf_counter()
             graph = None
             pc_error: CausalSpanError | None = None
@@ -292,40 +337,79 @@ def run_scenario(
                         graph = repair_cpdag(pc_res, seed=scenario.seed).graph
                 except CausalSpanError as e:
                     pc_error = e
+            own = draw.seconds
+            if not isinstance(sample, CausalSpanError):
+                own += matrix_share + skeleton_share
             structure_time = own + time.perf_counter() - t0
+            estimates = []
             for method in methods:
                 t1 = time.perf_counter()
-                est: EffectMultiset | None = None
-                status = "ok"
-                if pc_error is not None:
-                    status = f"failed:{type(pc_error).__name__}"
-                else:
-                    try:
-                        est = _route_effects(
-                            cov, graph, x, y, method, (), max_component_edges, max_dags,
-                            max_siblings, classes,
-                        )
-                    except CausalSpanError as e:
-                        status = f"failed:{type(e).__name__}"
-                runtime = structure_time + (time.perf_counter() - t1)
+                estimate = pc_error
+                if pc_error is None:
+                    estimate = _planned(plans, sample[0], graph, draw, method, caps, classes)
+                estimates.append((method, estimate, structure_time + time.perf_counter() - t1))
+            planned.append((start + k, draw, truth, estimates))
+        # The solve's time split evenly over the requests: each method's
+        # row gets its own plan's part, and the truth's part is left out.
+        asked = [len(requests) for _, _, (requests, _) in plans]
+        t0 = time.perf_counter()
+        done = _finish_plans(plans)
+        per_request = (time.perf_counter() - t0) / max(sum(asked), 1)
+        for k, draw, truth, estimates in planned:
+            truth = done[truth] if isinstance(truth, int) else truth
+            truth_status = "ok"
+            if isinstance(truth, ResourceCapError):
+                truth_status = "truth_resource_error"
+            elif isinstance(truth, CausalSpanError):
+                truth_status = "truth_error"
+            for method, estimate, runtime in estimates:
+                if isinstance(estimate, int):
+                    runtime += asked[estimate] * per_request
+                    estimate = done[estimate]
                 e2_ave = e2_min = None
-                if est is not None and truth is not None:
-                    e2_ave, e2_min = error_measures(est, truth)
-                elif est is not None and compute_truth:
+                status = "ok"
+                if isinstance(estimate, CausalSpanError):
+                    status = f"failed:{type(estimate).__name__}"
+                elif truth is not None and truth_status == "ok":
+                    e2_ave, e2_min = error_measures(estimate, truth)
+                elif compute_truth:
                     status = truth_status
-                records.append(
-                    SimRecord(k, method, e2_ave, e2_min, runtime, status, x, y)
-                )
+                records.append(SimRecord(
+                    k, method, e2_ave, e2_min, runtime, status, draw.x, draw.y
+                ))
     return records
 
 
-def _draw(
-    scenario: SimScenario, child: np.random.SeedSequence
-) -> tuple[tuple, CovMatrix | CausalSpanError]:
-    """One replicate, drawn from its own stream: (its model, covariate,
-    response, sample covariance and the seconds its correlation took), and
-    that correlation matrix, or the error making it raised (the covariance
-    is then None)."""
+def _planned(
+    plans: list, source: CovMatrix, g: PDGraph, draw: _Draw, method: str,
+    caps: tuple[int, int, int], classes: dict,
+) -> int | CausalSpanError:
+    """Append the plan of draw's covariate by `method` on g, to be read
+    from source, to `plans` and return its index there, or return the
+    package error that planning raised."""
+    try:
+        plan = _route_plan(g, draw.x, draw.y, method, (), *caps, classes)
+    except CausalSpanError as e:
+        return e
+    plans.append((source, draw.y, plan))
+    return len(plans) - 1
+
+
+class _Draw(NamedTuple):
+    """One replicate's model, covariate, response and column names, its
+    unchecked sample covariance and the seconds that reduction took."""
+
+    w: WeightedDag
+    x: int
+    y: int
+    names: tuple[str, ...]
+    covariance: np.ndarray
+    seconds: float
+
+
+def _draw(scenario: SimScenario, child: np.random.SeedSequence) -> _Draw:
+    """One replicate, drawn from its own stream, with its values reduced
+    at once to their covariance (`gauss._covariance_values`)."""
     rng = np.random.default_rng(child)
     block_size = scenario.n_vertices // (scenario.blocks or 1)
     w = random_weighted_dag(scenario.n_vertices, scenario.en, rng, scenario.blocks)
@@ -338,8 +422,8 @@ def _draw(
     x = int(rng.choice(same_block))
     data = generate_data(w, scenario.n, rng, response=y)
     t0 = time.perf_counter()
-    cov, corr = _sample_matrices(data)
-    return (w, x, y, cov, time.perf_counter() - t0), corr
+    covariance = _covariance_values(data.values)
+    return _Draw(w, x, y, data.names, covariance, time.perf_counter() - t0)
 
 
 CSV_COLUMNS = ("rep", "method", "e2_ave", "e2_min", "runtime_s", "status")

@@ -616,10 +616,12 @@ class TestFailureModes:
 
 
 class TestBatchedLocalRoute:
-    """`score` and `estimate --method local` solve all covariates'
-    regressions of a graph at once.  With a sibling cap that fails some
+    """`score` plans the local route on every graph of a batch of samples
+    and solves all their regressions at once, and `estimate --method
+    local` does so for its graph.  With a sibling cap that fails some
     covariates, their outputs, exit codes and messages must equal those of
-    the route run one covariate and one regression at a time."""
+    `reference_local_effects` run one covariate and one regression at a
+    time on each sample's graph and covariance."""
 
     @staticmethod
     def one_at_a_time(source, g, covariates, y, mods, max_siblings, max_component_edges,
@@ -632,6 +634,13 @@ class TestBatchedLocalRoute:
             except CausalSpanError as e:
                 out.append(e)
         return out
+
+    @classmethod
+    def reference_plan(cls, g, covariates, y, mods, max_siblings, max_component_edges,
+                       max_dags=effects.DEFAULT_MAX_DAGS):
+        # No requests: the finish runs the reference on the plan's source.
+        return [], lambda source: cls.one_at_a_time(
+            source, g, covariates, y, mods, max_siblings, max_component_edges, max_dags)
 
     @staticmethod
     def run(argv, capsys):
@@ -646,11 +655,17 @@ class TestBatchedLocalRoute:
         src = tmp_path / "in.csv"
         write_csv(src, x, [f"X{i}" for i in range(p)])
         common = ["--input", str(src), "--response", f"X{p - 1}", "--max-sib", "1"]
-        outputs = []
+        outputs, sources = [], []
+
+        def finish_on_source(plans):
+            sources.extend(source for source, _, _ in plans)
+            return [finish(source) for source, _, (_, finish) in plans]
+
         for patched in (False, True):
             with pytest.MonkeyPatch.context() as mp:
                 if patched:
-                    mp.setattr(effects, "_local_multisets", self.one_at_a_time)
+                    mp.setattr(effects, "_local_plan", self.reference_plan)
+                    mp.setattr(effects, "_finish_plans", finish_on_source)
                 score = tmp_path / f"score{patched}.csv"
                 assert self.run(["score", *common, "--bootstrap", "3", "--seed", "1",
                                  "--out", str(score)], capsys) == (0, "")
@@ -658,6 +673,9 @@ class TestBatchedLocalRoute:
                                     capsys)
             outputs.append((score.read_bytes(), estimate))
         assert outputs[0] == outputs[1]
+        # The reference ran on the full data, the three resamples and the
+        # estimate's data.
+        assert len(sources) == 5
         rows = list(csv.DictReader(outputs[0][0].decode().splitlines()))
         assert {r["failures"] == "0" for r in rows} == {True, False}
         code, err = outputs[0][1]

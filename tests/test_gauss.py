@@ -22,6 +22,7 @@ from causalspan import (
     PDGraph,
     beta_given_s,
     bic_score,
+    bootstrap_scores,
     correlation_matrix,
     dag_mle,
     fisher_z_dependent,
@@ -29,7 +30,7 @@ from causalspan import (
     sample_covariance,
     structural_covariance,
 )
-from causalspan import gauss
+from causalspan import effects, gauss
 from causalspan.gauss import (
     CONDITION_LIMIT,
     _betas,
@@ -44,6 +45,7 @@ from causalspan.gauss import (
     _z_quantile,
 )
 from causalspan.pc import _POPULATION_RULE, POPULATION_RHO_TOL
+from causalspan.sim import SimScenario, generate_data, random_weighted_dag, run_scenario
 from conftest import (
     _reference_closure,
     ols_coefficient,
@@ -150,6 +152,66 @@ class TestCovMatrix:
         except ValueError as e:
             symmetric = str(e) != "covariance must be symmetric"
         assert symmetric == np.allclose(v, v.T, atol=1e-8 * max(1.0, float(np.abs(v).max())))
+        # The same matrix between two others of a stack, whose far larger
+        # scale does not move its verdict.
+        other = np.eye(p) * 1e3 * scale
+        got = CovMatrix._stack(np.stack([other, v, -other]), [None] * 3)[1]
+        assert (str(got) != "covariance must be symmetric") == symmetric
+
+    @staticmethod
+    def lone(v: np.ndarray, n: int | None):
+        """What the constructor makes of v: the stored bits, floor and n,
+        or the error's type and message."""
+        try:
+            c = CovMatrix(v, n=n)
+        except Exception as e:
+            return type(e), str(e)
+        return c.values.tobytes(), c._eigen_floor, c.n
+
+    def test_stack_checks_each_matrix_as_the_constructor_does(self):
+        rng = np.random.default_rng(9)
+        p = 4
+
+        def good():
+            a = rng.normal(size=(p, p))
+            return a @ a.T + np.eye(p)
+
+        nonfinite = good()
+        nonfinite[1, 2] = np.inf
+        asymmetric = good()
+        asymmetric[0, 3] += 1e-3
+        # Asymmetric inside the tolerance: accepted, but with floor 0.
+        nearly = good()
+        nearly[2, 1] = ulps_from(nearly[1, 2], 3)
+        indefinite = np.diag([1.0, 2.0, 3.0, -1.0])
+        # Past the floor's ratio bound CONDITION_LIMIT / 1e4: floor 0.
+        ill = np.diag([1.0, 2.0, 3.0, 1e-9])
+        # A matrix of a far larger scale, whose tolerances are no other's.
+        large = good() * 1e6
+        mats = [good(), nonfinite, asymmetric, nearly, indefinite, large, ill, good(), good()]
+        ns = [50, 50, None, 30, 50, None, 50, 2, 1]
+        got = CovMatrix._stack(np.stack(mats), ns)
+        outcomes = []
+        for v, n, c in zip(mats, ns, got):
+            want = self.lone(v, n)
+            if isinstance(c, ValueError):
+                assert (type(c), str(c)) == want
+                outcomes.append(str(c))
+            else:
+                assert (c.values.tobytes(), c._eigen_floor, c.n) == want
+                assert not c.values.flags.writeable
+                outcomes.append(c._eigen_floor > 0)
+        assert outcomes == [
+            True,
+            "covariance must be finite",
+            "covariance must be symmetric",
+            False,
+            "covariance must be positive semidefinite",
+            True,
+            False,
+            True,
+            "sample size must be at least 2",
+        ]
 
     def test_symmetry_tolerance_is_inclusive(self):
         # |v - v.T| equal to the tolerance 1e-8 * scale passes, as in allclose.
@@ -657,7 +719,8 @@ def one_request(cov: CovMatrix, i: int, s: tuple[int, ...], y: int) -> str:
 
 
 def stacked(source, requests, y) -> list[str]:
-    return [b.hex() if isinstance(b, float) else str(b) for b in _betas(source, requests, y)]
+    betas = _betas([source], [(0, i, s, y) for i, s in requests])
+    return [b.hex() if isinstance(b, float) else str(b) for b in betas]
 
 
 class TestStackedRegressions:
@@ -693,15 +756,15 @@ class TestStackedRegressions:
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(seed=st.integers(0, 2**32 - 2))
     def test_same_bits_and_errors_as_one_request_solves(self, kind, flag, seed):
-        post_init = CovMatrix.__post_init__
+        check = gauss._check_stack
 
-        def flag_off(c):
-            post_init(c)
-            object.__setattr__(c, "_eigen_floor", 0.0)
+        def flag_off(v, ns):
+            floors, problems = check(v, ns)
+            return np.zeros_like(floors), problems
 
         with pytest.MonkeyPatch.context() as mp:
             if flag == "off":
-                mp.setattr(CovMatrix, "__post_init__", flag_off)
+                mp.setattr(gauss, "_check_stack", flag_off)
             cov = self.covariance(kind, seed)
         if kind != "data":
             assert cov._eigen_floor == 0.0
@@ -734,10 +797,79 @@ class TestStackedRegressions:
             else:
                 assert not out[k].startswith("regression")
 
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 2))
+    def test_requests_over_several_matrices_keep_their_own(self, seed):
+        # Matrices that vouch for their blocks (n = 200), ones that do not
+        # (n < p) and ones with a singular block (a duplicated column)
+        # share one call; every request, whatever its matrix and response,
+        # gets the bits or the error of `beta_given_s` on its own matrix.
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(3, 8))
+        covs = []
+        for kind in rng.permutation(["data", "data", "wide", "duplicate", "duplicate"]):
+            n = int(rng.integers(2, p)) if kind == "wide" else 200
+            v = rng.standard_normal((n, p)) @ rng.uniform(-1.0, 1.0, (p, p))
+            if kind == "duplicate":
+                a, b = rng.choice(p, 2, replace=False)
+                v[:, b] = v[:, a]
+            covs.append(sample_covariance(make_dataset(v)))
+        assert {c._eigen_floor > 0 for c in covs} == {True, False}
+        requests = []
+        for _ in range(int(rng.integers(1, 40))):
+            m = int(rng.integers(len(covs)))
+            i, y = (int(k) for k in rng.choice(p, 2, replace=False))
+            others = [k for k in range(p) if k != i]
+            s = tuple(int(k) for k in rng.choice(others, int(rng.integers(0, p)), replace=False))
+            requests.append((m, i, s, y))
+        got = [b.hex() if isinstance(b, float) else str(b) for b in _betas(covs, requests)]
+        for (m, i, s, y), out in zip(requests, got):
+            assert out == one_request(covs[m], i, s, y)
+            try:
+                assert out == beta_given_s(covs[m], i, s, y).hex()
+            except NumericalRankError as e:
+                assert out == str(e)
+
+    @staticmethod
+    def spied(run):
+        """The result of run() and the requests of each `_betas` call
+        that the effects module made in it."""
+        calls = []
+        solve = effects._betas
+
+        def spy(sources, requests):
+            calls.append((len(sources), requests))
+            return solve(sources, requests)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(effects, "_betas", spy)
+            return run(), calls
+
+    def test_a_simulation_batch_makes_one_solve_call(self):
+        # The sim-small scenario on seed 201 is one batch of 60 replicates:
+        # their truth and both routes' regressions are one call, over the
+        # 60 population and the sample covariances.
+        scenario = SimScenario(5, 3.5, 1000, 60, seed=201)
+        records, calls = self.spied(lambda: run_scenario(scenario))
+        [(sources, requests)] = calls
+        assert sources > 60 and len({m for m, *_ in requests}) == sources
+        assert sum(r.status == "ok" for r in records) > 100
+
+    def test_a_bootstrap_batch_makes_one_solve_call(self):
+        # The 41-column input of the score goldens, in batches of 4, 4 and
+        # 3 samples: one call per batch, over that batch's covariances.
+        rng = np.random.default_rng(41)
+        d = generate_data(random_weighted_dag(41, 3.0, rng), 300, rng).standardize()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(effects, "_batch_size", lambda p: 4)
+            _, calls = self.spied(lambda: bootstrap_scores(d, CITestConfig(0.01), b=10, seed=2))
+        assert [sources for sources, _ in calls] == [4, 4, 3]
+        assert [len({m for m, *_ in requests}) for _, requests in calls] == [4, 4, 3]
+
     def test_empty_and_response_only_requests_solve_nothing(self):
         cov = CovMatrix(np.eye(3))
-        assert _betas(cov, [], 2) == []
-        assert _betas(cov, [(0, (2,)), (1, (0, 2))], 2) == [0.0, 0.0]
+        assert _betas([cov], []) == []
+        assert _betas([cov], [(0, 0, (2,), 2), (0, 1, (0, 2), 2)]) == [0.0, 0.0]
 
 
 class TestDagMle:

@@ -15,6 +15,7 @@ from causalspan import (
     CITestConfig,
     CovMatrix,
     Dataset,
+    DegenerateDataError,
     NumericalRankError,
     PcDiagnostics,
     PcResult,
@@ -366,14 +367,14 @@ class TestConditioningFlag:
     @given(seed=st.integers(0, 2**32 - 2))
     def test_flag_changes_no_output(self, kind, seed):
         skeleton, betas, flags, n = self.outputs(kind, seed)
-        post_init = CovMatrix.__post_init__
+        check = gauss._check_stack
 
-        def flag_off(c):
-            post_init(c)
-            object.__setattr__(c, "_eigen_floor", 0.0)
+        def flag_off(v, ns):
+            floors, problems = check(v, ns)
+            return np.zeros_like(floors), problems
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(CovMatrix, "__post_init__", flag_off)
+            mp.setattr(gauss, "_check_stack", flag_off)
             skeleton_off, betas_off, flags_off, _ = self.outputs(kind, seed)
         assert flags_off == (False, False)
         assert skeleton_off == skeleton
@@ -666,6 +667,123 @@ class TestSkeletonBatch:
         assert set(batched) == set(alone)
         assert all(batched[level] <= alone[level] for level in alone)
         assert sum(map(len, stacked)) <= 2 * len(alone) - 1 < alone_calls / 20
+
+
+class TestSampleMatrices:
+    """`gauss._sample_matrices` makes and checks the matrices of a batch of
+    samples and population models together; each must get exactly what
+    the one-matrix calls give it, errors included."""
+
+    @staticmethod
+    def bits(c: CovMatrix) -> tuple:
+        return c.values.tobytes(), c._eigen_floor, c.n
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(4, 9),
+        rows=st.sampled_from(["n < p", "n = 30", "n = 500"]),
+        kinds=st.lists(
+            st.sampled_from(
+                ["plain", "duplicated", "near-collinear", "sum", "constant", "population"]
+            ),
+            min_size=1, max_size=8,
+        ),
+    )
+    def test_each_sample_gets_its_own_matrices(self, seed, p, rows, kinds):
+        # One sample size per batch; samples whose matrices vouch for their
+        # blocks mix with ones that do not (floor 0), ones with a constant
+        # column and the population matrices of other models.  Every batch
+        # that `run_scenario` or `bootstrap_scores` makes has a sample.
+        assume(any(kind != "population" for kind in kinds))
+        rng = np.random.default_rng(seed)
+        n = {"n < p": int(rng.integers(3, p)), "n = 30": 30, "n = 500": 500}[rows]
+        data, models = [], []
+        for kind in kinds:
+            if kind == "population":
+                models.append(random_weighted_dag(p, float(rng.uniform(1.0, 4.0)), rng))
+            else:
+                data.append(TestSkeletonBatch.sample(kind, p, n, rng))
+        names = tuple(f"X{i + 1}" for i in range(p))
+        samples, pops = gauss._sample_matrices(
+            [gauss._covariance_values(d.values) for d in data], n, names,
+            [w.weights for w in models],
+        )
+        assert len(samples) == len(data) and len(pops) == len(models)
+        for d, got in zip(data, samples):
+            # A fresh dataset, with no cached covariance.
+            d = Dataset(d.values, d.names, d.response)
+            sd = d.values.std(axis=0, ddof=1)
+            if not (sd > 0).all():
+                with pytest.raises(DegenerateDataError) as e:
+                    correlation_matrix(d)
+                first = d.names[int(np.nonzero(~(sd > 0))[0][0])]
+                assert str(e.value) == f"column '{first}' is constant; correlations undefined"
+                assert type(got) is DegenerateDataError and str(got) == str(e.value)
+                # Read through a cached covariance, the same error.
+                d.covariance
+                with pytest.raises(DegenerateDataError) as cached:
+                    correlation_matrix(d)
+                assert str(cached.value) == str(e.value)
+                continue
+            cov, corr = got
+            assert self.bits(cov) == self.bits(gauss.sample_covariance(d))
+            assert self.bits(corr) == self.bits(correlation_matrix(d))
+            assert self.bits(corr) == self.bits(gauss.sample_covariance(d).correlation())
+            # The first call cached the covariance; the second reads it.
+            assert self.bits(d.covariance) == self.bits(cov)
+            assert self.bits(corr) == self.bits(correlation_matrix(d))
+        for w, got in zip(models, pops):
+            assert self.bits(got) == self.bits(sim.population_covariance(w))
+
+    def test_a_cached_covariance_is_not_made_or_checked_again(self, monkeypatch):
+        # `bic_select_alpha` runs PC on one dataset once per alpha: after
+        # the first run, each reads the cached covariance and checks only
+        # its correlation matrix.
+        rng = np.random.default_rng(3)
+        d = generate_data(random_weighted_dag(8, 2.0, rng), 200, rng)
+        first = pc_cpdag(d, CITestConfig(0.01))
+        checked = []
+        check = gauss._check_stack
+        monkeypatch.setattr(
+            gauss, "_check_stack", lambda v, ns: checked.append(len(v)) or check(v, ns)
+        )
+        monkeypatch.setattr(
+            gauss, "_covariance_values", lambda values: pytest.fail("covariance made again")
+        )
+        second = pc_cpdag(d, CITestConfig(0.01))
+        assert checked == [1]
+        assert second.graph == first.graph
+        bic_select_alpha(d, alphas=(0.01, 0.05))
+        assert checked == [1, 1, 1]
+
+    def test_bootstrap_raises_the_earlier_of_two_failed_resamples(self):
+        # Columns a and b are constant but for one row each, rows 0 and 1:
+        # a resample that misses row 1 has a constant b, one that misses
+        # row 0 a constant a.  With seed 1 resample 2 fails on b, and
+        # resamples 3-5 on a; the error is resample 2's, in any grouping.
+        rng = np.random.default_rng(0)
+        v = rng.standard_normal((9, 4))
+        v[:, :2] = 0.0
+        v[0, 0] = v[1, 1] = 1.0
+        d = Dataset(v, ("a", "b", "c", "y"), 3)
+        failed = []
+        for k, child in enumerate(np.random.SeedSequence(1).spawn(6)):
+            ds = d.resample_rows(np.random.default_rng(child).integers(0, d.n, size=d.n))
+            try:
+                pc_cpdag(ds, CITestConfig(0.01))
+            except CausalSpanError as e:
+                failed.append((k, type(e), str(e)))
+        assert [(k, message[8]) for k, _, message in failed] == [
+            (2, "b"), (3, "a"), (4, "a"), (5, "a")
+        ]
+        for size in (None, 3, 1):
+            with pytest.MonkeyPatch.context() as mp:
+                if size is not None:
+                    mp.setattr(effects, "_batch_size", lambda p: size)
+                with pytest.raises(CausalSpanError) as e:
+                    bootstrap_scores(d, CITestConfig(0.01), b=6, seed=1)
+            assert (type(e.value), str(e.value)) == failed[0][1:]
 
 
 class TestColliderOrientation:

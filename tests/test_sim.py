@@ -4,11 +4,13 @@ and the replicated evaluation loop."""
 import dataclasses
 import io
 import statistics
+import types
 
 import numpy as np
 import pytest
 
 from causalspan import (
+    Dataset,
     EffectEntry,
     EffectMultiset,
     PDGraph,
@@ -22,6 +24,7 @@ from causalspan import (
     population_effects,
     random_weighted_dag,
     run_scenario,
+    sim,
 )
 from causalspan.sim import write_records_csv, summarize_records
 
@@ -307,12 +310,88 @@ class TestRunScenario:
             assert strip_runtime(run_scenario(scenario)) == strip_runtime(recs)
         assert listed[: len(listed) // 2] == listed[len(listed) // 2 :]
 
+    def test_runtime_leaves_out_the_truth_work(self, monkeypatch):
+        # A clock that moves only in the batch's matrix pass, one second
+        # per matrix made, and in its regression solve, one second per
+        # request.  Each row then gets two seconds for its sample's two
+        # matrices and one per request of its own plan; the population
+        # matrices and the truth's requests (read from n = None matrices)
+        # count in no row.
+        clock = [0.0]
+        monkeypatch.setattr(sim, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+        make, finish = sim._sample_matrices, sim._finish_plans
+        requests = {"truth": 0, "methods": 0}
+
+        def timed_make(covariances, n, names, weights=()):
+            clock[0] += 2 * len(covariances) + len(weights)
+            return make(covariances, n, names, weights)
+
+        def timed_finish(plans):
+            for source, _, (asked, _) in plans:
+                requests["truth" if source.n is None else "methods"] += len(asked)
+            clock[0] += sum(requests.values())
+            return finish(plans)
+
+        monkeypatch.setattr(sim, "_sample_matrices", timed_make)
+        monkeypatch.setattr(sim, "_finish_plans", timed_finish)
+        recs = run_scenario(self.small())
+        assert {r.status for r in recs} == {"ok"} and requests["truth"] > 0
+        total = sum(r.runtime_s for r in recs)
+        assert total == 2 * len(recs) + requests["methods"]
+
     def test_blocked_scenario_keeps_question_inside_a_block(self):
         recs = run_scenario(
             SimScenario(6, 1.5, 200, 5, blocks=2, seed=3), methods=("local",)
         )
         for r in recs:
             assert (r.x < 3) == (r.y < 3)
+
+
+class TestBatchErrors:
+    """A batch's replicates are drawn first and their matrices checked
+    together; errors must keep the order of checking each replicate's
+    matrices right after its draw."""
+
+    @staticmethod
+    def run(faults: dict[int, str]):
+        """run_scenario on one batch of 4 replicates, whose k-th draw is
+        spoiled as faults[k] says: "inf" overflows a covariance (its check
+        fails), "constant+inf" makes column X1 constant too, "raise" fails
+        the draw itself.  Returns the records or the error's message."""
+        made = []
+        draw = sim.generate_data
+
+        def spoiled(w, n, rng, response=None, names=None):
+            d = draw(w, n, rng, response=response, names=names)
+            fault = faults.get(len(made))
+            made.append(d)
+            if fault == "raise":
+                raise ValueError("draw failed")
+            v = d.values.copy()
+            if fault is not None:
+                v[0, 1] = 1e200
+            if fault == "constant+inf":
+                v[:, 0] = 1.0
+            return Dataset(v, d.names, d.response)
+
+        with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
+            mp.setattr(sim, "generate_data", spoiled)
+            try:
+                return run_scenario(SimScenario(5, 2.0, 50, 4, seed=1))
+            except ValueError as e:
+                return str(e)
+
+    def test_a_check_error_propagates(self):
+        assert self.run({2: "inf"}) == "covariance must be finite"
+
+    def test_an_earlier_check_error_comes_before_a_later_draw_error(self):
+        assert self.run({1: "inf", 2: "raise"}) == "covariance must be finite"
+        assert self.run({1: "raise", 2: "inf"}) == "draw failed"
+
+    def test_a_constant_column_comes_before_the_checks(self):
+        records = self.run({3: "constant+inf"})
+        assert [r.status for r in records if r.rep == 3] == ["failed:DegenerateDataError"] * 2
+        assert {r.status for r in records if r.rep < 3} <= {"ok", "failed:NumericalRankError"}
 
 
 class TestCsvAndSummary:
