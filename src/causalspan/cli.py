@@ -43,7 +43,7 @@ from .errors import (
     ResourceCapError,
 )
 from .gauss import CITestConfig, Dataset
-from .graphs import DEFAULT_MAX_COMPONENT_EDGES
+from .graphs import DEFAULT_MAX_COMPONENT_EDGES, DEFAULT_MAX_DAGS
 from .pc import bic_select_alpha, pc_cpdag, repair_cpdag
 
 ENV_PREFIX = "CAUSALSPAN_"
@@ -289,26 +289,13 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     d = _prepared_dataset(args)
     res = pc_cpdag(d, CITestConfig(args.alpha))
     names = list(d.names)
-    repair_info = None
-    if args.method == "global":
-        g = res.graph
-        if not res.validation.is_valid:
-            rep = repair_cpdag(res, seed=args.seed)
-            g = rep.graph
-            repair_info = {"stage": rep.stage, "detail": rep.detail}
-        theta = effects.global_effects(
-            d, g, d.response, args.mods, args.max_enum
-        )
-        multisets = [theta.row_multiset(i) for i in d.covariates]
-        graph_used = g
-    else:
-        multisets = effects._local_multisets(
-            d, res.graph, d.covariates, d.response, args.mods, args.max_sib, args.max_enum
-        )
-        for m in multisets:
-            if isinstance(m, CausalSpanError):
-                raise m
-        graph_used = res.graph
+    g, repair_info = res.graph, None
+    if args.method == "global" and not res.validation.is_valid:
+        rep = repair_cpdag(res, seed=args.seed)
+        g, repair_info = rep.graph, {"stage": rep.stage, "detail": rep.detail}
+    plan = effects._route_plan(args.method, g, d.covariates, d.response, args.mods,
+                               args.max_sib, args.max_enum, DEFAULT_MAX_DAGS)
+    multisets = effects._solved(d, d.response, plan)
     ambiguities = [m.ambiguity() for m in multisets]
     table = {}
     for a in sorted(set(ambiguities)):
@@ -322,7 +309,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         "mods": sorted(args.mods),
         "seed": args.seed,
         "standardized": d.standardized,
-        "graph": graph_used.to_json_dict(names),
+        "graph": g.to_json_dict(names),
         "repair": repair_info,
         "effects": [m.to_json_dict(names) for m in multisets],
         "ambiguity_table": table,

@@ -14,6 +14,11 @@ The two routes agree on the set of distinct values (and distinct
 adjustment sets); only multiplicities can differ.  The local route is the
 one that scales.
 
+Both routes run through one entry point, `_route_plan`, whose plans
+`_finish_plans` solves together, giving one multiset or package error per
+covariate; only `global_effects`, which returns every class member's
+value, reads the global route's `_theta_plan` directly.
+
 Two optional modifications refine the interpretation: `zero_path` forces
 the effect to zero whenever a DAG admits no directed path from covariate
 to response, and `prune_y` drops parents/siblings that have no skeleton
@@ -205,15 +210,19 @@ def _check_vertex(g: PDGraph, v: int, role: str) -> None:
 _Plan = tuple[list[tuple[int, tuple[int, ...]]], Callable[[list], object]]
 
 
-def _finish_plans(plans: list[tuple[Dataset | CovMatrix, int, _Plan]]) -> list:
+def _finish_plans(plans: list[tuple[Dataset | CovMatrix | None, int, _Plan]]) -> list:
     """Each plan (source, y, (requests, finish)), with response y,
-    finished on the coefficients of its requests on source, in plan order.
-    The requests of every plan are solved in one `_betas` call over the
-    distinct sources, so a batch of graphs and a single graph's plan take
-    the same path."""
+    finished on the coefficients of its requests on source, in plan order;
+    for a `_route_plan`, a list with one multiset or package error per
+    covariate.  The requests of every plan are solved in one `_betas` call
+    over the distinct sources, so a batch of graphs and a single graph's
+    plan take the same path.  A plan with no requests reads no source, so
+    its source may be None."""
     index: dict[int, int] = {}
     sources, requests = [], []
     for source, y, (asked, _) in plans:
+        if not asked:
+            continue
         m = index.setdefault(id(source), len(sources))
         if m == len(sources):
             sources.append(source)
@@ -322,7 +331,7 @@ def _local_plan(
     mods: frozenset[str] | tuple[str, ...],
     max_siblings: int,
     max_component_edges: int,
-    max_dags: int = DEFAULT_MAX_DAGS,
+    max_dags: int,
 ) -> _Plan:
     """The local route's plan for g: every covariate's adjustment sets,
     asked for in covariate order, whose finish gives `local_effects` for
@@ -384,21 +393,52 @@ def _local_plan(
     return requests, finish
 
 
-def _local_multisets(
-    source: Dataset | CovMatrix,
+def _route_plan(
+    method: str,
     g: PDGraph,
     covariates: tuple[int, ...],
     y: int,
     mods: frozenset[str] | tuple[str, ...],
     max_siblings: int,
     max_component_edges: int,
-    max_dags: int = DEFAULT_MAX_DAGS,
-) -> list[EffectMultiset | CausalSpanError]:
-    """`local_effects` for each covariate, or the package error it would
-    raise: `_local_plan`, its regressions solved in one `_betas` call,
-    then its finish."""
-    plan = _local_plan(g, covariates, y, mods, max_siblings, max_component_edges, max_dags)
-    return _finish_plans([(source, y, plan)])[0]
+    max_dags: int,
+    classes: dict | None = None,
+) -> _Plan:
+    """The covariates' effect multisets on g by one route, as a plan whose
+    finish gives each covariate's multiset or the package error that ends
+    it.  The local route is `_local_plan`.  The global route plans the
+    covariates' rows of `_theta_plan` (reading or adding g's member list
+    in `classes`), and each multiset equals `global_effects(...)
+    .row_multiset(i)`.  A package error raised while planning, such as a
+    cap on the class, gives a plan with no requests whose finish gives
+    that error for every covariate."""
+    if method == "local":
+        return _local_plan(g, covariates, y, mods, max_siblings, max_component_edges, max_dags)
+    if method != "global":
+        raise ValueError("method must be 'global' or 'local'")
+    try:
+        requests, theta = _theta_plan(
+            g, covariates, y, mods, max_component_edges, max_dags, classes
+        )
+    except CausalSpanError as e:
+        # `e` is unbound when the block ends, so the finish keeps its own.
+        return [], lambda betas, e=e: [e] * len(covariates)
+
+    def finish(betas: list) -> list[EffectMultiset | CausalSpanError]:
+        t = theta(betas)
+        return [t if isinstance(t, CausalSpanError) else t.row_multiset(i) for i in covariates]
+
+    return requests, finish
+
+
+def _solved(source: Dataset | CovMatrix, y: int, plan: _Plan) -> list[EffectMultiset]:
+    """The multisets of a `_route_plan` finished on source, or the first
+    covariate's package error raised."""
+    (out,) = _finish_plans([(source, y, plan)])
+    for m in out:
+        if isinstance(m, CausalSpanError):
+            raise m
+    return out
 
 
 def local_effects(
@@ -426,12 +466,8 @@ def local_effects(
     largest sibling so far, in the order of the cliques they extend, so
     the entries come in increasing subset-mask order.
     """
-    (m,) = _local_multisets(
-        source, g, (i,), y, mods, max_siblings, max_component_edges, max_dags
-    )
-    if isinstance(m, CausalSpanError):
-        raise m
-    return m
+    plan = _route_plan("local", g, (i,), y, mods, max_siblings, max_component_edges, max_dags)
+    return _solved(source, y, plan)[0]
 
 
 def oracle_multiplicities(
@@ -549,7 +585,8 @@ def bootstrap_scores(
             if isinstance(skeleton, CausalSpanError):
                 raise skeleton
             graph = _pc_result(*skeleton).graph
-            plan = _local_plan(graph, covariates, y, mods, max_siblings, max_component_edges)
+            plan = _route_plan("local", graph, covariates, y, mods, max_siblings,
+                               max_component_edges, DEFAULT_MAX_DAGS)
             plans.append((sample[0], y, plan))
         for rows in _finish_plans(plans):
             results.append({

@@ -624,10 +624,7 @@ def bic_select_alpha(
     scores: dict[float, float] = {}
     for a in alphas:
         try:
-            res = pc_cpdag(d, CITestConfig(a))
-            g = res.graph
-            if not res.validation.is_valid:
-                g = repair_cpdag(res, seed=seed).graph
+            g = repair_cpdag(pc_cpdag(d, CITestConfig(a)), seed=seed).graph
             dag = extend_to_dag(g)
             if dag is None:
                 scores[a] = float("inf")

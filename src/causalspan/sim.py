@@ -18,14 +18,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .effects import (
-    DEFAULT_MAX_SIBLINGS,
-    EffectMultiset,
-    _finish_plans,
-    _local_plan,
-    _Plan,
-    _theta_plan,
-)
+from .effects import DEFAULT_MAX_SIBLINGS, EffectMultiset, _finish_plans, _route_plan, _solved
 from .errors import CausalSpanError, ResourceCapError
 from .gauss import (
     CITestConfig,
@@ -141,15 +134,12 @@ def random_weighted_dag(
         prob = min(1.0, en / (n_vertices - 1))
     coin = rng.random((n_vertices, n_vertices))
     magnitude = rng.uniform(1.0, 2.0, size=(n_vertices, n_vertices))
+    block = _block_of(np.arange(n_vertices), block_size)
+    # Row-major order lists the edges j -> i by j, then i.
+    js, is_ = np.nonzero(np.triu(coin < prob, 1) & (block[:, None] == block))
     weights = np.zeros((n_vertices, n_vertices))
-    edges = []
-    for j in range(n_vertices):
-        for i in range(j + 1, n_vertices):
-            if _block_of(i, block_size) != _block_of(j, block_size):
-                continue
-            if coin[j, i] < prob:
-                edges.append((j, i))
-                weights[i, j] = magnitude[j, i]
+    weights[is_, js] = magnitude[js, is_]
+    edges = list(zip(js.tolist(), is_.tolist()))
     return WeightedDag(PDGraph(n_vertices, directed=edges), weights)
 
 
@@ -195,39 +185,9 @@ def population_effects(
     """The effect multiset a perfect oracle would report: the CPDAG of the
     true DAG combined with the exact covariance."""
     cov = population_covariance(w)
-    plan = _route_plan(
-        cpdag_from_dag(w.graph), i, y, method, mods, max_component_edges, max_dags, max_siblings
-    )
-    (m,) = _finish_plans([(cov, y, plan)])
-    if isinstance(m, CausalSpanError):
-        raise m
-    return m
-
-
-def _route_plan(
-    g: PDGraph, i: int, y: int, method: str, mods: frozenset[str] | tuple[str, ...],
-    max_component_edges: int, max_dags: int, max_siblings: int, classes: dict | None = None,
-) -> _Plan:
-    """Covariate i's effect multiset by one route, as a plan (see
-    `effects._finish_plans`) whose finish gives the multiset or the
-    package error.  The global route plans i's row only (its entries equal
-    `global_effects(...).row_multiset(i)`) and reads or adds g's member
-    list in `classes` (see `_theta_plan`); the local route is
-    `local_effects`'s."""
-    if method == "global":
-        requests, theta = _theta_plan(g, (i,), y, mods, max_component_edges, max_dags, classes)
-
-        def finish(betas: list) -> EffectMultiset | CausalSpanError:
-            t = theta(betas)
-            return t if isinstance(t, CausalSpanError) else t.row_multiset(i)
-
-        return requests, finish
-    if method == "local":
-        requests, local = _local_plan(
-            g, (i,), y, mods, max_siblings, max_component_edges, max_dags
-        )
-        return requests, lambda betas: local(betas)[0]
-    raise ValueError("method must be 'global' or 'local'")
+    plan = _route_plan(method, cpdag_from_dag(w.graph), (i,), y, mods, max_siblings,
+                       max_component_edges, max_dags)
+    return _solved(cov, y, plan)[0]
 
 
 def error_measures(
@@ -267,10 +227,12 @@ def run_scenario(
     sample covariance, correlation and (with the truth) population
     covariance of the batch together (`gauss._sample_matrices`), and runs
     the batch's PC skeletons as one batch (`pc._skeletons`).  The third
-    orients and repairs each replicate's estimate and plans its truth and
-    its methods' regressions, which the fourth solves in one `_betas` call
-    before it scores each replicate; the routes read the data only through
-    the sample covariance.  A replicate's `runtime_s` leaves out the
+    orients and repairs each replicate's estimate and appends one plan for
+    its truth and one per method: an `effects._route_plan`, or, when the
+    estimate failed, a plan with no requests whose finish gives that
+    error.  The fourth solves them all in one `_finish_plans` call before
+    it scores each replicate; the routes read the data only through the
+    sample covariance.  A replicate's `runtime_s` leaves out the
     truth's work, as it did when each replicate ran alone.  It is its own
     reduction, orientation and repair time; when its correlation was
     made, its share of the matrix pass (the pass's time over the matrices
@@ -283,7 +245,7 @@ def run_scenario(
         if m not in ("local", "global"):
             raise ValueError(f"unknown method: {m}")
     cfg = CITestConfig(alpha)
-    caps = (max_component_edges, max_dags, max_siblings)
+    caps = (max_siblings, max_component_edges, max_dags)
     children = np.random.SeedSequence(scenario.seed).spawn(scenario.n_reps)
     size = _batch_size(scenario.n_vertices)
     records: list[SimRecord] = []
@@ -316,27 +278,19 @@ def run_scenario(
         plans: list = []
         planned = []
         for k, (draw, sample, skeleton) in enumerate(zip(draws, samples, skeletons)):
-            truth: int | CausalSpanError | None = None
+            xs, y = (draw.x,), draw.y
+            truth = None
             if compute_truth:
-                truth = _planned(
-                    plans, pops[k], cpdag_from_dag(draw.w.graph), draw, "global", caps, classes
-                )
+                truth = len(plans)
+                true_graph = cpdag_from_dag(draw.w.graph)
+                plan = _route_plan("global", true_graph, xs, y, (), *caps, classes)
+                plans.append((pops[k], y, plan))
             t0 = time.perf_counter()
-            graph = None
-            pc_error: CausalSpanError | None = None
-            if isinstance(skeleton, CausalSpanError):
-                pc_error = skeleton
-            else:
-                try:
-                    pc_res = _pc_result(*skeleton)
-                    graph = pc_res.graph
-                    if not pc_res.validation.is_valid:
-                        # Both methods see the same repaired structure so the
-                        # error comparison isolates the effect-computation
-                        # strategy.
-                        graph = repair_cpdag(pc_res, seed=scenario.seed).graph
-                except CausalSpanError as e:
-                    pc_error = e
+            failed = isinstance(skeleton, CausalSpanError)
+            if not failed:
+                # Both methods see the same repaired structure so the error
+                # comparison isolates the effect-computation strategy.
+                graph = repair_cpdag(_pc_result(*skeleton), seed=scenario.seed).graph
             own = draw.seconds
             if not isinstance(sample, CausalSpanError):
                 own += matrix_share + skeleton_share
@@ -344,10 +298,11 @@ def run_scenario(
             estimates = []
             for method in methods:
                 t1 = time.perf_counter()
-                estimate = pc_error
-                if pc_error is None:
-                    estimate = _planned(plans, sample[0], graph, draw, method, caps, classes)
-                estimates.append((method, estimate, structure_time + time.perf_counter() - t1))
+                source, plan = None, ([], lambda betas, e=skeleton: [e])
+                if not failed:
+                    source, plan = sample[0], _route_plan(method, graph, xs, y, (), *caps, classes)
+                estimates.append((method, len(plans), structure_time + time.perf_counter() - t1))
+                plans.append((source, y, plan))
             planned.append((start + k, draw, truth, estimates))
         # The solve's time split evenly over the requests: each method's
         # row gets its own plan's part, and the truth's part is left out.
@@ -356,16 +311,16 @@ def run_scenario(
         done = _finish_plans(plans)
         per_request = (time.perf_counter() - t0) / max(sum(asked), 1)
         for k, draw, truth, estimates in planned:
-            truth = done[truth] if isinstance(truth, int) else truth
             truth_status = "ok"
-            if isinstance(truth, ResourceCapError):
-                truth_status = "truth_resource_error"
-            elif isinstance(truth, CausalSpanError):
-                truth_status = "truth_error"
-            for method, estimate, runtime in estimates:
-                if isinstance(estimate, int):
-                    runtime += asked[estimate] * per_request
-                    estimate = done[estimate]
+            if truth is not None:
+                (truth,) = done[truth]
+                if isinstance(truth, ResourceCapError):
+                    truth_status = "truth_resource_error"
+                elif isinstance(truth, CausalSpanError):
+                    truth_status = "truth_error"
+            for method, index, runtime in estimates:
+                (estimate,) = done[index]
+                runtime += asked[index] * per_request
                 e2_ave = e2_min = None
                 status = "ok"
                 if isinstance(estimate, CausalSpanError):
@@ -378,21 +333,6 @@ def run_scenario(
                     k, method, e2_ave, e2_min, runtime, status, draw.x, draw.y
                 ))
     return records
-
-
-def _planned(
-    plans: list, source: CovMatrix, g: PDGraph, draw: _Draw, method: str,
-    caps: tuple[int, int, int], classes: dict,
-) -> int | CausalSpanError:
-    """Append the plan of draw's covariate by `method` on g, to be read
-    from source, to `plans` and return its index there, or return the
-    package error that planning raised."""
-    try:
-        plan = _route_plan(g, draw.x, draw.y, method, (), *caps, classes)
-    except CausalSpanError as e:
-        return e
-    plans.append((source, draw.y, plan))
-    return len(plans) - 1
 
 
 class _Draw(NamedTuple):

@@ -38,7 +38,8 @@ from causalspan import (
     random_weighted_dag,
     summarize,
 )
-from causalspan.effects import _local_multisets
+from causalspan.effects import DEFAULT_MAX_DAGS, _finish_plans, _route_plan
+from causalspan.errors import NotExtendableError
 from causalspan.gauss import sample_covariance
 
 from conftest import (
@@ -508,9 +509,9 @@ class TestRouteGuards:
 
 
 class TestBatchedLocalRoute:
-    """`_local_multisets` plans every covariate and solves all their
-    regressions at once; each covariate must still get the multiset or
-    the error of the one-covariate route."""
+    """`_route_plan("local", ...)` plans every covariate and
+    `_finish_plans` solves all their regressions at once; each covariate
+    must still get the multiset or the error of the one-covariate route."""
 
     @staticmethod
     def one_at_a_time(source, g, covariates, y, mods, max_siblings):
@@ -537,8 +538,10 @@ class TestBatchedLocalRoute:
                     undirected=[(1, 2), (2, 3), (2, 5), (1, 4), (3, 6)])
         source = d if as_dataset else sample_covariance(d)
         covariates = (0, 1, 2, 3, 4, 5)
+        plan = _route_plan("local", g, covariates, 6, (), 2, 10**6, DEFAULT_MAX_DAGS)
+        (planned,) = _finish_plans([(source, 6, plan)])
         got = [m if isinstance(m, EffectMultiset) else (type(m).__name__, str(m))
-               for m in _local_multisets(source, g, covariates, 6, (), 2, 10**6)]
+               for m in planned]
         want = self.one_at_a_time(source, g, covariates, 6, frozenset(), 2)
         assert got == want
         kinds = [w[0] if isinstance(w, tuple) else "ok" for w in want]
@@ -550,6 +553,70 @@ class TestBatchedLocalRoute:
             else:
                 with pytest.raises(CausalSpanError, match=re.escape(m[1])):
                     local_effects(source, g, i, 6, (), 2)
+
+
+class TestRoutePlan:
+    """`_route_plan` is the one entry point of both routes: finished by
+    `_finish_plans`, it gives each covariate the multiset of the route's
+    public function, and a planning error as that error for every
+    covariate."""
+
+    MODS = [(), ("zero_path",), ("prune_y",), ("zero_path", "prune_y")]
+
+    @staticmethod
+    def finished(method, source, g, covariates, y, mods=(), max_siblings=25,
+                 max_component_edges=12, max_dags=DEFAULT_MAX_DAGS):
+        plan = _route_plan(method, g, covariates, y, mods, max_siblings,
+                           max_component_edges, max_dags)
+        (out,) = _finish_plans([(source, y, plan)])
+        return out
+
+    @pytest.mark.parametrize("mods", MODS)
+    def test_routes_equal_their_public_functions(self, mods):
+        # CPDAGs of relabeled random models, read from the population
+        # covariance or from rows.
+        rng = np.random.default_rng(515)
+        for _ in range(25):
+            p = int(rng.integers(3, 8))
+            w = random_weighted_dag(p, float(rng.uniform(0.5, 3.5)), rng)
+            perm = [int(v) for v in rng.permutation(p)]
+            weights = np.zeros((p, p))
+            weights[np.ix_(perm, perm)] = w.weights
+            w = WeightedDag(relabel(w.graph, perm), weights)
+            g = cpdag_from_dag(w.graph)
+            source = population_covariance(w) if rng.random() < 0.5 else generate_data(w, 50, rng)
+            y = int(rng.integers(p))
+            covariates = tuple(i for i in range(p) if i != y)
+            theta = global_effects(source, g, y, mods)
+            assert self.finished("global", source, g, covariates, y, mods) == [
+                theta.row_multiset(i) for i in covariates
+            ]
+            assert self.finished("local", source, g, covariates, y, mods) == [
+                local_effects(source, g, i, y, mods) for i in covariates
+            ]
+
+    @pytest.mark.parametrize("caps", [(12, DEFAULT_MAX_DAGS), (100, 50)])
+    def test_a_cap_on_the_class_fails_every_covariate_alike(self, caps):
+        # The complete graph on 7 vertices: 21 undirected edges, past the
+        # edge cap of 12, and 5,040 members, past the cap of 50 DAGs.
+        g = PDGraph(7, undirected=[(a, b) for a in range(7) for b in range(a + 1, 7)])
+        cov = CovMatrix(np.eye(7))
+        with pytest.raises(ResourceCapError) as raised:
+            global_effects(cov, g, 6, (), *caps)
+        got = self.finished("global", cov, g, (0, 1, 2, 3, 4, 5), 6, (), 25, *caps)
+        assert [(type(e), str(e)) for e in got] == [(ResourceCapError, str(raised.value))] * 6
+
+    @pytest.mark.parametrize("directed, undirected", [
+        ([], [(0, 1), (1, 2), (2, 3), (0, 3)]),  # a chordless four-cycle
+        ([(0, 1), (1, 2), (2, 0)], [(2, 3)]),  # a directed cycle
+    ])
+    def test_a_graph_with_no_extension_fails_every_covariate_alike(self, directed, undirected):
+        g = PDGraph(4, directed=directed, undirected=undirected)
+        cov = CovMatrix(np.eye(4))
+        with pytest.raises(NotExtendableError) as raised:
+            global_effects(cov, g, 3)
+        got = self.finished("global", cov, g, (0, 1, 2), 3)
+        assert [(type(e), str(e)) for e in got] == [(NotExtendableError, str(raised.value))] * 3
 
 
 class TestMultisetDistance:
