@@ -37,14 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import CausalSpanError, NumericalRankError, ResourceCapError
-from .gauss import (
-    CITestConfig,
-    CovMatrix,
-    Dataset,
-    _betas,
-    _covariance_values,
-    _sample_matrices,
-)
+from .gauss import CITestConfig, CovMatrix, Dataset, _betas, _finite_covariance
 from .graphs import (
     DEFAULT_MAX_COMPONENT_EDGES,
     DEFAULT_MAX_DAGS,
@@ -54,7 +47,7 @@ from .graphs import (
     _reach,
     allows_directed_path,
 )
-from .pc import _batch_size, _pc_result, _skeletons
+from .pc import _batch_size, _pc_batch, _pc_result
 
 MOD_ZERO_PATH = "zero_path"
 MOD_PRUNE_Y = "prune_y"
@@ -122,8 +115,9 @@ class EffectMultiset:
         return min(abs(v) for v in self._present())
 
     def mean_abs(self) -> float:
-        vals = self.values()
-        return sum(abs(v) for v in vals) / len(vals)
+        """The mean |value| over `values()`, summed in its order."""
+        each = (itertools.repeat(abs(e.value), e.multiplicity) for e in self.entries)
+        return sum(itertools.chain.from_iterable(each)) / self.size()
 
     def value_range(self) -> float:
         vals = self._present()
@@ -557,61 +551,40 @@ def bootstrap_scores(
     median; the full-data ambiguity is reported alongside.
 
     The full data and the b resamples run in groups of
-    `pc._batch_size(p)`.  Each sample is reduced at once to its unchecked
-    covariance, so no resample's rows outlive it; a group's matrices are
-    made and checked together (`gauss._sample_matrices`), its PC
-    skeletons run as one batch (`pc._skeletons`), and the local route's
-    plans of all its graphs are solved in one `_betas` call, each reading
-    its sample through its covariance.  The first error in the order full
-    data then resamples is raised.
+    `pc._batch_size(p)`.  The full data and each resample's rows, drawn
+    as indices, are reduced at once to their unchecked covariance
+    (`gauss._finite_covariance`, which raises as it reduces a sample whose
+    variance overflows), so no resample's rows outlive it.  A group's PC
+    skeletons run in one `pc._pc_batch` call, and the local route's plans
+    of all its graphs are solved in one `_betas` call, each reading its
+    sample through its covariance.  Other errors are raised in the order
+    full data then resamples.
     """
     if b < 1:
         raise ValueError("need at least one bootstrap replicate")
     mods = _check_mods(mods)
-    y = d.response
-    covariates = d.covariates
-    resamples = (
-        d.resample_rows(np.random.default_rng(child).integers(0, d.n, size=d.n))
-        for child in np.random.SeedSequence(seed).spawn(b)
-    )
-    pending = itertools.chain([d], resamples)
+    rngs = (np.random.default_rng(c) for c in np.random.SeedSequence(seed).spawn(b))
+    rows = itertools.chain([slice(None)], (r.integers(0, d.n, size=d.n) for r in rngs))
+    pending = (_finite_covariance(d.values[r], d.names) for r in rows)
     size, results = _batch_size(d.n_columns), []
-    while group := [_covariance_values(ds.values) for ds in itertools.islice(pending, size)]:
-        samples, _ = _sample_matrices(group, d.n, d.names)
-        corrs = [s if isinstance(s, CausalSpanError) else s[1] for s in samples]
-        skeletons = _skeletons(corrs, cfg)
+    while group := list(itertools.islice(pending, size)):
         plans = []
-        for sample, skeleton in zip(samples, skeletons):
-            if isinstance(skeleton, CausalSpanError):
-                raise skeleton
-            graph = _pc_result(*skeleton).graph
-            plan = _route_plan("local", graph, covariates, y, mods, max_siblings,
-                               max_component_edges, DEFAULT_MAX_DAGS)
-            plans.append((sample[0], y, plan))
-        for rows in _finish_plans(plans):
-            results.append({
-                i: None if isinstance(m, CausalSpanError) else m
-                for i, m in zip(covariates, rows)
-            })
+        for result in _pc_batch(group, d.n, d.names, cfg):
+            if isinstance(result, CausalSpanError):
+                raise result
+            cov, skeleton = result
+            plan = _route_plan("local", _pc_result(*skeleton).graph, d.covariates, d.response,
+                               mods, max_siblings, max_component_edges, DEFAULT_MAX_DAGS)
+            plans.append((cov, d.response, plan))
+        results += _finish_plans(plans)
+    # One multiset or package error per covariate, for the full data and
+    # each resample.
     full, *replicates = results
-    mins: dict[int, list[float]] = {i: [] for i in covariates}
-    ambigs: dict[int, list[int]] = {i: [] for i in covariates}
-    failures: dict[int, int] = {i: 0 for i in covariates}
-    for rep in replicates:
-        for i in covariates:
-            ms = rep[i]
-            if ms is None:
-                failures[i] += 1
-            else:
-                mins[i].append(ms.min_abs())
-                ambigs[i].append(ms.ambiguity())
     scores = []
-    for i in covariates:
-        score = statistics.median(mins[i]) if mins[i] else math.nan
-        full_amb = full[i].ambiguity() if full[i] is not None else None
-        scores.append(
-            CovariateScore(
-                i, float(score), full_amb, tuple(ambigs[i]), failures[i]
-            )
-        )
-    return BootstrapScores(y, b, tuple(scores))
+    for i, whole, reps in zip(d.covariates, full, zip(*replicates)):
+        ok = [m for m in reps if isinstance(m, EffectMultiset)]
+        score = statistics.median([m.min_abs() for m in ok]) if ok else math.nan
+        ambiguity = whole.ambiguity() if isinstance(whole, EffectMultiset) else None
+        ambiguities = tuple(m.ambiguity() for m in ok)
+        scores.append(CovariateScore(i, float(score), ambiguity, ambiguities, b - len(ok)))
+    return BootstrapScores(d.response, b, tuple(scores))

@@ -12,9 +12,11 @@ likelihood requires.  Every estimator decides singularity in one gated
 block solve (`_solve_blocks`), where one number per matrix,
 `CovMatrix._eigen_floor`, says whether its blocks skip their own check.
 Batches are the unit of work: a simulation's replicates or a bootstrap's
-resamples make and check their matrices together (`_sample_matrices`, on
-one `_check_stack` pass), and solve the regressions of all their graphs
-in one `_betas` call; a single dataset or matrix is a batch of one.
+resamples make and check their sample matrices together
+(`_sample_matrices`, one `_check_stack` pass, which `pc._pc_batch` runs
+before their skeletons) and solve the regressions of all their graphs in
+one `_betas` call; a single dataset makes its matrices once, through its
+cached `covariance`.
 """
 
 from __future__ import annotations
@@ -49,6 +51,9 @@ _U = float(np.finfo(float).eps) / 2
 # takes the exact solve of `_partial_correlations`.  It also keeps the
 # first-order terms of that bound dominant.
 _DELTA_CAP = 1e-3
+
+# The error of a finite column whose variance overflows a double.
+_TOO_LARGE = "column '{}' has a variance too large to represent"
 
 
 @dataclass(frozen=True)
@@ -98,20 +103,23 @@ class Dataset:
 
     @cached_property
     def covariance(self) -> "CovMatrix":
-        """The sample covariance, computed on first use or kept from
-        `correlation_matrix`; `values` is read-only, so the cached matrix
-        cannot go stale."""
+        """The sample covariance, computed on first use; `values` is
+        read-only, so the cached matrix cannot go stale."""
         return sample_covariance(self)
 
     def standardize(self) -> "Dataset":
         """Center every column; rescale covariates to unit sample variance.
 
-        Raises DegenerateDataError naming the first constant covariate."""
+        Raises DegenerateDataError naming the first covariate that is
+        constant or whose variance overflows."""
         v = self.values.copy()
         v -= v.mean(axis=0)
         for i in self.covariates:
-            sd = v[:, i].std(ddof=1)
-            if sd <= 0 or not np.isfinite(sd):
+            with np.errstate(over="ignore"):
+                sd = v[:, i].std(ddof=1)
+            if not np.isfinite(sd):
+                raise DegenerateDataError(_TOO_LARGE.format(self.names[i]))
+            if sd <= 0:
                 raise DegenerateDataError(
                     f"column '{self.names[i]}' is constant; cannot standardize"
                 )
@@ -278,55 +286,52 @@ def _covariance_values(values: np.ndarray) -> np.ndarray:
     return v.T @ v / (len(values) - 1)
 
 
+def _finite_covariance(values: np.ndarray, names: tuple[str, ...]) -> np.ndarray:
+    """`_covariance_values` of finite values, whose entries are not finite
+    only where they overflowed: DegenerateDataError names the first column
+    whose variance did.  By Cauchy-Schwarz no covariance between two finite
+    variances overflows, but by rounding at the limit."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = _covariance_values(values)
+    overflowed = ~np.isfinite(np.diagonal(v))
+    if overflowed.any():
+        raise DegenerateDataError(_TOO_LARGE.format(names[overflowed.argmax()]))
+    return v
+
+
 def sample_covariance(d: Dataset) -> CovMatrix:
-    """Sample covariance with the n-1 denominator."""
-    return CovMatrix(_covariance_values(d.values), n=d.n)
+    """Sample covariance with the n-1 denominator (`_finite_covariance`)."""
+    return CovMatrix(_finite_covariance(d.values, d.names), n=d.n)
 
 
 def correlation_matrix(d: Dataset) -> CovMatrix:
-    """Sample correlation matrix; constant columns raise
-    DegenerateDataError naming the column.  A dataset whose `covariance`
-    is cached (already checked) is read through it; otherwise this is the
-    batch of one of `_sample_matrices`, and the covariance it checks
-    becomes the dataset's cached `covariance`."""
-    if "covariance" in vars(d):
-        zero = (np.diagonal(d.covariance.values) == 0).tolist()
-        if any(zero):
-            raise _constant_column(zero, d.names)
-        return d.covariance.correlation()
-    (sample,), _ = _sample_matrices([_covariance_values(d.values)], d.n, d.names)
-    if isinstance(sample, DegenerateDataError):
-        raise sample
-    cov, corr = sample
-    vars(d).setdefault("covariance", cov)
-    return corr
+    """Sample correlation matrix, read through the dataset's cached
+    `covariance`; constant columns raise DegenerateDataError naming the
+    column."""
+    zero = (np.diagonal(d.covariance.values) == 0).tolist()
+    if any(zero):
+        raise _constant_column(zero, d.names)
+    return d.covariance.correlation()
 
 
 def _sample_matrices(
-    covariances: list[np.ndarray],
-    n: int,
-    names: tuple[str, ...],
-    weights: list[np.ndarray] = (),
-) -> tuple[list[tuple[CovMatrix, CovMatrix] | DegenerateDataError], list[CovMatrix]]:
-    """The checked matrices of a batch of samples that share n and their
-    column names, from each sample's unchecked covariance
-    (`_covariance_values`), and the population covariances
-    (`structural_covariance`) of the weight matrices `weights`.
+    covariances: list[np.ndarray], n: int, names: tuple[str, ...]
+) -> list[tuple[CovMatrix, CovMatrix] | DegenerateDataError]:
+    """The checked covariance and correlation of each sample of a batch
+    that shares n and the column names, from its unchecked covariance
+    (`_covariance_values`), or, when the covariance has a zero diagonal
+    entry, the DegenerateDataError naming its first constant column.  That
+    entry is exactly 0 when the column's standard deviation is, since both
+    sum nonnegative squares of the same centred values, and the test comes
+    before any check of the sample's matrices.
 
-    Each sample gives its covariance and correlation, or, when the
-    covariance has a zero diagonal entry, the DegenerateDataError naming
-    its first constant column.  That entry is exactly 0 when the column's
-    standard deviation is, since both sum nonnegative squares of the same
-    centred values, and the test comes before any check of the sample's
-    matrices.  The correlations are made in one stacked `_unit_diagonal`
-    pass and the population matrices in one stacked `inv` and `matmul`;
-    then one `CovMatrix._stack` pass (one `eigvalsh` call) checks all of
-    them.  Every matrix gets the bits and floor of `sample_covariance`,
-    `correlation_matrix` or `population_covariance` alone.  A check's
-    ValueError is raised in the order of those calls: the samples' in
-    turn (the covariance before the correlation), then the populations'.
+    The correlations are made in one stacked `_unit_diagonal` pass, then
+    one `CovMatrix._stack` pass (one `eigvalsh` call) checks them all with
+    the covariances.  Every matrix gets the bits and floor of
+    `sample_covariance` or `correlation_matrix` alone, and the first
+    check's ValueError is raised, in the samples' order, each covariance's
+    before its correlation's.
     """
-    p = len(names)
     # One sample is read in place, not copied.
     raw = covariances[0][None] if len(covariances) == 1 else np.stack(covariances)
     degenerate = (np.diagonal(raw, axis1=1, axis2=2) == 0).tolist()
@@ -335,21 +340,15 @@ def _sample_matrices(
     # A covariance that is not finite fails its own check before its
     # correlation is read.
     with np.errstate(all="ignore"):
-        corrs = _unit_diagonal(covs, range(p))
-    pops = structural_covariance(np.stack(weights)) if len(weights) else np.empty((0, p, p))
+        corrs = _unit_diagonal(covs, range(len(names)))
     k = len(live)
-    checked = CovMatrix._stack(
-        np.concatenate([covs, corrs, pops]), [n] * (2 * k) + [None] * len(weights)
-    )
-    pairs = list(zip(checked[:k], checked[k : 2 * k]))
-    for c in itertools.chain(*pairs, checked[2 * k :]):
+    checked = CovMatrix._stack(np.concatenate([covs, corrs]), [n] * (2 * k))
+    pairs = list(zip(checked[:k], checked[k:]))
+    for c in itertools.chain(*pairs):
         if isinstance(c, ValueError):
             raise c
     made = iter(pairs)
-    samples: list[tuple[CovMatrix, CovMatrix] | DegenerateDataError] = [
-        _constant_column(zero, names) if any(zero) else next(made) for zero in degenerate
-    ]
-    return samples, checked[2 * k :]
+    return [_constant_column(zero, names) if any(zero) else next(made) for zero in degenerate]
 
 
 def _constant_column(zero: list[bool], names: tuple[str, ...]) -> DegenerateDataError:

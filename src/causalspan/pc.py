@@ -12,7 +12,9 @@ the stack holding its first independent or singular set.  The search
 runs on a batch of correlation matrices that share n and p (`_skeletons`;
 `estimate_skeleton` is its batch of one), whose (matrix, i, j) items
 share each phase's stacks, so a simulation's replicates or a bootstrap's
-resamples fill stacks that each would leave nearly empty alone.  A phase
+resamples fill stacks that each would leave nearly empty alone; both run
+their samples' first stage as one call (`_pc_batch`), from the unchecked
+covariances through one checked matrix pass to the skeletons.  A phase
 is array work (`_level_stops`), and `gauss._stack_verdicts` decides each
 stack, every row by its own matrix's eigenvalue floor, with the exact
 inverse's verdicts.  The verdicts are read back as one test at a time
@@ -42,6 +44,7 @@ from .gauss import (
     Dataset,
     _fisher_z_rule,
     _Rule,
+    _sample_matrices,
     _stack_verdicts,
     bic_score,
     correlation_matrix,
@@ -365,6 +368,22 @@ def _skeletons(
     return out
 
 
+def _pc_batch(
+    covariances: list[np.ndarray], n: int, names: tuple[str, ...], cfg: CITestConfig
+) -> list[tuple[CovMatrix, _Skeleton] | CausalSpanError]:
+    """PC's skeleton stage on a batch of at most `_batch_size(p)` samples
+    that share n and the column names, from each sample's unchecked
+    covariance (`gauss._covariance_values`): one checked pass over their
+    matrices (`gauss._sample_matrices`, which raises the first check's
+    ValueError) and one `_skeletons` call on their correlations.  Each
+    sample gives its checked covariance and skeleton, or the error that
+    ends it: the DegenerateDataError of a sample whose matrices were not
+    made, or its skeleton's NumericalRankError."""
+    samples = _sample_matrices(covariances, n, names)
+    skeletons = _skeletons([s if isinstance(s, CausalSpanError) else s[1] for s in samples], cfg)
+    return [k if isinstance(k, CausalSpanError) else (s[0], k) for s, k in zip(samples, skeletons)]
+
+
 def _level(
     values: np.ndarray,
     floors: np.ndarray,
@@ -616,11 +635,13 @@ def bic_select_alpha(
     Each alpha runs the full pipeline (repairing when needed), extends the
     graph to a DAG, fits it, and scores it; the alpha with the lowest BIC
     wins, ties going to the smaller alpha.  Alphas that fail to produce a
-    scoreable DAG get an infinite score.
+    scoreable DAG get an infinite score; a covariance that cannot be made
+    (`sample_covariance`'s error) fails every alpha alike and is raised.
     """
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValueError("need at least one alpha")
+    d.covariance  # raises when the covariance cannot be made
     scores: dict[float, float] = {}
     for a in alphas:
         try:

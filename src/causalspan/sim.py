@@ -19,17 +19,10 @@ from typing import Iterable, NamedTuple, Sequence
 import numpy as np
 
 from .effects import DEFAULT_MAX_SIBLINGS, EffectMultiset, _finish_plans, _route_plan, _solved
-from .errors import CausalSpanError, ResourceCapError
-from .gauss import (
-    CITestConfig,
-    CovMatrix,
-    Dataset,
-    _covariance_values,
-    _sample_matrices,
-    structural_covariance,
-)
+from .errors import CausalSpanError, DegenerateDataError, ResourceCapError
+from .gauss import CITestConfig, CovMatrix, Dataset, _covariance_values, structural_covariance
 from .graphs import DEFAULT_MAX_COMPONENT_EDGES, DEFAULT_MAX_DAGS, PDGraph, cpdag_from_dag
-from .pc import _batch_size, _pc_result, _skeletons, repair_cpdag
+from .pc import _batch_size, _pc_batch, _pc_result, repair_cpdag
 
 
 @dataclass(frozen=True)
@@ -51,13 +44,12 @@ class WeightedDag:
             raise ValueError("weight matrix shape must match the graph")
         if not np.all(np.isfinite(w)):
             raise ValueError("weights must be finite")
-        for i in range(self.graph.n):
-            pa = self.graph.parents(i)
-            nz = {int(j) for j in np.nonzero(w[i, :])[0]}
-            if nz != set(pa):
-                raise ValueError(
-                    f"weights for vertex {i} do not match its parents"
-                )
+        edges = np.array(list(self.graph.directed_edges()), dtype=np.intp).reshape(-1, 2)
+        parents = np.zeros(w.shape, dtype=bool)
+        parents[edges[:, 1], edges[:, 0]] = True
+        wrong = ((w != 0) != parents).any(axis=1)
+        if wrong.any():
+            raise ValueError(f"weights for vertex {wrong.argmax()} do not match its parents")
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -223,23 +215,24 @@ def run_scenario(
     The replicates run in batches of `pc._batch_size(p)`, each in four
     passes.  The first draws the batch's replicates in turn and reduces
     each one's values at once to its unchecked sample covariance, so no
-    n x p array outlives its replicate.  The second makes and checks every
-    sample covariance, correlation and (with the truth) population
-    covariance of the batch together (`gauss._sample_matrices`), and runs
-    the batch's PC skeletons as one batch (`pc._skeletons`).  The third
-    orients and repairs each replicate's estimate and appends one plan for
-    its truth and one per method: an `effects._route_plan`, or, when the
-    estimate failed, a plan with no requests whose finish gives that
-    error.  The fourth solves them all in one `_finish_plans` call before
-    it scores each replicate; the routes read the data only through the
-    sample covariance.  A replicate's `runtime_s` leaves out the
-    truth's work, as it did when each replicate ran alone.  It is its own
-    reduction, orientation and repair time; when its correlation was
-    made, its share of the matrix pass (the pass's time over the matrices
-    made, for its two) and of the skeleton batch (the batch's time over
-    the replicates in it); and the method's planning time and its plan's
-    share of the regression solve (the solve's time over the requests,
-    for the plan's).
+    n x p array outlives its replicate.  The second runs the batch's PC
+    skeletons in one `pc._pc_batch` call, which also makes and checks
+    their sample matrices, and (with the truth) checks the batch's
+    population covariances in one `CovMatrix._stack` pass.  A draw that
+    fails ends the first pass: the second runs on the replicates drawn
+    before it, so their check errors come first, and then the draw's
+    error is raised.  The third orients and repairs each replicate's
+    estimate and appends one plan for its truth and one per method: an
+    `effects._route_plan`, or, when the estimate failed, a plan with no
+    requests whose finish gives that error.  The fourth solves them all in
+    one `_finish_plans` call before it scores each replicate; the routes
+    read the data only through the sample covariance.  A replicate's
+    `runtime_s` leaves out the truth's work, as it did when each replicate
+    ran alone.  It is its own reduction, orientation and repair time; when
+    its matrices were made, its share of the `_pc_batch` call (the call's
+    time over the replicates whose matrices it made); and the method's
+    planning time and its plan's share of the regression solve (the
+    solve's time over the requests, for the plan's).
     """
     for m in methods:
         if m not in ("local", "global"):
@@ -252,32 +245,30 @@ def run_scenario(
     classes: dict = {}
     for start in range(0, scenario.n_reps, size):
         draws: list[_Draw] = []
-        try:
-            for child in children[start : start + size]:
+        failure = None
+        for child in children[start : start + size]:
+            try:
                 draws.append(_draw(scenario, child))
-        except Exception:
-            # Each replicate's matrices are checked as if right after its
-            # draw: an earlier replicate's check error comes first.
-            if draws:
-                _sample_matrices([d.covariance for d in draws], scenario.n, draws[0].names)
-            raise
+            except Exception as e:
+                failure = e
+                break
+        if not draws:
+            raise failure
         t0 = time.perf_counter()
-        samples, pops = _sample_matrices(
-            [d.covariance for d in draws], scenario.n, draws[0].names,
-            [d.w.weights for d in draws] if compute_truth else [],
-        )
-        t1 = time.perf_counter()
-        skeletons = _skeletons(
-            [s if isinstance(s, CausalSpanError) else s[1] for s in samples], cfg
-        )
-        batched = sum(not isinstance(s, CausalSpanError) for s in samples)
-        # The pass's time split evenly over the matrices it made: the
-        # population matrices' part is truth work, which runtime_s leaves out.
-        matrix_share = 2 * (t1 - t0) / max(2 * batched + len(pops), 1)
-        skeleton_share = (time.perf_counter() - t1) / max(batched, 1)
+        batch = _pc_batch([d.covariance for d in draws], scenario.n, draws[0].names, cfg)
+        made = [not isinstance(r, DegenerateDataError) for r in batch]
+        share = (time.perf_counter() - t0) / max(sum(made), 1)
+        if failure is not None:
+            raise failure
+        if compute_truth:
+            weights = np.stack([d.w.weights for d in draws])
+            pops = CovMatrix._stack(structural_covariance(weights), [None] * len(draws))
+            for c in pops:
+                if isinstance(c, ValueError):
+                    raise c
         plans: list = []
         planned = []
-        for k, (draw, sample, skeleton) in enumerate(zip(draws, samples, skeletons)):
+        for k, (draw, result) in enumerate(zip(draws, batch)):
             xs, y = (draw.x,), draw.y
             truth = None
             if compute_truth:
@@ -286,21 +277,20 @@ def run_scenario(
                 plan = _route_plan("global", true_graph, xs, y, (), *caps, classes)
                 plans.append((pops[k], y, plan))
             t0 = time.perf_counter()
-            failed = isinstance(skeleton, CausalSpanError)
+            failed = isinstance(result, CausalSpanError)
             if not failed:
                 # Both methods see the same repaired structure so the error
                 # comparison isolates the effect-computation strategy.
+                cov, skeleton = result
                 graph = repair_cpdag(_pc_result(*skeleton), seed=scenario.seed).graph
-            own = draw.seconds
-            if not isinstance(sample, CausalSpanError):
-                own += matrix_share + skeleton_share
+            own = draw.seconds + share if made[k] else draw.seconds
             structure_time = own + time.perf_counter() - t0
             estimates = []
             for method in methods:
                 t1 = time.perf_counter()
-                source, plan = None, ([], lambda betas, e=skeleton: [e])
+                source, plan = None, ([], lambda betas, e=result: [e])
                 if not failed:
-                    source, plan = sample[0], _route_plan(method, graph, xs, y, (), *caps, classes)
+                    source, plan = cov, _route_plan(method, graph, xs, y, (), *caps, classes)
                 estimates.append((method, len(plans), structure_time + time.perf_counter() - t1))
                 plans.append((source, y, plan))
             planned.append((start + k, draw, truth, estimates))

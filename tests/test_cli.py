@@ -461,6 +461,31 @@ class TestFailureModes:
         )
         assert r.returncode == 3
 
+    @pytest.mark.parametrize("command", ["estimate", "score", "tune"])
+    @pytest.mark.parametrize("flags", [[], ["--no-standardize"]])
+    @pytest.mark.parametrize("scales,name", [((1e200, 1.0), "A"), ((1e150, 1e170), "B")])
+    def test_a_variance_that_overflows_is_an_input_error(
+        self, tmp_path, command, flags, scales, name
+    ):
+        # Finite values, with a column scaled past the largest variance a
+        # double holds: standardized or not, the run names it, writes
+        # nothing, and neither a traceback nor a RuntimeWarning escapes.
+        # With A scaled by 1e150 its variance (about 1e300) fits, and only
+        # B's does not, though the A-B covariance overflows too.
+        x = np.random.default_rng(1).standard_normal((300, 3))
+        x[:, :2] *= scales
+        src = tmp_path / "big.csv"
+        write_csv(src, x, ("A", "B", "C"))
+        out = tmp_path / "o.out"
+        r = run_cli(
+            [command, "--input", str(src), "--response", "C", *flags, "--out", str(out)],
+            cwd=tmp_path,
+            env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"},
+        )
+        assert r.returncode == 3
+        assert r.stderr == f"error: column '{name}' has a variance too large to represent\n"
+        assert not out.exists()
+
     def test_too_few_rows(self, tmp_path):
         src = tmp_path / "short.csv"
         src.write_text("A,B\n1.0,2.0\n")

@@ -78,6 +78,23 @@ class TestEffectMultiset:
     def test_mean_abs_weights_by_multiplicity(self):
         assert self.sample().mean_abs() == pytest.approx((1 + 1 + 0.04) / 3)
 
+    def test_mean_abs_sums_the_values_in_order(self):
+        # The bits of summing `values()` one by one, which the simulation
+        # outputs are pinned to.
+        rng = np.random.default_rng(4)
+        for _ in range(200):
+            k = int(rng.integers(1, 6))
+            values = rng.normal(size=k) * 10.0 ** rng.integers(-8, 8, k)
+            counts = rng.integers(0, 4, k)
+            if not counts.any():
+                continue
+            entries = tuple(
+                EffectEntry(float(v), (a,), int(m)) for a, (v, m) in enumerate(zip(values, counts))
+            )
+            ms = EffectMultiset(0, 9, entries, "local")
+            vals = ms.values()
+            assert ms.mean_abs() == sum(abs(v) for v in vals) / len(vals)
+
     def test_value_range(self):
         assert self.sample().value_range() == pytest.approx(0.96)
 

@@ -4,6 +4,7 @@ DAG likelihoods, and the information criterion."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -106,6 +107,30 @@ class TestDataset:
         d = Dataset(vals, ("flat", "resp"), 1)
         with pytest.raises(DegenerateDataError, match="flat"):
             d.standardize()
+
+    def test_a_variance_that_overflows_is_named(self):
+        # Finite values whose variance passes the largest double: the
+        # covariate is not constant, and no RuntimeWarning escapes.  With
+        # a scaled by 1e150 (variance about 1e300) and b by 1e170, only b's
+        # variance overflows, though the a-b entry, about 1e320, does too.
+        rng = np.random.default_rng(1)
+        vals = rng.normal(size=(50, 3))
+        for scales, column in (({0: 1e200}, 0), ({2: 1e200}, 2), ({0: 1e150, 1: 1e170}, 1)):
+            big = vals.copy()
+            for i, scale in scales.items():
+                big[:, i] *= scale
+            d = Dataset(big, ("a", "b", "y"), 2)
+            message = f"column '{d.names[column]}' has a variance too large to represent"
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                if column != 2:
+                    with pytest.raises(DegenerateDataError) as e:
+                        d.standardize()
+                    assert str(e.value) == message
+                for call in (sample_covariance, correlation_matrix):
+                    with pytest.raises(DegenerateDataError) as e:
+                        call(d)
+                    assert str(e.value) == message
 
     def test_resample_rows(self):
         d = make_dataset([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])

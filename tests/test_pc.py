@@ -4,6 +4,7 @@ sample modes, incoherence repair, and alpha selection."""
 
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -576,7 +577,7 @@ class TestSkeletonBatch:
         # gives the same records.
         scenario = sim.SimScenario(40, 2.0, 200, 12, seed=3)
         sizes = []
-        batch = sim._skeletons
+        batch = pc._skeletons
 
         def captured(corrs, cfg):
             sizes.append(len(corrs))
@@ -587,7 +588,7 @@ class TestSkeletonBatch:
                     for r in sim.run_scenario(scenario, methods=("local",))]
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sim, "_skeletons", captured)
+            mp.setattr(pc, "_skeletons", captured)
             grouped = records()
             assert sizes == [5, 5, 2]
             mp.setattr(sim, "_batch_size", lambda p: 1)
@@ -602,14 +603,14 @@ class TestSkeletonBatch:
         rng = np.random.default_rng(6)
         d = generate_data(random_weighted_dag(17, 3.0, rng), 500, rng, response=16)
         sizes = []
-        batch = effects._skeletons
+        batch = pc._skeletons
 
         def captured(corrs, cfg):
             sizes.append(len(corrs))
             return batch(corrs, cfg)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(effects, "_skeletons", captured)
+            mp.setattr(pc, "_skeletons", captured)
             whole = bootstrap_scores(d, CITestConfig(0.01), b=10, seed=1)
             mp.setattr(effects, "_batch_size", lambda p: 4)
             grouped = bootstrap_scores(d, CITestConfig(0.01), b=10, seed=1)
@@ -622,7 +623,7 @@ class TestSkeletonBatch:
         # fill ceil(rows / _STACK) stacks, where the replicates alone make
         # a stack per replicate and phase.
         phases: list[list[tuple[int, int]]] = []
-        decide, stops, batch = pc._stack_verdicts, pc._level_stops, sim._skeletons
+        decide, stops, batch = pc._stack_verdicts, pc._level_stops, pc._skeletons
         batches = []
 
         def counted(stack, rule, floor):
@@ -650,7 +651,7 @@ class TestSkeletonBatch:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(pc, "_stack_verdicts", counted)
             mp.setattr(pc, "_level_stops", phase)
-            mp.setattr(sim, "_skeletons", captured)
+            mp.setattr(pc, "_skeletons", captured)
             sim.run_scenario(sim.SimScenario(5, 3.5, 1000, 60, seed=201), alpha=0.01)
             [(corrs, cfg)] = batches
             assert len(corrs) == 60
@@ -658,7 +659,7 @@ class TestSkeletonBatch:
             batched = rows_per_level()
             phases.clear()
             for corr in corrs:
-                pc._skeletons([corr], cfg)
+                batch([corr], cfg)
             alone = rows_per_level()
             alone_calls = sum(len(stacks) for stacks in phases)
         for stacks in stacked:
@@ -671,8 +672,30 @@ class TestSkeletonBatch:
 
 class TestSampleMatrices:
     """`gauss._sample_matrices` makes and checks the matrices of a batch of
-    samples and population models together; each must get exactly what
+    samples together, and `run_scenario` checks its truths' population
+    matrices in one `CovMatrix._stack` pass; each must get exactly what
     the one-matrix calls give it, errors included."""
+
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        p=st.integers(4, 9),
+        en=st.floats(1.0, 4.0),
+        reps=st.integers(1, 8),
+    )
+    def test_each_truth_gets_its_population_matrix(self, seed, p, en, reps):
+        # With no methods the truths' plans are the only ones, so the
+        # sources that run_scenario solves are its population pass.
+        draws, sources = [], []
+        draw, finish = sim._draw, sim._finish_plans
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_draw", lambda *a: draws.append(draw(*a)) or draws[-1])
+            mp.setattr(sim, "_finish_plans",
+                       lambda plans: sources.extend(s for s, _, _ in plans) or finish(plans))
+            sim.run_scenario(sim.SimScenario(p, en, 50, reps, seed=seed), methods=())
+        assert len(sources) == len(draws) == reps
+        for d, got in zip(draws, sources):
+            assert self.bits(got) == self.bits(sim.population_covariance(d.w))
 
     @staticmethod
     def bits(c: CovMatrix) -> tuple:
@@ -684,32 +707,22 @@ class TestSampleMatrices:
         p=st.integers(4, 9),
         rows=st.sampled_from(["n < p", "n = 30", "n = 500"]),
         kinds=st.lists(
-            st.sampled_from(
-                ["plain", "duplicated", "near-collinear", "sum", "constant", "population"]
-            ),
+            st.sampled_from(["plain", "duplicated", "near-collinear", "sum", "constant"]),
             min_size=1, max_size=8,
         ),
     )
     def test_each_sample_gets_its_own_matrices(self, seed, p, rows, kinds):
         # One sample size per batch; samples whose matrices vouch for their
-        # blocks mix with ones that do not (floor 0), ones with a constant
-        # column and the population matrices of other models.  Every batch
-        # that `run_scenario` or `bootstrap_scores` makes has a sample.
-        assume(any(kind != "population" for kind in kinds))
+        # blocks mix with ones that do not (floor 0) and ones with a
+        # constant column.
         rng = np.random.default_rng(seed)
         n = {"n < p": int(rng.integers(3, p)), "n = 30": 30, "n = 500": 500}[rows]
-        data, models = [], []
-        for kind in kinds:
-            if kind == "population":
-                models.append(random_weighted_dag(p, float(rng.uniform(1.0, 4.0)), rng))
-            else:
-                data.append(TestSkeletonBatch.sample(kind, p, n, rng))
+        data = [TestSkeletonBatch.sample(kind, p, n, rng) for kind in kinds]
         names = tuple(f"X{i + 1}" for i in range(p))
-        samples, pops = gauss._sample_matrices(
-            [gauss._covariance_values(d.values) for d in data], n, names,
-            [w.weights for w in models],
+        samples = gauss._sample_matrices(
+            [gauss._covariance_values(d.values) for d in data], n, names
         )
-        assert len(samples) == len(data) and len(pops) == len(models)
+        assert len(samples) == len(data)
         for d, got in zip(data, samples):
             # A fresh dataset, with no cached covariance.
             d = Dataset(d.values, d.names, d.response)
@@ -733,8 +746,6 @@ class TestSampleMatrices:
             # The first call cached the covariance; the second reads it.
             assert self.bits(d.covariance) == self.bits(cov)
             assert self.bits(corr) == self.bits(correlation_matrix(d))
-        for w, got in zip(models, pops):
-            assert self.bits(got) == self.bits(sim.population_covariance(w))
 
     def test_a_cached_covariance_is_not_made_or_checked_again(self, monkeypatch):
         # `bic_select_alpha` runs PC on one dataset once per alpha: after
@@ -784,6 +795,22 @@ class TestSampleMatrices:
                 with pytest.raises(CausalSpanError) as e:
                     bootstrap_scores(d, CITestConfig(0.01), b=6, seed=1)
             assert (type(e.value), str(e.value)) == failed[0][1:]
+
+    def test_a_resample_whose_variance_overflows_is_named(self):
+        # Column a is 6.3e153 in 4 of 40 rows: the full data's sum of
+        # squares, 3.6 x 4e307, fits in a double, but a resample that draws
+        # 6 or more of those rows passes the largest double.  It fails as
+        # the full data would, with no RuntimeWarning.
+        rng = np.random.default_rng(0)
+        v = rng.standard_normal((40, 3))
+        v[:4, 0] += 6.3e153
+        d = Dataset(v, ("a", "b", "y"), 2)
+        d.covariance
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateDataError) as e:
+                bootstrap_scores(d, CITestConfig(0.01), b=10, seed=0)
+        assert str(e.value) == "column 'a' has a variance too large to represent"
 
 
 class TestColliderOrientation:

@@ -20,6 +20,7 @@ from causalspan import (
     effects,
     error_measures,
     generate_data,
+    pc,
     population_covariance,
     population_effects,
     random_weighted_dag,
@@ -55,6 +56,23 @@ class TestWeightedDag:
         w[0, 1] = 3.0  # would mean 1 -> 0, which the graph lacks
         with pytest.raises(ValueError, match="parents"):
             WeightedDag(g, w)
+
+    def test_names_the_first_vertex_whose_weights_differ(self):
+        # Random DAGs with random weights added or removed: the vertex named
+        # is the first whose nonzero weights are not its parents.
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            w = random_weighted_dag(6, 2.0, rng).weights.copy()
+            g = PDGraph(6, directed=[(int(j), int(i)) for i, j in zip(*np.nonzero(w))])
+            flips = rng.integers(0, 6, size=(int(rng.integers(1, 4)), 2))
+            w[flips[:, 0], flips[:, 1]] = np.where(w[flips[:, 0], flips[:, 1]] == 0, 1.5, 0.0)
+            wrong = [i for i in range(6) if set(np.nonzero(w[i])[0]) != g.parents(i)]
+            if not wrong:
+                WeightedDag(g, w)
+                continue
+            with pytest.raises(ValueError) as e:
+                WeightedDag(g, w)
+            assert str(e.value) == f"weights for vertex {wrong[0]} do not match its parents"
 
     def test_rejects_non_finite_weights(self):
         g = PDGraph(2, directed=[(0, 1)])
@@ -311,20 +329,25 @@ class TestRunScenario:
         assert listed[: len(listed) // 2] == listed[len(listed) // 2 :]
 
     def test_runtime_leaves_out_the_truth_work(self, monkeypatch):
-        # A clock that moves only in the batch's matrix pass, one second
-        # per matrix made, and in its regression solve, one second per
-        # request.  Each row then gets two seconds for its sample's two
-        # matrices and one per request of its own plan; the population
-        # matrices and the truth's requests (read from n = None matrices)
-        # count in no row.
+        # A clock that moves only in the batch's sample matrix pass, two
+        # seconds per sample, in its population matrix pass, one second
+        # per model, and in its regression solve, one second per request.
+        # Each row then gets two seconds for its sample's matrices and one
+        # per request of its own plan; the population matrices and the
+        # truth's requests (read from n = None matrices) count in no row.
         clock = [0.0]
         monkeypatch.setattr(sim, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
-        make, finish = sim._sample_matrices, sim._finish_plans
+        make, finish = pc._sample_matrices, sim._finish_plans
+        population = sim.structural_covariance
         requests = {"truth": 0, "methods": 0}
 
-        def timed_make(covariances, n, names, weights=()):
-            clock[0] += 2 * len(covariances) + len(weights)
-            return make(covariances, n, names, weights)
+        def timed_make(covariances, n, names):
+            clock[0] += 2 * len(covariances)
+            return make(covariances, n, names)
+
+        def timed_population(weights):
+            clock[0] += len(weights)
+            return population(weights)
 
         def timed_finish(plans):
             for source, _, (asked, _) in plans:
@@ -332,7 +355,8 @@ class TestRunScenario:
             clock[0] += sum(requests.values())
             return finish(plans)
 
-        monkeypatch.setattr(sim, "_sample_matrices", timed_make)
+        monkeypatch.setattr(pc, "_sample_matrices", timed_make)
+        monkeypatch.setattr(sim, "structural_covariance", timed_population)
         monkeypatch.setattr(sim, "_finish_plans", timed_finish)
         recs = run_scenario(self.small())
         assert {r.status for r in recs} == {"ok"} and requests["truth"] > 0
