@@ -266,8 +266,7 @@ def _theta_plan(
     for i in covariates:
         if i == y or not 0 <= i < g.n:
             raise ValueError(f"{i} is not a covariate of response {y}")
-    component = _reach(g._adjacency(), 1 << y)
-    keep = component if MOD_PRUNE_Y in mods else (1 << g.n) - 1
+    keep = _reach(g._adjacency(), 1 << y) if MOD_PRUNE_Y in mods else (1 << g.n) - 1
     ancestors = None
     if MOD_ZERO_PATH in mods:
         ancestors = [_reach(pa, 1 << y) for pa in members]

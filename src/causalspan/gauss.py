@@ -110,10 +110,16 @@ class Dataset:
     def standardize(self) -> "Dataset":
         """Center every column; rescale covariates to unit sample variance.
 
-        Raises DegenerateDataError naming the first covariate that is
+        Raises DegenerateDataError naming the first column, response
+        included, whose mean overflows, else the first covariate that is
         constant or whose variance overflows."""
         v = self.values.copy()
-        v -= v.mean(axis=0)
+        with np.errstate(over="ignore"):
+            mean = v.mean(axis=0)
+        overflowed = ~np.isfinite(mean)
+        if overflowed.any():
+            raise DegenerateDataError(_TOO_LARGE.format(self.names[overflowed.argmax()]))
+        v -= mean
         for i in self.covariates:
             with np.errstate(over="ignore"):
                 sd = v[:, i].std(ddof=1)

@@ -21,6 +21,13 @@ sets; the class search itself needs no reachability (see
 `enumerate_dags`).  The PC skeleton search (`pc.estimate_skeleton`) keeps
 its adjacency sets as the same masks, walks them with `_bits` and hands
 them over as a graph's sibling masks.
+
+The routines take one pass where one suffices: `cpdag_from_dag` labels a
+DAG's edges in topological order (Chickering 1995) with no Meek fixpoint;
+Meek passes skip the rows no rule can fire on; `extend_to_dag` re-tests
+only a removed sink's neighbours and keeps its result on the graph, so
+validation and the class search share it; chordality is decided by maximum
+cardinality search (Tarjan & Yannakakis 1984).
 """
 
 from __future__ import annotations
@@ -59,9 +66,11 @@ class PDGraph:
     Stored as per-vertex int bitmasks: ``_pa[v]`` holds the parents of v,
     ``_ch[v]`` its children and ``_sib[v]`` its undirected neighbours.
     Instances are value objects: all mutating operations return new graphs.
+    ``_ext``, once set, holds `extend_to_dag`'s result; it is a cache, not
+    part of the value.
     """
 
-    __slots__ = ("_pa", "_ch", "_sib")
+    __slots__ = ("_pa", "_ch", "_sib", "_ext")
 
     def __init__(
         self,
@@ -280,7 +289,12 @@ def _meek_pass(pa: list[int], ch: list[int], sib: list[int], adj: Sequence[int])
     directed is never flipped.  R1 reads the directed edges as they stood
     at the start of the pass; R2-R4 each scan the undirected pairs (both
     orders, sorted) as they stood at the start of the rule.  Returns True
-    if anything changed."""
+    if anything changed.  A rule reads each sibling row at its turn, which
+    gives the same pairs: orienting a - b changes no other pair of row a.
+    Every rule needs a directed edge; R2 skips a with no child, R3 and R4
+    skip b with fewer than two parents or with none."""
+    if not any(pa) or not any(sib):
+        return False
     changed = False
 
     def orient(a: int, b: int) -> None:
@@ -291,36 +305,38 @@ def _meek_pass(pa: list[int], ch: list[int], sib: list[int], adj: Sequence[int])
         pa[b] |= 1 << a
         changed = True
 
-    def undirected_pairs() -> list[tuple[int, int]]:
-        return [(a, b) for a, m in enumerate(sib) for b in _bits(m)]
-
     # R1: a -> b - c with a, c nonadjacent orients b -> c, else a -> b <- c
     # would be a new collider.
-    for a, m in enumerate(list(ch)):
+    for a, m in enumerate(tuple(ch)):
         for b in _bits(m):
             for c in _bits(sib[b] & ~adj[a]):
                 orient(b, c)
 
     # R2: a -> b -> c with a - c orients a -> c, else there is a cycle.
-    for a, c in undirected_pairs():
-        if sib[a] >> c & 1 and ch[a] & pa[c]:
-            orient(a, c)
+    for a, m in enumerate(sib):
+        if ch[a]:
+            for c in _bits(m):
+                if ch[a] & pa[c]:
+                    orient(a, c)
 
     # R3: a - b with a - c, a - d, c -> b, d -> b, c and d nonadjacent
     # orients a -> b.
-    for a, b in undirected_pairs():
-        if sib[a] >> b & 1 and not _pairwise_adjacent(sib[a] & pa[b], adj):
-            orient(a, b)
+    for a, m in enumerate(sib):
+        for b in _bits(m):
+            cd = sib[a] & pa[b]
+            if cd & (cd - 1) and not _pairwise_adjacent(cd, adj):
+                orient(a, b)
 
     # R4: a - b with a - d, d -> c, c -> b, b and d nonadjacent, and a
     # adjacent to c orients a -> b.
-    for a, b in undirected_pairs():
-        if not sib[a] >> b & 1:
-            continue
-        for d in _bits(sib[a] & ~adj[b] & ~(1 << b)):
-            if ch[d] & pa[b] & adj[a]:
-                orient(a, b)
-                break
+    for a, m in enumerate(sib):
+        for b in _bits(m):
+            if not pa[b]:
+                continue
+            for d in _bits(sib[a] & ~adj[b] & ~(1 << b)):
+                if ch[d] & pa[b] & adj[a]:
+                    orient(a, b)
+                    break
 
     return changed
 
@@ -347,26 +363,37 @@ def extend_to_dag(g: PDGraph) -> PDGraph | None:
     """Orient all undirected edges of g into a DAG with the same skeleton
     and the same colliders, or return None if no such DAG exists.
 
-    Classic sink-elimination: repeatedly take the smallest remaining vertex
-    with no outgoing directed edge whose undirected neighbours are adjacent
-    to all of its other neighbours, point its undirected edges at it, and
-    remove it.
+    Classic sink elimination (Dor & Tarsi 1992): repeatedly take the
+    smallest remaining vertex with no outgoing directed edge whose
+    undirected neighbours are adjacent to all of its other neighbours,
+    point its undirected edges at it, and remove it.  The result is kept on
+    g, so each graph object is extended once.
     """
-    adj = g._adjacency()
+    if not hasattr(g, "_ext"):
+        g._ext = _sink_elimination(g)
+    return g._ext
+
+
+def _sink_elimination(g: PDGraph) -> PDGraph | None:
+    """`extend_to_dag` without the memo.  A removal changes only its
+    neighbours' eligibility, so every remaining vertex outside `untested`
+    is still ineligible, and the smallest untested one that passes is the
+    smallest eligible vertex."""
+    adj, ch, sib = g._adjacency(), g._ch, g._sib
     pa = list(g._pa)
-    alive = (1 << g.n) - 1
-    while alive:
-        for x in _bits(alive):
-            if g._ch[x] & alive:
-                continue
-            nbrs = adj[x] & alive
-            if all(not nbrs & ~adj[w] & ~(1 << w) for w in _bits(g._sib[x] & alive)):
-                break
-        else:
-            return None
-        pa[x] |= g._sib[x] & alive
-        alive ^= 1 << x
-    return _dag_of(pa)
+    alive = untested = (1 << g.n) - 1
+    while untested:
+        low = untested & -untested
+        untested ^= low
+        x = low.bit_length() - 1
+        if ch[x] & alive:
+            continue
+        nbrs = adj[x] & alive
+        if all(not nbrs & ~adj[w] & ~(1 << w) for w in _bits(sib[x] & alive)):
+            pa[x] |= sib[x] & alive
+            alive ^= low
+            untested |= nbrs
+    return None if alive else _dag_of(pa)
 
 
 # -- equivalence-class enumeration -------------------------------------------
@@ -467,11 +494,25 @@ def enumerate_dags(
 def cpdag_from_dag(d: PDGraph) -> PDGraph:
     """The completed partially directed graph of d: its skeleton with every
     edge directed that has the same orientation in all DAGs equivalent to d
-    (same skeleton, same colliders), undirected otherwise."""
-    if not d.is_dag():
+    (same skeleton, same colliders), undirected otherwise.
+
+    Chickering's labelling visits each y in topological order with x its
+    latest parent.  If a compelled w -> x has w not a parent of y, or a
+    parent of y other than x is not adjacent to x, every edge into y is
+    compelled; otherwise those from x's compelled parents are."""
+    order = d.topological_order()
+    if order is None or not d.is_fully_directed():
         raise ValueError("input must be a DAG")
-    adj = d._adjacency()
-    return meek_closure(_orient_colliders(adj, _colliders(d._pa, adj)))
+    pa, rank = d._pa, {v: r for r, v in enumerate(order)}
+    compelled = [0] * d.n
+    for y in order:
+        if pa[y]:
+            x = max(_bits(pa[y]), key=rank.__getitem__)
+            strict = compelled[x] & ~pa[y] or pa[y] & ~pa[x] & ~(1 << x)
+            compelled[y] = pa[y] if strict else compelled[x]
+    reversible = [m & ~c for m, c in zip(pa, compelled)]
+    sib = [r | c for r, c in zip(reversible, _children_of(reversible))]
+    return PDGraph._from_masks(compelled, [c & ~s for c, s in zip(d._ch, sib)], sib)
 
 
 # -- reachability -----------------------------------------------------------
@@ -527,22 +568,33 @@ def is_locally_valid(g: PDGraph, i: int, s: Iterable[int]) -> bool:
 # -- validation ----------------------------------------------------------------
 
 
-def _elimination_order(adj: Sequence[int]) -> list[int] | None:
+def _perfect_elimination_order(adj: Sequence[int]) -> list[int] | None:
     """A perfect elimination order of the undirected graph with adjacency
-    masks `adj`: repeatedly take the smallest vertex whose remaining
-    neighbours form a clique.  None if at some point no vertex qualifies,
-    which happens exactly when the graph is not chordal."""
-    order: list[int] = []
-    alive = (1 << len(adj)) - 1
-    while alive:
-        for x in _bits(alive):
-            if _pairwise_adjacent(adj[x] & alive, adj):
-                break
-        else:
-            return None
-        order.append(x)
-        alive ^= 1 << x
-    return order
+    masks `adj`, or None if it is not chordal.  Maximum cardinality search
+    visits next a vertex with the most visited neighbours; the graph is
+    chordal exactly when each vertex's visited neighbours, less the last
+    visited, are adjacent to that last one, and the reversed visit order is
+    then perfect.  Vertices without an edge are not visited and come last."""
+    n = len(adj)
+    buckets = [sum(1 << v for v, m in enumerate(adj) if m)] + [0] * n
+    weight, visit = [0] * n, [0] * n
+    visited = top = 0
+    for k in range(1, buckets[0].bit_count() + 1):
+        while not buckets[top]:
+            top -= 1
+        v = (buckets[top] & -buckets[top]).bit_length() - 1
+        buckets[top] ^= 1 << v
+        if earlier := adj[v] & visited:
+            last = max(_bits(earlier), key=visit.__getitem__)
+            if earlier & ~adj[last] & ~(1 << last):
+                return None
+        visit[v], visited = k, visited | 1 << v
+        for u in _bits(adj[v] & ~visited):
+            buckets[weight[u]] ^= 1 << u
+            weight[u] += 1
+            buckets[weight[u]] |= 1 << u
+        top += 1
+    return sorted(range(n), key=lambda v: -visit[v])
 
 
 @dataclass(frozen=True)
@@ -565,7 +617,7 @@ def validate_cpdag(g: PDGraph) -> CpdagValidation:
     ext = extend_to_dag(g) is not None
     if not ext:
         problems.append("no consistent extension to a DAG exists")
-    chordal = _elimination_order(g._sib) is not None
+    chordal = _perfect_elimination_order(g._sib) is not None
     if not chordal:
         problems.append("undirected subgraph is not chordal")
     return CpdagValidation(ext, chordal, tuple(problems))

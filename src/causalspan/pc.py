@@ -636,13 +636,15 @@ def bic_select_alpha(
     graph to a DAG, fits it, and scores it; the alpha with the lowest BIC
     wins, ties going to the smaller alpha.  Alphas that fail to produce a
     scoreable DAG get an infinite score; a covariance that cannot be made
-    (`sample_covariance`'s error) fails every alpha alike and is raised.
+    (`sample_covariance`'s error) fails every alpha alike and is raised,
+    and so is the first alpha's package error when every alpha fails.
     """
     alphas = [float(a) for a in alphas]
     if not alphas:
         raise ValueError("need at least one alpha")
     d.covariance  # raises when the covariance cannot be made
     scores: dict[float, float] = {}
+    errors: list[CausalSpanError] = []
     for a in alphas:
         try:
             g = repair_cpdag(pc_cpdag(d, CITestConfig(a)), seed=seed).graph
@@ -651,7 +653,10 @@ def bic_select_alpha(
                 scores[a] = float("inf")
                 continue
             scores[a] = bic_score(d, dag)
-        except CausalSpanError:
+        except CausalSpanError as e:
             scores[a] = float("inf")
+            errors.append(e)
+    if errors and min(scores.values()) == float("inf"):
+        raise errors[0]
     best = min(sorted(alphas), key=lambda a: (scores[a], a))
     return best, scores

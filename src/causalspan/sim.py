@@ -37,7 +37,8 @@ class WeightedDag:
     weights: np.ndarray
 
     def __post_init__(self):
-        if not self.graph.is_dag():
+        order = self.graph.topological_order()
+        if order is None or not self.graph.is_fully_directed():
             raise ValueError("WeightedDag requires a DAG")
         w = np.asarray(self.weights, dtype=float)
         if w.shape != (self.graph.n, self.graph.n):
@@ -53,7 +54,6 @@ class WeightedDag:
         w = w.copy()
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
-        order = self.graph.topological_order()
         object.__setattr__(self, "_order", tuple(order))
 
     @property

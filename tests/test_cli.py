@@ -486,6 +486,53 @@ class TestFailureModes:
         assert r.stderr == f"error: column '{name}' has a variance too large to represent\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["estimate", "score", "tune"])
+    @pytest.mark.parametrize("name", ["A", "C"])
+    def test_a_mean_that_overflows_is_an_input_error(self, tmp_path, command, name):
+        # Every value of one column near 1e307: its sum overflows before
+        # standardizing can centre it.  Covariate or response, the run
+        # names that column, writes nothing, and lets no RuntimeWarning
+        # or traceback escape.
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((300, 3))
+        x[:, "ABC".index(name)] = 1e307 * (1.0 + 0.5 * rng.random(300))
+        src = tmp_path / "mean.csv"
+        write_csv(src, x, ("A", "B", "C"))
+        out = tmp_path / "o.out"
+        r = run_cli(
+            [command, "--input", str(src), "--response", "C", "--out", str(out)],
+            cwd=tmp_path,
+            env_extra={"PYTHONWARNINGS": "error::RuntimeWarning"},
+        )
+        assert r.returncode == 3
+        assert r.stderr == f"error: column '{name}' has a variance too large to represent\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "column,flags,code,message",
+        [
+            ("duplicated", [], 4, "error: correlation submatrix for (0, 1 | ()) is singular\n"),
+            ("constant", ["--no-standardize"], 3,
+             "error: column 'B' is constant; correlations undefined\n"),
+        ],
+        ids=["duplicated", "constant"],
+    )
+    def test_tune_fails_when_no_alpha_scores(self, tmp_path, column, flags, code, message):
+        # Column B a copy of A, or constant and left unstandardized: PC
+        # fails at every alpha, so tune exits with the first alpha's error
+        # and selects nothing.
+        x = np.random.default_rng(1).standard_normal((300, 3))
+        x[:, 1] = x[:, 0] if column == "duplicated" else 2.0
+        src = tmp_path / "bad.csv"
+        write_csv(src, x, ("A", "B", "C"))
+        out = tmp_path / "tune.csv"
+        r = run_cli(
+            ["tune", "--input", str(src), "--response", "C", *flags, "--out", str(out)],
+            cwd=tmp_path,
+        )
+        assert (r.returncode, r.stderr, r.stdout) == (code, message, "")
+        assert not out.exists()
+
     def test_too_few_rows(self, tmp_path):
         src = tmp_path / "short.csv"
         src.write_text("A,B\n1.0,2.0\n")

@@ -26,11 +26,19 @@ from causalspan import (
     is_locally_valid,
     meek_closure,
     orient_v_structures,
+    pc_cpdag,
     random_weighted_dag,
     validate_cpdag,
 )
+from causalspan import graphs
 from causalspan.errors import CausalSpanError
-from causalspan.graphs import _class_parent_masks, _colliders, _elimination_order, _reach
+from causalspan.graphs import (
+    _bits,
+    _class_parent_masks,
+    _colliders,
+    _perfect_elimination_order,
+    _reach,
+)
 from conftest import (
     _reference_closure,
     brute_force_class,
@@ -148,7 +156,7 @@ class TestConstruction:
 
 
 def colliders(g: PDGraph) -> set[tuple[int, int, int]]:
-    """The package's collider finder, the one `cpdag_from_dag` uses."""
+    """The package's collider finder, the one PC's collider orientation uses."""
     return _colliders(g._pa, g._adjacency())
 
 
@@ -558,17 +566,17 @@ class TestChordality:
     def test_triangle_chordal(self):
         g = PDGraph(3, undirected=[(0, 1), (1, 2), (0, 2)])
         assert validate_cpdag(g).undirected_chordal
-        order = _elimination_order(g._sib)
+        order = _perfect_elimination_order(g._sib)
         assert order is not None and sorted(order) == [0, 1, 2]
 
     def test_four_cycle_not_chordal(self):
         g = PDGraph(4, undirected=[(0, 1), (1, 2), (2, 3), (0, 3)])
         assert not validate_cpdag(g).undirected_chordal
-        assert _elimination_order(g._sib) is None
+        assert _perfect_elimination_order(g._sib) is None
 
     def test_order_is_perfect(self):
         g = PDGraph(5, undirected=[(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (2, 4)])
-        order = _elimination_order(g._sib)
+        order = _perfect_elimination_order(g._sib)
         remaining = set(range(5))
         for v in order:
             later = g.siblings(v) & remaining - {v}
@@ -606,20 +614,22 @@ class TestValidation:
 # agreement with the edge-mark-matrix references
 
 
-def reference_inputs(kind: str, seed: int) -> list[PDGraph]:
+def reference_inputs(kind: str, seed: int, p_max: int | None = None) -> list[PDGraph]:
     """Graphs of one kind, drawn from the seed: a CPDAG; a DAG with a random
     subset of its edges (colliders included) left undirected; or collider
     orientation of a PC skeleton from a few rows, which is often not a
-    valid CPDAG.  Each comes with the DAG it was drawn from."""
+    valid CPDAG.  Each comes with the DAG it was drawn from.  p is at most
+    10 for "pc" and 8 otherwise, or at most `p_max` when given."""
     rng = np.random.default_rng(seed)
     if kind == "pc":
         # About half of these have collider conflicts, and one in ten
         # stays invalid after Meek's rules.
-        w = random_weighted_dag(int(rng.integers(5, 11)), float(rng.uniform(1.5, 4.0)), rng)
+        p = int(rng.integers(5, 11 if p_max is None else p_max + 1))
+        w = random_weighted_dag(p, float(rng.uniform(1.5, 4.0)), rng)
         d = generate_data(w, int(rng.integers(20, 60)), rng)
         skeleton, sepsets, _ = estimate_skeleton(d, CITestConfig(float(rng.choice([0.2, 0.5]))))
         return [orient_v_structures(skeleton, sepsets), w.graph]
-    p = int(rng.integers(3, 9))
+    p = int(rng.integers(3, 9 if p_max is None else p_max + 1))
     dag = random_pdgraph_dag(rng, p, float(rng.uniform(0.2, 0.8)))
     dag = relabel(dag, list(rng.permutation(p)))
     if kind == "cpdag":
@@ -646,7 +656,7 @@ class TestMatchesReferences:
         order = reference_elimination_order(g)
         v = validate_cpdag(g)
         assert (v.extendable, v.undirected_chordal) == (ext is not None, order is not None)
-        assert _elimination_order(g._sib) == order
+        assert (_perfect_elimination_order(g._sib) is None) == (order is None)
         assert colliders(g) == reference_v_structures(g)
         assert g.topological_order() == reference_topological_order(g)
         assert g.is_dag() == reference_is_dag(g)
@@ -659,6 +669,82 @@ class TestMatchesReferences:
             for i in range(n):
                 reach = _reference_closure(step, i)
                 assert [bool(_reach(masks, 1 << i) >> y & 1) for y in range(n)] == reach.tolist()
+
+
+class TestOnePassForms:
+    """The one-pass graph routines against the edge-mark-matrix references
+    on larger graphs than `TestMatchesReferences` draws."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_chickering_cpdag_matches_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(2, 41))
+        dag = random_pdgraph_dag(rng, p, float(rng.uniform(0.5, 5.0)) / p)
+        dag = relabel(dag, list(rng.permutation(p)))
+        assert cpdag_from_dag(dag) == reference_cpdag_from_dag(dag)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_maximum_cardinality_search_matches_reference(self, seed):
+        # Half the inputs are a CPDAG's undirected part, which is chordal;
+        # the others are random graphs, mostly not chordal once dense.
+        rng = np.random.default_rng(seed)
+        p = int(rng.integers(1, 16))
+        if rng.random() < 0.5:
+            dag = relabel(random_pdgraph_dag(rng, p, rng.uniform(0.1, 0.9)), list(rng.permutation(p)))
+            edges = cpdag_from_dag(dag).undirected_edges()
+        else:
+            density = rng.uniform(0.05, 0.6)
+            edges = [e for e in itertools.combinations(range(p), 2) if rng.random() < density]
+        g = PDGraph(p, undirected=edges)
+        order = _perfect_elimination_order(g._sib)
+        assert (order is None) == (reference_elimination_order(g) is None)
+        if order is not None:
+            assert sorted(order) == list(range(p))
+            for k, v in enumerate(order):
+                later = g._sib[v] & ~sum(1 << u for u in order[:k])
+                assert all(later & ~g._sib[u] == 1 << u for u in _bits(later))
+
+    @pytest.mark.parametrize("kind", ["partial", "pc"])
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_meek_and_extension_match_references_up_to_p30(self, kind, seed):
+        g, _ = reference_inputs(kind, seed, p_max=30)
+        assert meek_closure(g) == reference_meek_closure(g)
+        assert extend_to_dag(g) == reference_extend_to_dag(g)
+
+    def test_one_extension_per_graph_object(self, monkeypatch):
+        # PC's validation and the class search's pre-check share one sink
+        # elimination per graph object; an equal graph built anew has its
+        # own, and the memo changes neither equality nor hash.
+        calls = collections.Counter()
+        run = graphs._sink_elimination
+
+        def spy(g):
+            calls[id(g)] += 1
+            return run(g)
+
+        monkeypatch.setattr(graphs, "_sink_elimination", spy)
+        rng = np.random.default_rng(53)
+        kept, valid = [], 0
+        while valid < 10:
+            w = random_weighted_dag(8, 2.5, rng)
+            res = pc_cpdag(generate_data(w, 500, rng), CITestConfig(0.05))
+            g = res.graph
+            kept.append(g)
+            assert res.validation == validate_cpdag(g)
+            if not res.validation.is_valid:
+                continue
+            valid += 1
+            members = _class_parent_masks(g, 12, 25000)
+            assert extend_to_dag(g) is extend_to_dag(g)
+            assert extend_to_dag(g)._pa in members
+            twin = PDGraph._from_masks(g._pa, g._ch, g._sib)
+            assert twin == g and hash(twin) == hash(g)
+            assert extend_to_dag(twin) == extend_to_dag(g)
+            kept.append(twin)
+        assert calls == {id(g): 1 for g in kept}
 
 
 # ---------------------------------------------------------------------------

@@ -992,15 +992,22 @@ class TestAlphaSelection:
         assert best in (0.001, 0.01, 0.1)
         assert all(np.isfinite(v) for v in scores.values())
 
-    def test_package_errors_score_infinite(self):
+    def test_package_errors_at_every_alpha_raise_the_first(self, monkeypatch):
         # A duplicated column makes PC's conditioning blocks singular, so
-        # every alpha fails with a package error and scores infinity.
+        # every alpha fails with a package error: no alpha is selected from
+        # infinite scores, and the first alpha's error is raised.
         rng = np.random.default_rng(37)
         x = rng.normal(size=(200, 3))
         x[:, 1] += x[:, 0]
         x[:, 2] += x[:, 1]
         vals = np.column_stack([x[:, 0], x[:, 0], x[:, 1], x[:, 2]])
         d = Dataset(vals, ("a", "a_copy", "b", "y"), 3)
-        best, scores = bic_select_alpha(d, (0.05, 0.01, 0.1), seed=0)
-        assert scores == {0.05: float("inf"), 0.01: float("inf"), 0.1: float("inf")}
-        assert best == 0.01
+        with pytest.raises(NumericalRankError, match=r"^correlation submatrix for \(0, 1 \| \(\)\) is singular$"):
+            bic_select_alpha(d, (0.05, 0.01, 0.1), seed=0)
+
+        def failing(source, cfg):
+            raise NumericalRankError(f"failed at alpha {cfg.alpha}")
+
+        monkeypatch.setattr(pc, "pc_cpdag", failing)
+        with pytest.raises(NumericalRankError, match=r"^failed at alpha 0\.05$"):
+            bic_select_alpha(d, (0.05, 0.01, 0.1), seed=0)
