@@ -295,7 +295,7 @@ def cmd_estimate(args: argparse.Namespace) -> int:
         g, repair_info = rep.graph, {"stage": rep.stage, "detail": rep.detail}
     plan = effects._route_plan(args.method, g, d.covariates, d.response, args.mods,
                                args.max_sib, args.max_enum, DEFAULT_MAX_DAGS)
-    multisets = effects._solved(d, d.response, plan)
+    multisets = effects._solved(d, plan)
     ambiguities = [m.ambiguity() for m in multisets]
     table = {}
     for a in sorted(set(ambiguities)):

@@ -14,9 +14,11 @@ The two routes agree on the set of distinct values (and distinct
 adjustment sets); only multiplicities can differ.  The local route is the
 one that scales.
 
-Both routes run through one entry point, `_route_plan`, whose plans
-`_finish_plans` solves together, giving one multiset or package error per
-covariate; only `global_effects`, which returns every class member's
+Both routes run through one entry point, `_route_plan`, whose plan is
+data: per covariate, its (adjustment set, multiplicity) entries, from the
+class members or from sibling subsets, or the package error that ends
+it.  `_finish_plans` alone solves plans, in one `_betas` call, and builds
+each multiset.  Only `global_effects`, which returns every class member's
 value, reads the global route's `_theta_plan` directly.
 
 Two optional modifications refine the interpretation: `zero_path` forces
@@ -32,7 +34,7 @@ import itertools
 import math
 import statistics
 from dataclasses import dataclass
-from typing import Callable
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +45,7 @@ from .graphs import (
     DEFAULT_MAX_DAGS,
     PDGraph,
     _bits,
+    _check_vertex,
     _class_parent_masks,
     _reach,
     allows_directed_path,
@@ -193,39 +196,59 @@ class ThetaMatrix:
         return EffectMultiset(i, self.response, entries, "global", self.mods)
 
 
-def _check_vertex(g: PDGraph, v: int, role: str) -> None:
-    if not 0 <= v < g.n:
-        raise ValueError(f"{role} {v} is not a vertex of the graph (0..{g.n - 1})")
+class _Plan(NamedTuple):
+    """The effects of a graph's covariates on y by one route, as data.
+
+    For each covariate, `entries` holds either its entries in order, as
+    (adjustment set, multiplicity) pairs with None for an effect forced to
+    zero, or the package error that ends it.  `_finish_plans` solves the
+    sets and tags each multiset with `method` and `mods`."""
+
+    covariates: tuple[int, ...]
+    y: int
+    method: str
+    mods: frozenset[str]
+    entries: list[list[tuple[tuple[int, ...] | None, int]] | CausalSpanError]
+
+    def requests(self) -> list[tuple[int, tuple[int, ...]]]:
+        """The regressions (i, s) the plan needs, in entry order."""
+        return [(i, s) for i, entries in zip(self.covariates, self.entries)
+                if not isinstance(entries, CausalSpanError) for s, _ in entries if s is not None]
 
 
-# A plan: the regressions (i, s) a graph's effects need, and the step that
-# turns their coefficients (or NumericalRankErrors), in request order, into
-# the effects or the error that ends them.
-_Plan = tuple[list[tuple[int, tuple[int, ...]]], Callable[[list], object]]
-
-
-def _finish_plans(plans: list[tuple[Dataset | CovMatrix | None, int, _Plan]]) -> list:
-    """Each plan (source, y, (requests, finish)), with response y,
-    finished on the coefficients of its requests on source, in plan order;
-    for a `_route_plan`, a list with one multiset or package error per
-    covariate.  The requests of every plan are solved in one `_betas` call
-    over the distinct sources, so a batch of graphs and a single graph's
-    plan take the same path.  A plan with no requests reads no source, so
-    its source may be None."""
+def _finish_plans(
+    plans: list[tuple[Dataset | CovMatrix | None, _Plan]],
+) -> list[list[EffectMultiset | CausalSpanError]]:
+    """Each (source, plan) finished on source, in plan order: per
+    covariate, its multiset, the plan's error for it, or the first
+    NumericalRankError among its regressions in entry order.  All requests
+    are solved in one `_betas` call over the distinct sources, so a batch
+    of graphs and one graph take the same path.  A plan with no requests
+    reads no source, so its source may be None."""
     index: dict[int, int] = {}
     sources, requests = [], []
-    for source, y, (asked, _) in plans:
-        if not asked:
-            continue
-        m = index.setdefault(id(source), len(sources))
-        if m == len(sources):
-            sources.append(source)
-        requests += [(m, i, s, y) for i, s in asked]
-    betas = _betas(sources, requests)
-    out, start = [], 0
-    for _, _, (asked, finish) in plans:
-        out.append(finish(betas[start : start + len(asked)]))
-        start += len(asked)
+    for source, plan in plans:
+        asked = plan.requests()
+        if asked:
+            m = index.setdefault(id(source), len(sources))
+            if m == len(sources):
+                sources.append(source)
+            requests += [(m, i, s, plan.y) for i, s in asked]
+    solved = iter(_betas(sources, requests))
+    out = []
+    for _, plan in plans:
+        finished: list[EffectMultiset | CausalSpanError] = []
+        for i, entries in zip(plan.covariates, plan.entries):
+            if isinstance(entries, CausalSpanError):
+                finished.append(entries)
+                continue
+            values = [0.0 if s is None else next(solved) for s, _ in entries]
+            error = next((v for v in values if isinstance(v, NumericalRankError)), None)
+            finished.append(error or EffectMultiset(
+                i, plan.y, tuple(EffectEntry(v, s, m) for v, (s, m) in zip(values, entries)),
+                plan.method, plan.mods,
+            ))
+        out.append(finished)
     return out
 
 
@@ -237,19 +260,19 @@ def _theta_plan(
     max_component_edges: int,
     max_dags: int,
     classes: dict | None = None,
-) -> _Plan:
-    """The global route's plan for g: enumerate the equivalence class and
-    ask for each covariate i's regressions, whose finish fills one row per
-    covariate (i's adjustment set in each class member and its effect)
-    into a ThetaMatrix, or gives the first NumericalRankError in row
-    order.  The enumeration's cap error is raised here.
+) -> tuple[_Plan, tuple[tuple[tuple[int, ...] | None, ...], ...]]:
+    """The global route's plan for g, and for each covariate its
+    adjustment set in each member of g's equivalence class, in
+    `enumerate_dags` order.  The enumeration's cap error is raised here.
+    A covariate's entries group the members by adjustment set, in order of
+    first member, with multiplicities counting members, so each distinct
+    set is solved once per covariate.
 
     The adjustment set is the member's parents of i, under `prune_y` only
     those in y's skeleton component.  Under `zero_path` a member in which
-    i is not an ancestor of y gets None and the effect 0.0.  Members are
-    grouped by mask, so each distinct set is solved once per covariate.
-    `classes`, when given, holds the member lists of graphs already
-    listed, keyed by (graph, caps); g's list is read from it or added.
+    i is not an ancestor of y gets None and the effect 0.0.  `classes`,
+    when given, holds the member lists of graphs already listed, keyed by
+    (graph, caps); g's list is read from it or added.
     """
     mods = _check_mods(mods)
     _check_vertex(g, y, "response")
@@ -270,28 +293,17 @@ def _theta_plan(
     ancestors = None
     if MOD_ZERO_PATH in mods:
         ancestors = [_reach(pa, 1 << y) for pa in members]
-    rows = []
+    sets: dict[int | None, tuple[int, ...] | None] = {None: None}
+    entries, rows = [], []
     for i in covariates:
         keys = [pa[i] & keep for pa in members]
         if ancestors is not None:
             keys = [k if a >> i & 1 else None for k, a in zip(keys, ancestors)]
-        sets = {k: None if k is None else tuple(_bits(k)) for k in dict.fromkeys(keys)}
-        rows.append((i, keys, sets))
-
-    def finish(betas: list) -> ThetaMatrix | NumericalRankError:
-        error = next((b for b in betas if isinstance(b, NumericalRankError)), None)
-        if error is not None:
-            return error
-        solved = iter(betas)
-        matrix = np.zeros((len(covariates), len(members)))
-        adjustments: list[tuple[tuple[int, ...] | None, ...]] = []
-        for r, (_, keys, sets) in enumerate(rows):
-            effects = {k: 0.0 if s is None else next(solved) for k, s in sets.items()}
-            matrix[r] = [effects[k] for k in keys]
-            adjustments.append(tuple(sets[k] for k in keys))
-        return ThetaMatrix(covariates, y, matrix, tuple(adjustments), mods)
-
-    return [(i, s) for i, _, sets in rows for s in sets.values() if s is not None], finish
+        counts = collections.Counter(keys)
+        sets.update((k, tuple(_bits(k))) for k in counts if k not in sets)
+        entries.append([(sets[k], m) for k, m in counts.items()])
+        rows.append(tuple(map(sets.__getitem__, keys)))
+    return _Plan(covariates, y, "global", mods, entries), tuple(rows)
 
 
 def global_effects(
@@ -310,11 +322,13 @@ def global_effects(
     Requires a graph that validates as a CPDAG (repair first if needed).
     """
     covariates = tuple(i for i in range(g.n) if i != y)
-    plan = _theta_plan(g, covariates, y, mods, max_component_edges, max_dags)
-    (theta,) = _finish_plans([(source, y, plan)])
-    if isinstance(theta, NumericalRankError):
-        raise theta
-    return theta
+    classes: dict = {}
+    plan, rows = _theta_plan(g, covariates, y, mods, max_component_edges, max_dags, classes)
+    # The class sets the column count, also when there are no covariates.
+    (members,) = classes.values()
+    values = [{e.adjustment: e.value for e in m.entries} for m in _solved(source, plan)]
+    matrix = np.array([list(map(v.__getitem__, row)) for v, row in zip(values, rows)], dtype=float)
+    return ThetaMatrix(covariates, y, matrix.reshape(len(rows), len(members)), rows, plan.mods)
 
 
 def _local_plan(
@@ -326,26 +340,26 @@ def _local_plan(
     max_component_edges: int,
     max_dags: int,
 ) -> _Plan:
-    """The local route's plan for g: every covariate's adjustment sets,
-    asked for in covariate order, whose finish gives `local_effects` for
-    each covariate or the package error it would raise (a cap error found
-    here, or the first NumericalRankError among its regressions).  g's
-    adjacency masks and y's component are built once."""
+    """The local route's plan for g: each covariate's entries, one per
+    adjustment set with multiplicity 1, or the package error it would
+    raise while planning (a sibling cap, or a cap on the class that
+    `zero_path` asks).  g's adjacency masks and y's component are built
+    once."""
     mods = _check_mods(mods)
     _check_vertex(g, y, "response")
     adj = g._adjacency()
     keep = _reach(adj, 1 << y) if MOD_PRUNE_Y in mods else (1 << g.n) - 1
 
-    def adjustment_sets(i: int) -> list[tuple[int, ...]] | None:
-        """i's adjustment sets, in entry order, or None when `zero_path`
-        finds no directed path from i to y."""
+    def entries(i: int) -> list[tuple[tuple[int, ...] | None, int]]:
+        """i's entries, or the zero effect alone when `zero_path` finds no
+        directed path from i to y."""
         _check_vertex(g, i, "covariate")
         if i == y:
             raise ValueError("covariate and response must differ")
         if MOD_ZERO_PATH in mods and not allows_directed_path(
             g, i, y, max_component_edges, max_dags
         ):
-            return None
+            return [(None, 1)]
         pa, sibs = g._pa[i] & keep, g._sib[i] & keep
         k = sibs.bit_count()
         if k > max_siblings:
@@ -357,33 +371,15 @@ def _local_plan(
         for v in _bits(sibs):
             if not g._pa[i] & ~adj[v]:
                 cliques += [c | 1 << v for c in cliques if not c & ~adj[v]]
-        return [tuple(_bits(pa | s)) for s in cliques]
+        return [(tuple(_bits(pa | s)), 1) for s in cliques]
 
-    plans: list[list[tuple[int, ...]] | None | CausalSpanError] = []
+    planned: list[list[tuple[tuple[int, ...] | None, int]] | CausalSpanError] = []
     for i in covariates:
         try:
-            plans.append(adjustment_sets(i))
+            planned.append(entries(i))
         except CausalSpanError as e:
-            plans.append(e)
-
-    def finish(betas: list) -> list[EffectMultiset | CausalSpanError]:
-        solved = iter(betas)
-        out: list[EffectMultiset | CausalSpanError] = []
-        for i, plan in zip(covariates, plans):
-            if plan is None:
-                out.append(EffectMultiset(i, y, (EffectEntry(0.0, None, 1),), "local", mods))
-            elif isinstance(plan, CausalSpanError):
-                out.append(plan)
-            else:
-                values = [next(solved) for _ in plan]
-                error = next((v for v in values if isinstance(v, NumericalRankError)), None)
-                entries = tuple(map(EffectEntry, values, plan))
-                out.append(error or EffectMultiset(i, y, entries, "local", mods))
-        return out
-
-    requests = [(i, s) for i, plan in zip(covariates, plans) if isinstance(plan, list)
-                for s in plan]
-    return requests, finish
+            planned.append(e)
+    return _Plan(covariates, y, "local", mods, planned)
 
 
 def _route_plan(
@@ -397,37 +393,27 @@ def _route_plan(
     max_dags: int,
     classes: dict | None = None,
 ) -> _Plan:
-    """The covariates' effect multisets on g by one route, as a plan whose
-    finish gives each covariate's multiset or the package error that ends
-    it.  The local route is `_local_plan`.  The global route plans the
-    covariates' rows of `_theta_plan` (reading or adding g's member list
-    in `classes`), and each multiset equals `global_effects(...)
-    .row_multiset(i)`.  A package error raised while planning, such as a
-    cap on the class, gives a plan with no requests whose finish gives
-    that error for every covariate."""
+    """The covariates' effects on g by one route, as a plan that
+    `_finish_plans` turns into each covariate's multiset or the package
+    error that ends it.  The local route is `_local_plan`; the global
+    route is `_theta_plan` (reading or adding g's member list in
+    `classes`), and each of its multisets equals `global_effects(...)
+    .row_multiset(i)`.  A package error raised while planning the global
+    route, such as a cap on the class, is every covariate's entry."""
     if method == "local":
         return _local_plan(g, covariates, y, mods, max_siblings, max_component_edges, max_dags)
     if method != "global":
         raise ValueError("method must be 'global' or 'local'")
     try:
-        requests, theta = _theta_plan(
-            g, covariates, y, mods, max_component_edges, max_dags, classes
-        )
+        return _theta_plan(g, covariates, y, mods, max_component_edges, max_dags, classes)[0]
     except CausalSpanError as e:
-        # `e` is unbound when the block ends, so the finish keeps its own.
-        return [], lambda betas, e=e: [e] * len(covariates)
-
-    def finish(betas: list) -> list[EffectMultiset | CausalSpanError]:
-        t = theta(betas)
-        return [t if isinstance(t, CausalSpanError) else t.row_multiset(i) for i in covariates]
-
-    return requests, finish
+        return _Plan(covariates, y, "global", frozenset(mods), [e] * len(covariates))
 
 
-def _solved(source: Dataset | CovMatrix, y: int, plan: _Plan) -> list[EffectMultiset]:
+def _solved(source: Dataset | CovMatrix, plan: _Plan) -> list[EffectMultiset]:
     """The multisets of a `_route_plan` finished on source, or the first
     covariate's package error raised."""
-    (out,) = _finish_plans([(source, y, plan)])
+    (out,) = _finish_plans([(source, plan)])
     for m in out:
         if isinstance(m, CausalSpanError):
             raise m
@@ -460,7 +446,7 @@ def local_effects(
     the entries come in increasing subset-mask order.
     """
     plan = _route_plan("local", g, (i,), y, mods, max_siblings, max_component_edges, max_dags)
-    return _solved(source, y, plan)[0]
+    return _solved(source, plan)[0]
 
 
 def oracle_multiplicities(
@@ -473,6 +459,7 @@ def oracle_multiplicities(
     """For every sibling subset s of i, how many class members have
     parent set parents(i) union s.  Zero counts are included, so the keys
     always run over all sibling subsets."""
+    _check_vertex(g, i, "covariate")
     members = _class_parent_masks(g, max_component_edges, max_dags)
     sibs = sorted(g.siblings(i))
     if len(sibs) > max_siblings:
@@ -574,7 +561,7 @@ def bootstrap_scores(
             cov, skeleton = result
             plan = _route_plan("local", _pc_result(*skeleton).graph, d.covariates, d.response,
                                mods, max_siblings, max_component_edges, DEFAULT_MAX_DAGS)
-            plans.append((cov, d.response, plan))
+            plans.append((cov, plan))
         results += _finish_plans(plans)
     # One multiset or package error per covariate, for the full data and
     # each resample.

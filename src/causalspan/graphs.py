@@ -51,6 +51,11 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _check_vertex(g: PDGraph, v: int, role: str) -> None:
+    if not 0 <= v < g.n:
+        raise ValueError(f"{role} {v} is not a vertex of the graph (0..{g.n - 1})")
+
+
 def _children_of(pa: Sequence[int]) -> list[int]:
     """Child masks from parent masks."""
     ch = [0] * len(pa)
@@ -534,6 +539,8 @@ def allows_directed_path(
     enumerate_dags, and each member's ancestors of y are read off its
     parent masks.
     """
+    _check_vertex(g, i, "covariate")
+    _check_vertex(g, y, "response")
     if not _reach(g._adjacency(), 1 << i) >> y & 1:
         return False
     if _reach(g._ch, 1 << i) >> y & 1:
@@ -554,6 +561,7 @@ def is_locally_valid(g: PDGraph, i: int, s: Iterable[int]) -> bool:
     graphs that are not valid CPDAGs, where parents may be nonadjacent to
     siblings; on valid CPDAGs it never fails.
     """
+    _check_vertex(g, i, "covariate")
     mask = 0
     for x in sorted(int(x) for x in s):
         if not g._sib[i] >> x & 1:

@@ -18,7 +18,8 @@ from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
-from .effects import DEFAULT_MAX_SIBLINGS, EffectMultiset, _finish_plans, _route_plan, _solved
+from .effects import DEFAULT_MAX_SIBLINGS, EffectMultiset, _Plan, _finish_plans, _route_plan
+from .effects import _solved
 from .errors import CausalSpanError, DegenerateDataError, ResourceCapError
 from .gauss import CITestConfig, CovMatrix, Dataset, _covariance_values, structural_covariance
 from .graphs import DEFAULT_MAX_COMPONENT_EDGES, DEFAULT_MAX_DAGS, PDGraph, cpdag_from_dag
@@ -179,7 +180,7 @@ def population_effects(
     cov = population_covariance(w)
     plan = _route_plan(method, cpdag_from_dag(w.graph), (i,), y, mods, max_siblings,
                        max_component_edges, max_dags)
-    return _solved(cov, y, plan)[0]
+    return _solved(cov, plan)[0]
 
 
 def error_measures(
@@ -223,16 +224,17 @@ def run_scenario(
     before it, so their check errors come first, and then the draw's
     error is raised.  The third orients and repairs each replicate's
     estimate and appends one plan for its truth and one per method: an
-    `effects._route_plan`, or, when the estimate failed, a plan with no
-    requests whose finish gives that error.  The fourth solves them all in
-    one `_finish_plans` call before it scores each replicate; the routes
-    read the data only through the sample covariance.  A replicate's
-    `runtime_s` leaves out the truth's work, as it did when each replicate
-    ran alone.  It is its own reduction, orientation and repair time; when
-    its matrices were made, its share of the `_pc_batch` call (the call's
-    time over the replicates whose matrices it made); and the method's
-    planning time and its plan's share of the regression solve (the
-    solve's time over the requests, for the plan's).
+    `effects._route_plan`, or, when the estimate failed, a plan whose one
+    covariate's entry is that error.  The fourth solves them all in one
+    `_finish_plans` call, which builds every multiset, before it scores
+    each replicate; the routes read the data only through the sample
+    covariance.  A replicate's `runtime_s` leaves out the truth's work, as
+    it did when each replicate ran alone.  It is its own reduction,
+    orientation and repair time; when its matrices were made, its share of
+    the `_pc_batch` call (the call's time over the replicates whose
+    matrices it made); and the method's planning time and its plan's share
+    of the regression solve (the solve's time over the requests, for the
+    plan's).
     """
     for m in methods:
         if m not in ("local", "global"):
@@ -275,7 +277,7 @@ def run_scenario(
                 truth = len(plans)
                 true_graph = cpdag_from_dag(draw.w.graph)
                 plan = _route_plan("global", true_graph, xs, y, (), *caps, classes)
-                plans.append((pops[k], y, plan))
+                plans.append((pops[k], plan))
             t0 = time.perf_counter()
             failed = isinstance(result, CausalSpanError)
             if not failed:
@@ -288,15 +290,15 @@ def run_scenario(
             estimates = []
             for method in methods:
                 t1 = time.perf_counter()
-                source, plan = None, ([], lambda betas, e=result: [e])
+                source, plan = None, _Plan(xs, y, method, frozenset(), [result])
                 if not failed:
                     source, plan = cov, _route_plan(method, graph, xs, y, (), *caps, classes)
                 estimates.append((method, len(plans), structure_time + time.perf_counter() - t1))
-                plans.append((source, y, plan))
+                plans.append((source, plan))
             planned.append((start + k, draw, truth, estimates))
         # The solve's time split evenly over the requests: each method's
         # row gets its own plan's part, and the truth's part is left out.
-        asked = [len(requests) for _, _, (requests, _) in plans]
+        asked = [len(plan.requests()) for _, plan in plans]
         t0 = time.perf_counter()
         done = _finish_plans(plans)
         per_request = (time.perf_counter() - t0) / max(sum(asked), 1)

@@ -710,8 +710,9 @@ class TestBatchedLocalRoute:
     @classmethod
     def reference_plan(cls, g, covariates, y, mods, max_siblings, max_component_edges,
                        max_dags=effects.DEFAULT_MAX_DAGS):
-        # No requests: the finish runs the reference on the plan's source.
-        return [], lambda source: cls.one_at_a_time(
+        # A callable in place of the plan: the patched `_finish_plans`
+        # runs the reference on the plan's source.
+        return lambda source: cls.one_at_a_time(
             source, g, covariates, y, mods, max_siblings, max_component_edges, max_dags)
 
     @staticmethod
@@ -730,8 +731,8 @@ class TestBatchedLocalRoute:
         outputs, sources = [], []
 
         def finish_on_source(plans):
-            sources.extend(source for source, _, _ in plans)
-            return [finish(source) for source, _, (_, finish) in plans]
+            sources.extend(source for source, _ in plans)
+            return [plan(source) for source, plan in plans]
 
         for patched in (False, True):
             with pytest.MonkeyPatch.context() as mp:

@@ -39,7 +39,7 @@ from causalspan import (
     summarize,
 )
 from causalspan.effects import DEFAULT_MAX_DAGS, _finish_plans, _route_plan
-from causalspan.errors import NotExtendableError
+from causalspan.errors import NotExtendableError, NumericalRankError
 from causalspan.gauss import sample_covariance
 
 from conftest import (
@@ -556,7 +556,7 @@ class TestBatchedLocalRoute:
         source = d if as_dataset else sample_covariance(d)
         covariates = (0, 1, 2, 3, 4, 5)
         plan = _route_plan("local", g, covariates, 6, (), 2, 10**6, DEFAULT_MAX_DAGS)
-        (planned,) = _finish_plans([(source, 6, plan)])
+        (planned,) = _finish_plans([(source, plan)])
         got = [m if isinstance(m, EffectMultiset) else (type(m).__name__, str(m))
                for m in planned]
         want = self.one_at_a_time(source, g, covariates, 6, frozenset(), 2)
@@ -585,7 +585,7 @@ class TestRoutePlan:
                  max_component_edges=12, max_dags=DEFAULT_MAX_DAGS):
         plan = _route_plan(method, g, covariates, y, mods, max_siblings,
                            max_component_edges, max_dags)
-        (out,) = _finish_plans([(source, y, plan)])
+        (out,) = _finish_plans([(source, plan)])
         return out
 
     @pytest.mark.parametrize("mods", MODS)
@@ -634,6 +634,38 @@ class TestRoutePlan:
             global_effects(cov, g, 3)
         got = self.finished("global", cov, g, (0, 1, 2), 3)
         assert [(type(e), str(e)) for e in got] == [(NotExtendableError, str(raised.value))] * 3
+
+
+class TestGlobalRouteErrors:
+    """The global route's singular regression and its class of one member
+    with no covariates, through `global_effects` and `_route_plan`."""
+
+    @staticmethod
+    def collinear():
+        # Column 2 copies column 1: every regression adjusting one of them
+        # for the other is singular.
+        v = np.random.default_rng(0).standard_normal((50, 4))
+        v[:, 2] = v[:, 1]
+        d = Dataset(v, ("a", "b", "c", "d"), 3)
+        return d, PDGraph(4, undirected=[(0, 1), (1, 2), (0, 2), (2, 3)])
+
+    def test_route_plan_gives_each_covariate_its_own_error(self):
+        d, g = self.collinear()
+        message = "regression (0 | (1, 2)): matrix is singular or ill-conditioned"
+        with pytest.raises(NumericalRankError, match=re.escape(message)) as raised:
+            global_effects(d, g, 3)
+        plan = _route_plan("global", g, (0, 1, 2), 3, (), 25, 12, DEFAULT_MAX_DAGS)
+        (out,) = _finish_plans([(d, plan)])
+        assert all(isinstance(e, NumericalRankError) for e in out)
+        assert str(out[0]) == str(raised.value)
+        assert [str(e).split(":")[0] for e in out] == [
+            "regression (0 | (1, 2))", "regression (1 | (0, 2))", "regression (2 | (0, 1))"
+        ]
+
+    def test_no_covariates_keep_one_column_per_member(self):
+        theta = global_effects(CovMatrix(np.eye(1)), PDGraph(1), 0)
+        assert theta.matrix.shape == (0, 1)
+        assert theta.adjustments == ()
 
 
 class TestMultisetDistance:

@@ -24,7 +24,9 @@ from causalspan import (
     generate_data,
     global_effects,
     is_locally_valid,
+    local_effects,
     meek_closure,
+    oracle_multiplicities,
     orient_v_structures,
     pc_cpdag,
     random_weighted_dag,
@@ -524,6 +526,32 @@ class TestReachability:
                         continue
                     expected = any(_reference_closure(to_amat(m), i)[y] for m in members)
                     assert allows_directed_path(g, i, y) == expected
+
+
+class TestVertexChecks:
+    """A vertex outside 0..n-1 gets the ValueError that `local_effects`
+    raises for it, not an answer for another vertex or an error from the
+    bit arithmetic."""
+
+    @pytest.mark.parametrize("call, args, role, v", [
+        (allows_directed_path, (0, 5), "response", 5),
+        (allows_directed_path, (7, 1), "covariate", 7),
+        (allows_directed_path, (0, -1), "response", -1),
+        (is_locally_valid, (3, []), "covariate", 3),
+        (is_locally_valid, (-1, [0]), "covariate", -1),
+        (oracle_multiplicities, (-1,), "covariate", -1),
+        (oracle_multiplicities, (3,), "covariate", 3),
+    ], ids=["path-y5", "path-i7", "path-y-1", "valid-i3", "valid-i-1", "oracle-i-1",
+            "oracle-i3"])
+    def test_out_of_range_vertex_raises(self, call, args, role, v):
+        g = PDGraph(3, undirected=[(0, 1), (1, 2), (0, 2)])
+        i, y = (v, 1) if role == "covariate" else (0, v)
+        with pytest.raises(ValueError) as expected:
+            local_effects(CovMatrix(np.eye(3)), g, i, y)
+        with pytest.raises(ValueError) as raised:
+            call(g, *args)
+        assert str(raised.value) == str(expected.value)
+        assert str(raised.value) == f"{role} {v} is not a vertex of the graph (0..2)"
 
 
 class TestLocalValidity:

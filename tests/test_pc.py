@@ -691,7 +691,7 @@ class TestSampleMatrices:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(sim, "_draw", lambda *a: draws.append(draw(*a)) or draws[-1])
             mp.setattr(sim, "_finish_plans",
-                       lambda plans: sources.extend(s for s, _, _ in plans) or finish(plans))
+                       lambda plans: sources.extend(s for s, _ in plans) or finish(plans))
             sim.run_scenario(sim.SimScenario(p, en, 50, reps, seed=seed), methods=())
         assert len(sources) == len(draws) == reps
         for d, got in zip(draws, sources):

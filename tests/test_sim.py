@@ -350,8 +350,8 @@ class TestRunScenario:
             return population(weights)
 
         def timed_finish(plans):
-            for source, _, (asked, _) in plans:
-                requests["truth" if source.n is None else "methods"] += len(asked)
+            for source, plan in plans:
+                requests["truth" if source.n is None else "methods"] += len(plan.requests())
             clock[0] += sum(requests.values())
             return finish(plans)
 
