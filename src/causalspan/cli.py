@@ -115,7 +115,10 @@ _COMMAND_HELP = {
 }
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser.  With a command named, only that
+    subcommand gets its flags, which is all that parsing its arguments
+    reads; every subcommand is still listed."""
     parser = argparse.ArgumentParser(
         prog="causalspan",
         description=(
@@ -131,8 +134,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, flags in _COMMAND_FLAGS.items():
-        p = sub.add_parser(command, help=_COMMAND_HELP[command])
+    for name, flags in _COMMAND_FLAGS.items():
+        p = sub.add_parser(name, help=_COMMAND_HELP[name])
+        if command not in (None, name):
+            continue
         for flag in flags:
             spec = _FLAGS[flag]
             if flag in _ENV_FLAGS:
@@ -405,7 +410,8 @@ COMMANDS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     args = parser.parse_args(argv)
     try:
         _validate(args)

@@ -46,7 +46,8 @@ from .graphs import (
     PDGraph,
     _bits,
     _check_vertex,
-    _class_parent_masks,
+    _class_components,
+    _class_members,
     _reach,
     allows_directed_path,
 )
@@ -260,50 +261,84 @@ def _theta_plan(
     max_component_edges: int,
     max_dags: int,
     classes: dict | None = None,
-) -> tuple[_Plan, tuple[tuple[tuple[int, ...] | None, ...], ...]]:
-    """The global route's plan for g, and for each covariate its
-    adjustment set in each member of g's equivalence class, in
-    `enumerate_dags` order.  The enumeration's cap error is raised here.
-    A covariate's entries group the members by adjustment set, in order of
-    first member, with multiplicities counting members, so each distinct
-    set is solved once per covariate.
+) -> _Plan:
+    """The global route's plan for g.  A covariate's entries group the
+    members of g's equivalence class by adjustment set, in order of first
+    member in `enumerate_dags` order, with multiplicities counting
+    members, so each distinct set is solved once per covariate.  The
+    class's cap error is raised here.
 
     The adjustment set is the member's parents of i, under `prune_y` only
-    those in y's skeleton component.  Under `zero_path` a member in which
-    i is not an ancestor of y gets None and the effect 0.0.  `classes`,
-    when given, holds the member lists of graphs already listed, keyed by
-    (graph, caps); g's list is read from it or added.
+    those in y's skeleton component.  Without `zero_path` they depend
+    only on the orientations of i's undirected component, so the entries
+    come from that component alone: each of its orientations stands for
+    the members that combine it with any orientation of the others.  Under
+    `zero_path` a member in which i is not an ancestor of y gets None and
+    the effect 0.0, which needs the members themselves.  `classes`, when
+    given, holds the `_class_components` of graphs already listed, keyed
+    by (graph, caps); g's are read from it or added.
     """
     mods = _check_mods(mods)
     _check_vertex(g, y, "response")
+    for i in covariates:
+        _check_covariate(g, i, y)
     classes = {} if classes is None else classes
     key = (g, max_component_edges, max_dags)
     if key not in classes:
         try:
-            classes[key] = _class_parent_masks(g, max_component_edges, max_dags)
+            classes[key] = _class_components(g, max_component_edges, max_dags)
         except ResourceCapError as e:
             raise ResourceCapError(
                 f"{e}; the local route avoids enumeration and scales further"
             ) from None
-    members = classes[key]
-    for i in covariates:
-        if i == y or not 0 <= i < g.n:
-            raise ValueError(f"{i} is not a covariate of response {y}")
-    keep = _reach(g._adjacency(), 1 << y) if MOD_PRUNE_Y in mods else (1 << g.n) - 1
-    ancestors = None
+    comps = classes[key]
+    if MOD_ZERO_PATH in mods:
+        counts = [collections.Counter(row) for row in _member_rows(g, comps, covariates, y, mods)]
+    else:
+        keep = _keep(g, y, mods)
+        size = math.prod(len(c.orientations) for c in comps)
+        where = {v: c.orientations for c in comps for v in c.vertices}
+        counts = []
+        for i in covariates:
+            # A vertex outside every component has g's parents in all members.
+            own = where.get(i, [g._pa])
+            each = size // len(own)
+            seen = collections.Counter([pa[i] & keep for pa in own])
+            counts.append({k: m * each for k, m in seen.items()})
+    entries = [[(_adjustment(k), m) for k, m in c.items()] for c in counts]
+    return _Plan(covariates, y, "global", mods, entries)
+
+
+def _check_covariate(g: PDGraph, i: int, y: int) -> None:
+    _check_vertex(g, i, "covariate")
+    if i == y:
+        raise ValueError("covariate and response must differ")
+
+
+def _keep(g: PDGraph, y: int, mods: frozenset[str]) -> int:
+    """The vertices an adjustment set may hold: under `prune_y` y's
+    skeleton component, else all."""
+    return _reach(g._adjacency(), 1 << y) if MOD_PRUNE_Y in mods else (1 << g.n) - 1
+
+
+def _adjustment(key: int | None) -> tuple[int, ...] | None:
+    return None if key is None else tuple(_bits(key))
+
+
+def _member_rows(
+    g: PDGraph, comps: list, covariates: tuple[int, ...], y: int, mods: frozenset[str]
+) -> list[list[int | None]]:
+    """For each covariate, its adjustment set's mask in each member of the
+    class `comps` describes, in `enumerate_dags` order; None under
+    `zero_path` where i is not an ancestor of y."""
+    members = _class_members(g, comps)
+    keep = _keep(g, y, mods)
+    rows = [[pa[i] & keep for pa in members] for i in covariates]
     if MOD_ZERO_PATH in mods:
         ancestors = [_reach(pa, 1 << y) for pa in members]
-    sets: dict[int | None, tuple[int, ...] | None] = {None: None}
-    entries, rows = [], []
-    for i in covariates:
-        keys = [pa[i] & keep for pa in members]
-        if ancestors is not None:
-            keys = [k if a >> i & 1 else None for k, a in zip(keys, ancestors)]
-        counts = collections.Counter(keys)
-        sets.update((k, tuple(_bits(k))) for k in counts if k not in sets)
-        entries.append([(sets[k], m) for k, m in counts.items()])
-        rows.append(tuple(map(sets.__getitem__, keys)))
-    return _Plan(covariates, y, "global", mods, entries), tuple(rows)
+        rows = [[k if a >> i & 1 else None for k, a in zip(row, ancestors)]
+                for i, row in zip(covariates, rows)]
+    return rows
 
 
 def global_effects(
@@ -323,12 +358,15 @@ def global_effects(
     """
     covariates = tuple(i for i in range(g.n) if i != y)
     classes: dict = {}
-    plan, rows = _theta_plan(g, covariates, y, mods, max_component_edges, max_dags, classes)
+    plan = _theta_plan(g, covariates, y, mods, max_component_edges, max_dags, classes)
+    (comps,) = classes.values()
     # The class sets the column count, also when there are no covariates.
-    (members,) = classes.values()
+    columns = math.prod(len(c.orientations) for c in comps)
+    rows = tuple(tuple(map(_adjustment, row))
+                 for row in _member_rows(g, comps, covariates, y, plan.mods))
     values = [{e.adjustment: e.value for e in m.entries} for m in _solved(source, plan)]
     matrix = np.array([list(map(v.__getitem__, row)) for v, row in zip(values, rows)], dtype=float)
-    return ThetaMatrix(covariates, y, matrix.reshape(len(rows), len(members)), rows, plan.mods)
+    return ThetaMatrix(covariates, y, matrix.reshape(len(rows), columns), rows, plan.mods)
 
 
 def _local_plan(
@@ -348,14 +386,12 @@ def _local_plan(
     mods = _check_mods(mods)
     _check_vertex(g, y, "response")
     adj = g._adjacency()
-    keep = _reach(adj, 1 << y) if MOD_PRUNE_Y in mods else (1 << g.n) - 1
+    keep = _keep(g, y, mods)
 
     def entries(i: int) -> list[tuple[tuple[int, ...] | None, int]]:
         """i's entries, or the zero effect alone when `zero_path` finds no
         directed path from i to y."""
-        _check_vertex(g, i, "covariate")
-        if i == y:
-            raise ValueError("covariate and response must differ")
+        _check_covariate(g, i, y)
         if MOD_ZERO_PATH in mods and not allows_directed_path(
             g, i, y, max_component_edges, max_dags
         ):
@@ -396,7 +432,7 @@ def _route_plan(
     """The covariates' effects on g by one route, as a plan that
     `_finish_plans` turns into each covariate's multiset or the package
     error that ends it.  The local route is `_local_plan`; the global
-    route is `_theta_plan` (reading or adding g's member list in
+    route is `_theta_plan` (reading or adding g's components in
     `classes`), and each of its multisets equals `global_effects(...)
     .row_multiset(i)`.  A package error raised while planning the global
     route, such as a cap on the class, is every covariate's entry."""
@@ -405,7 +441,7 @@ def _route_plan(
     if method != "global":
         raise ValueError("method must be 'global' or 'local'")
     try:
-        return _theta_plan(g, covariates, y, mods, max_component_edges, max_dags, classes)[0]
+        return _theta_plan(g, covariates, y, mods, max_component_edges, max_dags, classes)
     except CausalSpanError as e:
         return _Plan(covariates, y, "global", frozenset(mods), [e] * len(covariates))
 
@@ -460,7 +496,7 @@ def oracle_multiplicities(
     parent set parents(i) union s.  Zero counts are included, so the keys
     always run over all sibling subsets."""
     _check_vertex(g, i, "covariate")
-    members = _class_parent_masks(g, max_component_edges, max_dags)
+    members = _class_members(g, _class_components(g, max_component_edges, max_dags))
     sibs = sorted(g.siblings(i))
     if len(sibs) > max_siblings:
         raise ResourceCapError(

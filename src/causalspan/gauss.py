@@ -120,16 +120,20 @@ class Dataset:
         if overflowed.any():
             raise DegenerateDataError(_TOO_LARGE.format(self.names[overflowed.argmax()]))
         v -= mean
-        for i in self.covariates:
-            with np.errstate(over="ignore"):
-                sd = v[:, i].std(ddof=1)
-            if not np.isfinite(sd):
-                raise DegenerateDataError(_TOO_LARGE.format(self.names[i]))
-            if sd <= 0:
-                raise DegenerateDataError(
-                    f"column '{self.names[i]}' is constant; cannot standardize"
-                )
-            v[:, i] /= sd
+        # One row per covariate: each row sums pairwise, as the std of one
+        # column does, so every sd has the bits of its column's own.
+        cov = list(self.covariates)
+        with np.errstate(over="ignore", invalid="ignore"):
+            sd = np.ascontiguousarray(v[:, cov].T).std(axis=1, ddof=1)
+        bad = ~np.isfinite(sd) | (sd <= 0)
+        if bad.any():
+            k = int(bad.argmax())
+            if not np.isfinite(sd[k]):
+                raise DegenerateDataError(_TOO_LARGE.format(self.names[cov[k]]))
+            raise DegenerateDataError(
+                f"column '{self.names[cov[k]]}' is constant; cannot standardize"
+            )
+        v[:, cov] /= sd
         return replace(self, values=v, standardized=True)
 
     def resample_rows(self, indices: np.ndarray) -> "Dataset":

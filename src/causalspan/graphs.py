@@ -18,7 +18,10 @@ frozensets and edge sets as frozensets of pairs.  `_reach` finds the
 undirected components and answers `allows_directed_path` here, and serves
 the effect routes' component and ancestor masks and `gauss`'s ancestor
 sets; the class search itself needs no reachability (see
-`enumerate_dags`).  The PC skeleton search (`pc.estimate_skeleton`) keeps
+`enumerate_dags`).  A class is kept as the product of its undirected
+components' orientations (`_class_components`), each component searched
+once; `_class_members` expands the product for callers that need the
+members themselves.  The PC skeleton search (`pc.estimate_skeleton`) keeps
 its adjacency sets as the same masks, walks them with `_bits` and hands
 them over as a graph's sibling masks.
 
@@ -32,9 +35,10 @@ cardinality search (Tarjan & Yannakakis 1984).
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import NotExtendableError, ResourceCapError
 
@@ -416,32 +420,40 @@ def _undirected_components(sib: Sequence[int]) -> list[int]:
     return comps
 
 
-def _class_parent_masks(
-    g: PDGraph, max_component_edges: int, max_dags: int
+class _Component(NamedTuple):
+    """One undirected component of a graph and the orientations of its
+    edges that the class search admits, in search order, each as the
+    graph's per-vertex parent masks with only this component oriented."""
+
+    vertices: tuple[int, ...]
+    orientations: list[tuple[int, ...]]
+
+
+def _orientations(
+    g: PDGraph,
+    comp: int,
+    und: Sequence[tuple[int, int]],
+    adj: Sequence[int],
+    size: int,
+    max_dags: int,
 ) -> list[tuple[int, ...]]:
-    """Per-vertex parent masks of every member of g's class, in the order
-    and under the checks and caps that `enumerate_dags` describes."""
-    if extend_to_dag(g) is None:
-        raise NotExtendableError("graph has no consistent extension to a DAG")
-    for comp in _undirected_components(g._sib):
-        edges = sum(g._sib[v].bit_count() for v in _bits(comp)) // 2
-        if edges > max_component_edges:
-            raise ResourceCapError(
-                f"an undirected component has {edges} edges "
-                f"(cap {max_component_edges})"
-            )
-    und = sorted(g.undirected_edges())
-    adj = g._adjacency()
+    """The orientations of component `comp`'s edges, as `_Component`
+    holds them, that the depth-first search of `enumerate_dags` reaches
+    on the component's own sorted edges.  It raises the class cap error
+    as soon as `size` times the orientations reached passes `max_dags`.
+    Its admission rule reads only g's directed edges and the component's
+    own orientations, so each component is searched alone."""
+    edges = [(u, v) for u, v in und if comp >> u & 1]
     children, parents = list(g._ch), list(g._pa)
-    results: list[tuple[int, ...]] = []
+    listed: list[tuple[int, ...]] = []
 
     def rec(k: int) -> None:
-        if k == len(und):
-            results.append(tuple(parents))
-            if len(results) > max_dags:
+        if k == len(edges):
+            listed.append(tuple(parents))
+            if size * len(listed) > max_dags:
                 raise ResourceCapError(f"equivalence class exceeds {max_dags} DAGs")
             return
-        u, v = und[k]
+        u, v = edges[k]
         for a, b in ((u, v), (v, u)):
             if parents[b] & ~adj[a] or children[b] & parents[a]:
                 continue  # new collider at b, or a directed triangle
@@ -452,7 +464,62 @@ def _class_parent_masks(
             parents[b] &= ~(1 << a)
 
     rec(0)
-    return results
+    return listed
+
+
+def _class_components(
+    g: PDGraph, max_component_edges: int, max_dags: int
+) -> list[_Component]:
+    """g's class as the product of its undirected components' orientations
+    (Andersson, Madigan & Perlman 1997), under the checks and caps that
+    `enumerate_dags` describes, in its order: the extension pre-check, each
+    component's edge cap, then the class cap.  The class size is the
+    product of the components' counts.  Every component has an orientation
+    once g extends, so the product only grows, and each component's search
+    stops as soon as the running product passes `max_dags`: no component
+    is listed past the cap."""
+    if extend_to_dag(g) is None:
+        raise NotExtendableError("graph has no consistent extension to a DAG")
+    comps = _undirected_components(g._sib)
+    for comp in comps:
+        edges = sum(g._sib[v].bit_count() for v in _bits(comp)) // 2
+        if edges > max_component_edges:
+            raise ResourceCapError(
+                f"an undirected component has {edges} edges "
+                f"(cap {max_component_edges})"
+            )
+    if not comps and max_dags < 1:  # g itself is the class's one member
+        raise ResourceCapError(f"equivalence class exceeds {max_dags} DAGs")
+    und = sorted(g.undirected_edges())
+    adj = g._adjacency()
+    out, size = [], 1
+    for comp in comps:
+        listed = _orientations(g, comp, und, adj, size, max_dags)
+        size *= len(listed)
+        out.append(_Component(tuple(_bits(comp)), listed))
+    return out
+
+
+def _class_members(g: PDGraph, comps: Sequence[_Component]) -> list[tuple[int, ...]]:
+    """Per-vertex parent masks of every member of g's class, from its
+    `_class_components`, in `enumerate_dags` order.  A member's
+    orientation vector over g's sorted undirected edges, read as a binary
+    number, ORs one number per component, which is its sort key."""
+    und = sorted(g.undirected_edges())
+    keyed = []
+    for c in comps:
+        bits = [(u, v, 1 << len(und) - 1 - k) for k, (u, v) in enumerate(und) if u in c.vertices]
+        keyed.append([(sum(w for u, v, w in bits if pa[u] >> v & 1), pa) for pa in c.orientations])
+    members = []
+    for combo in itertools.product(*keyed):
+        pa, key = list(g._pa), 0
+        for c, (part, oriented) in zip(comps, combo):
+            key |= part
+            for v in c.vertices:
+                pa[v] = oriented[v]
+        members.append((key, tuple(pa)))
+    members.sort(key=operator.itemgetter(0))
+    return [pa for _, pa in members]
 
 
 def enumerate_dags(
@@ -463,9 +530,14 @@ def enumerate_dags(
     """All DAGs with g's skeleton and collider set, obtained by orienting
     g's undirected edges.  Existing directed edges are kept as they are.
 
-    A depth-first search on the parent and child masks orients the
-    undirected edges one at a time in sorted order, trying (u, v) before
-    (v, u).  An orientation a -> b is admitted only if it creates no new
+    The class is the product of the orientations of g's undirected
+    components (Andersson, Madigan & Perlman 1997): whether an
+    orientation is admitted depends only on g's directed edges and the
+    orientations in its own component.  So each component is searched
+    once, and the members are the combinations of one orientation per
+    component.  A depth-first search on the parent and child masks orients
+    a component's undirected edges one at a time in sorted order, trying
+    (u, v) before (v, u).  An orientation a -> b is admitted only if it creates no new
     collider at b (every parent of b is adjacent to a) and closes no
     directed triangle (no c with b -> c -> a).  So every leaf is a member
     and needs no further check.  A new collider needs two nonadjacent
@@ -485,15 +557,18 @@ def enumerate_dags(
     more dead-end prefixes, but it reaches the same leaves.
 
     The output order is deterministic: DAGs come in the order of their
-    orientation vector over the sorted undirected edge list (0 = kept as
-    (u, v) with u < v, 1 = reversed), which is the order the search
-    reaches them.
+    orientation vector over g's whole sorted undirected edge list (0 =
+    kept as (u, v) with u < v, 1 = reversed), the order in which one
+    search over all edges would reach them.
 
-    Raises ResourceCapError if any undirected connected component has more
-    than `max_component_edges` edges or more than `max_dags` DAGs are found,
-    and NotExtendableError if g has no consistent extension.
+    Raises NotExtendableError if g has no consistent extension, else
+    ResourceCapError if any undirected connected component has more than
+    `max_component_edges` edges, else ResourceCapError if the class has
+    more than `max_dags` DAGs, which the search finds out before it lists
+    a component past the cap.
     """
-    return [_dag_of(pa) for pa in _class_parent_masks(g, max_component_edges, max_dags)]
+    comps = _class_components(g, max_component_edges, max_dags)
+    return [_dag_of(pa) for pa in _class_members(g, comps)]
 
 
 def cpdag_from_dag(d: PDGraph) -> PDGraph:
@@ -535,9 +610,9 @@ def allows_directed_path(
 
     Two shortcuts run first: no skeleton path means no, and an existing
     directed path means yes (directed edges of g appear in every such DAG).
-    Otherwise the equivalence class is enumerated, under the same caps as
-    enumerate_dags, and each member's ancestors of y are read off its
-    parent masks.
+    Otherwise the members of the equivalence class are listed, under the
+    same caps as enumerate_dags, and each member's ancestors of y are read
+    off its parent masks.
     """
     _check_vertex(g, i, "covariate")
     _check_vertex(g, y, "response")
@@ -545,7 +620,7 @@ def allows_directed_path(
         return False
     if _reach(g._ch, 1 << i) >> y & 1:
         return True
-    members = _class_parent_masks(g, max_component_edges, max_dags)
+    members = _class_members(g, _class_components(g, max_component_edges, max_dags))
     return any(_reach(pa, 1 << y) >> i & 1 for pa in members)
 
 
@@ -564,7 +639,7 @@ def is_locally_valid(g: PDGraph, i: int, s: Iterable[int]) -> bool:
     _check_vertex(g, i, "covariate")
     mask = 0
     for x in sorted(int(x) for x in s):
-        if not g._sib[i] >> x & 1:
+        if x < 0 or not g._sib[i] >> x & 1:
             raise ValueError(f"{x} is not a sibling of {i}")
         mask |= 1 << x
     adj = g._adjacency()

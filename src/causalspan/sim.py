@@ -210,8 +210,8 @@ def run_scenario(
     Failures are recorded per replicate and the scenario continues.  The
     random stream is split per replicate, so any execution order gives the
     same records.  Each equivalence class is listed once per call: the
-    truth, the global estimate and later replicates reuse the member list
-    of a graph already listed.
+    truth, the global estimate and later replicates reuse the components
+    (`graphs._class_components`) of a graph already listed.
 
     The replicates run in batches of `pc._batch_size(p)`, each in four
     passes.  The first draws the batch's replicates in turn and reduces

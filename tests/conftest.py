@@ -12,6 +12,7 @@ sets both cells), not on the package's vertex bitmasks, and touch a
 
 from __future__ import annotations
 
+import collections
 import heapq
 import itertools
 import math
@@ -299,13 +300,17 @@ def brute_force_class(g: PDGraph) -> list[PDGraph]:
 
 
 def reference_class_parent_masks(
-    g: PDGraph, max_component_edges: int, max_dags: int
+    g: PDGraph, max_component_edges: int, max_dags: int, triangle_rule: bool = False
 ) -> list[tuple[int, ...]]:
-    """The class search that refuses a -> b whenever b reaches a, by a full
-    reachability walk on the child masks, rather than only when a -> b
-    closes a directed triangle.  Like `reference_local_effects` it shares
-    the package's pre-checks and masks: it checks the admission rule, not
-    those.  Same members, order and errors as `_class_parent_masks`."""
+    """The class search over the cross product of the components: one
+    depth-first search over g's whole sorted undirected edge list, trying
+    (u, v) before (v, u) and counting leaves against `max_dags`.  It
+    refuses a -> b whenever b reaches a, by a full reachability walk on
+    the child masks, or with `triangle_rule` only when a -> b closes a
+    directed triangle, the package's rule.  Like `reference_local_effects`
+    it shares the package's pre-checks and masks: it checks the admission
+    rule and the product form, not those.  Same members, order and errors
+    as `graphs._class_members` of `graphs._class_components`."""
     if extend_to_dag(g) is None:
         raise NotExtendableError("graph has no consistent extension to a DAG")
     for comp in _undirected_components(g._sib):
@@ -320,6 +325,11 @@ def reference_class_parent_masks(
     children, parents = list(g._ch), list(g._pa)
     results: list[tuple[int, ...]] = []
 
+    def closes_cycle(a: int, b: int) -> bool:
+        if triangle_rule:
+            return bool(children[b] & parents[a])
+        return bool(_reach(children, 1 << b) >> a & 1)
+
     def rec(k: int) -> None:
         if k == len(und):
             results.append(tuple(parents))
@@ -328,7 +338,7 @@ def reference_class_parent_masks(
             return
         u, v = und[k]
         for a, b in ((u, v), (v, u)):
-            if parents[b] & ~adj[a] or _reach(children, 1 << b) >> a & 1:
+            if parents[b] & ~adj[a] or closes_cycle(a, b):
                 continue
             children[a] |= 1 << b
             parents[b] |= 1 << a
@@ -338,6 +348,27 @@ def reference_class_parent_masks(
 
     rec(0)
     return results
+
+
+def reference_theta_entries(
+    g: PDGraph, covariates, y: int, mods, max_component_edges: int, max_dags: int
+) -> list[list[tuple[tuple[int, ...] | None, int]]]:
+    """The global route's plan entries counted over every member that
+    `reference_class_parent_masks` (triangle rule) lists: per covariate,
+    its (adjustment set, multiplicity) pairs in order of first member.
+    The set is the member's parents of i, under "prune_y" only those in
+    y's skeleton component; under "zero_path" it is None where i is not an
+    ancestor of y."""
+    members = reference_class_parent_masks(g, max_component_edges, max_dags, True)
+    keep = _reach(g._adjacency(), 1 << y) if "prune_y" in mods else (1 << g.n) - 1
+    out = []
+    for i in covariates:
+        keys = [pa[i] & keep for pa in members]
+        if "zero_path" in mods:
+            keys = [k if _reach(pa, 1 << y) >> i & 1 else None for k, pa in zip(keys, members)]
+        counts = collections.Counter(keys)
+        out.append([(None if k is None else tuple(_bits(k)), m) for k, m in counts.items()])
+    return out
 
 
 def _reference_closure(step: np.ndarray, start: int) -> np.ndarray:

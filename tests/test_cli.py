@@ -410,6 +410,38 @@ class TestReadDataset:
         assert str(err.value) == f"{src}:{message}"
 
 
+class TestParserPerCommand:
+    """`main` builds only the named command's flags; what it prints and
+    its exit code stay those of the parser with every command's flags."""
+
+    @pytest.mark.parametrize("argv", [
+        ["--help"], ["-h"], [], ["frobnicate"], ["frobnicate", "--help"],
+        *[[c, "--help"] for c in cli.COMMANDS],
+        ["estimate"], ["simulate", "--bogus"], ["tune", "--method", "global"],
+        ["score", "--input"],
+    ], ids=lambda argv: " ".join(argv) or "no-command")
+    def test_same_text_and_exit_code_as_the_full_parser(self, argv, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+
+        def run(parse):
+            with pytest.raises(SystemExit) as stop:
+                parse()
+            out = capsys.readouterr()
+            return stop.value.code, out.out, out.err
+
+        full = run(lambda: cli.build_parser().parse_args(argv))
+        assert run(lambda: cli.main(argv)) == full
+        assert full[1] or full[2]
+
+    def test_other_commands_get_no_flags(self):
+        parser = cli.build_parser("tune")
+        (commands,) = (a for a in parser._actions if a.dest == "command")
+        flags = {name: {o for a in p._actions for o in a.option_strings}
+                 for name, p in commands.choices.items()}
+        assert flags["tune"] == {"-h", "--help", *("--" + f for f in cli._COMMAND_FLAGS["tune"])}
+        assert all(flags[c] == {"-h", "--help"} for c in cli.COMMANDS if c != "tune")
+
+
 class TestFailureModes:
     def test_missing_input_file(self, tmp_path):
         r = run_cli(

@@ -2,6 +2,7 @@
 subset) routes, their agreement, the optional modifications, multiset
 distance, and bootstrap covariate scores."""
 
+import itertools
 import math
 import re
 
@@ -661,6 +662,21 @@ class TestGlobalRouteErrors:
         assert [str(e).split(":")[0] for e in out] == [
             "regression (0 | (1, 2))", "regression (1 | (0, 2))", "regression (2 | (0, 1))"
         ]
+
+    @pytest.mark.parametrize("i, message", [
+        (2, "covariate and response must differ"),
+        (7, "covariate 7 is not a vertex of the graph (0..2)"),
+        (-1, "covariate -1 is not a vertex of the graph (0..2)"),
+    ], ids=["response", "past-the-last", "negative"])
+    def test_both_routes_name_a_bad_covariate_alike(self, i, message):
+        # Also when the class is over its cap: the covariate is checked
+        # before the class is listed.
+        g = PDGraph(3, undirected=[(0, 1), (1, 2), (0, 2)])
+        for method, max_dags in itertools.product(("global", "local"), (1, DEFAULT_MAX_DAGS)):
+            with pytest.raises(ValueError) as raised:
+                _route_plan(method, g, (0, i), 2, (), 25, 12, max_dags)
+            assert type(raised.value) is ValueError
+            assert str(raised.value) == message
 
     def test_no_covariates_keep_one_column_per_member(self):
         theta = global_effects(CovMatrix(np.eye(1)), PDGraph(1), 0)

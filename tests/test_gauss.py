@@ -72,6 +72,28 @@ def make_dataset(values, names=None, response=None):
     return Dataset(values, names, p - 1 if response is None else response)
 
 
+def per_column_standardize(d: Dataset) -> Dataset:
+    """`Dataset.standardize` one covariate at a time: center every column,
+    then per covariate in order its own std, its checks and its division."""
+    v = d.values.copy()
+    with np.errstate(over="ignore"):
+        mean = v.mean(axis=0)
+    if not np.isfinite(mean).all():
+        name = d.names[int((~np.isfinite(mean)).argmax())]
+        raise DegenerateDataError(f"column '{name}' has a variance too large to represent")
+    v -= mean
+    for i in d.covariates:
+        with np.errstate(over="ignore"):
+            sd = v[:, i].std(ddof=1)
+        if not np.isfinite(sd):
+            raise DegenerateDataError(
+                f"column '{d.names[i]}' has a variance too large to represent")
+        if sd <= 0:
+            raise DegenerateDataError(f"column '{d.names[i]}' is constant; cannot standardize")
+        v[:, i] /= sd
+    return Dataset(v, d.names, d.response, True)
+
+
 class TestDataset:
     def test_basic_properties(self):
         d = make_dataset([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
@@ -131,6 +153,32 @@ class TestDataset:
                     with pytest.raises(DegenerateDataError) as e:
                         call(d)
                     assert str(e.value) == message
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1),
+           special=st.sampled_from(["none", "constant", "overflow", "both"]))
+    def test_standardize_matches_the_per_column_reference(self, seed, special):
+        # The same bits as a std per column and a division per column, or
+        # the same error naming the same first covariate; no RuntimeWarning
+        # escapes.  Shapes and columns come from the seed.
+        rng = np.random.default_rng(seed)
+        n, p = int(rng.integers(2, 80)), int(rng.integers(1, 60))
+        vals = rng.normal(size=(n, p)) * rng.uniform(0.1, 10.0, size=p) + rng.normal(size=p)
+        if special in ("constant", "both"):
+            vals[:, rng.integers(p, size=2)] = rng.normal()
+        if special in ("overflow", "both"):
+            vals[:, rng.integers(p)] *= 1e200
+        d = Dataset(vals, tuple(f"c{j}" for j in range(p)), int(rng.integers(p)))
+
+        def outcome(standardize):
+            try:
+                return standardize(d).values.tobytes()
+            except DegenerateDataError as e:
+                return str(e)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert outcome(Dataset.standardize) == outcome(per_column_standardize)
 
     def test_resample_rows(self):
         d = make_dataset([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])

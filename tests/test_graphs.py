@@ -4,6 +4,7 @@ enumeration, extension, chordality, and serialization."""
 import collections
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -32,11 +33,13 @@ from causalspan import (
     random_weighted_dag,
     validate_cpdag,
 )
-from causalspan import graphs
+from causalspan import effects, graphs
+from causalspan.effects import _theta_plan
 from causalspan.errors import CausalSpanError
 from causalspan.graphs import (
     _bits,
-    _class_parent_masks,
+    _class_components,
+    _class_members,
     _colliders,
     _perfect_elimination_order,
     _reach,
@@ -51,6 +54,7 @@ from conftest import (
     reference_extend_to_dag,
     reference_is_dag,
     reference_meek_closure,
+    reference_theta_entries,
     reference_topological_order,
     reference_v_structures,
     relabel,
@@ -359,7 +363,7 @@ class TestEnumerateDags:
         # the chord then close a triangle, so the prefix has no leaf.
         g = PDGraph(4, undirected=[(0, 2), (0, 3), (1, 2), (1, 3), (2, 3)])
         assert enumerate_dags(g) == brute_force_in_order(g)
-        assert _class_parent_masks(g, 12, 25000) == reference_class_parent_masks(g, 12, 25000)
+        assert class_parent_masks(g, 12, 25000) == reference_class_parent_masks(g, 12, 25000)
 
     def test_triangle_through_a_fixed_edge(self):
         # 0 -> 2 inside the undirected component {0, 1, 2}: extendable, but
@@ -446,7 +450,7 @@ class TestEnumerateDags:
             full = outcome(reference_class_parent_masks, g, 25000)
             size = len(full) if isinstance(full, list) else 1
             max_dags = int(rng.choice([rng.integers(1, 2 * size + 1), 25000]))
-            assert outcome(_class_parent_masks, g, max_dags) == outcome(
+            assert outcome(class_parent_masks, g, max_dags) == outcome(
                 reference_class_parent_masks, g, max_dags
             )
             drawn[extend_to_dag(g) is not None, is_chain_graph(g)] += 1
@@ -455,6 +459,105 @@ class TestEnumerateDags:
         assert drawn[True, True]
         if kind != "cpdag":
             assert drawn[True, False], drawn
+
+
+class TestClassComponents:
+    """The class as the product of its undirected components' orientations
+    (`_class_components`), against the search over their cross product in
+    `conftest.reference_class_parent_masks`."""
+
+    MODS = [(), ("zero_path",), ("prune_y",), ("zero_path", "prune_y")]
+
+    @pytest.mark.parametrize("kind", ["cpdag", "partial", "pc"])
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_cross_product_search(self, kind, seed):
+        # Members in order, the global route's plan entries under every
+        # modification, and the errors with their precedence: the
+        # extension, then each component's edge cap, then the class cap,
+        # which a class of exactly `max_dags` members passes.
+        rng = np.random.default_rng(seed)
+        g = class_search_input(kind, rng)
+        y = int(rng.integers(g.n))
+        covariates = tuple(v for v in range(g.n) if v != y)
+
+        def outcome(search, *args):
+            try:
+                return search(*args)
+            except CausalSpanError as e:
+                return type(e), str(e)
+
+        def expected_entries(mods, max_edges, max_dags):
+            try:
+                return reference_theta_entries(g, covariates, y, mods, max_edges, max_dags)
+            except ResourceCapError as e:
+                local = "the local route avoids enumeration and scales further"
+                return ResourceCapError, f"{e}; {local}"
+            except CausalSpanError as e:
+                return type(e), str(e)
+
+        def planned_entries(mods, max_edges, max_dags):
+            return _theta_plan(g, covariates, y, mods, max_edges, max_dags).entries
+
+        full = outcome(reference_class_parent_masks, g, 12, 25000, True)
+        size = len(full) if isinstance(full, list) else 1
+        max_edges = int(rng.choice([12, rng.integers(0, 13)]))
+        for max_dags in {size, max(size - 1, 1), int(rng.integers(1, 2 * size + 1)), 25000}:
+            assert outcome(class_parent_masks, g, max_edges, max_dags) == outcome(
+                reference_class_parent_masks, g, max_edges, max_dags, True
+            )
+            for mods in self.MODS:
+                assert outcome(planned_entries, mods, max_edges, max_dags) == (
+                    expected_entries(mods, max_edges, max_dags)
+                )
+
+    def test_a_product_past_the_cap_stops_after_a_few_leaves(self, monkeypatch):
+        # 20 disjoint edges: 2**20 members.  After 14 components the
+        # product is 2**14 <= 25000, so the 15th may list one orientation
+        # and stops at its second: the search reaches 30 leaves.
+        g = PDGraph(40, undirected=[(2 * k, 2 * k + 1) for k in range(20)])
+        searches = []
+        search = graphs._orientations
+
+        def counted(g, comp, und, adj, size, max_dags):
+            searches.append(size)
+            listed = search(g, comp, und, adj, size, max_dags)
+            searches[-1] = len(listed)
+            return listed
+
+        monkeypatch.setattr(graphs, "_orientations", counted)
+        with pytest.raises(ResourceCapError, match=r"^equivalence class exceeds 25000 DAGs$"):
+            enumerate_dags(g)
+        # 14 searches listed their two orientations; the 15th, after a
+        # product of 2**14, raised at the leaf that passed 25000.  A
+        # component of one edge has at most two orientations.
+        assert searches == [2] * 14 + [2**14]
+        assert sum(searches[:-1]) + 2 == 30
+        comps = _class_components(g, 12, 2**20)
+        assert math.prod(len(c.orientations) for c in comps) == 2**20
+
+    def test_the_plan_reads_components_without_listing_members(self, monkeypatch):
+        # Two triangles and a path: 6 * 6 * 3 = 108 members.  Without
+        # `zero_path` each covariate's entries come from its own component.
+        tri = [(0, 1), (0, 2), (1, 2)]
+        g = PDGraph(10, undirected=tri + [(u + 3, v + 3) for u, v in tri] + [(6, 7), (7, 8)],
+                    directed=[(2, 9), (5, 9)])
+
+        def unlisted(*args):
+            raise AssertionError("members listed")
+
+        monkeypatch.setattr(effects, "_class_members", unlisted)
+        for mods in ((), ("prune_y",)):
+            assert _theta_plan(g, tuple(range(9)), 9, mods, 12, 25000).entries == (
+                reference_theta_entries(g, tuple(range(9)), 9, mods, 12, 25000)
+            )
+        assert _theta_plan(g, (6,), 9, (), 12, 25000).entries == [[((), 36), ((7,), 72)]]
+
+
+def class_parent_masks(g: PDGraph, max_component_edges: int, max_dags: int):
+    """The members' parent masks, from g's components, as the package
+    expands them."""
+    return _class_members(g, _class_components(g, max_component_edges, max_dags))
 
 
 def loosened(dag: PDGraph, rng: np.random.Generator) -> PDGraph:
@@ -558,6 +661,15 @@ class TestLocalValidity:
     def test_requires_sibling_subset(self, path_graph):
         with pytest.raises(ValueError):
             is_locally_valid(path_graph, 0, frozenset({2}))
+
+    @pytest.mark.parametrize("x", [-1, 0, 3, 5])
+    def test_a_member_outside_the_siblings_raises(self, x):
+        # A negative member gets the message of a positive one, not an
+        # error from the shift.
+        g = PDGraph(4, directed=[(3, 0)], undirected=[(0, 1), (1, 2), (0, 2)])
+        with pytest.raises(ValueError) as raised:
+            is_locally_valid(g, 0, [1, x])
+        assert str(raised.value) == f"{x} is not a sibling of 0"
 
     def test_pairwise_adjacency_required(self, path_graph):
         # Vertices 1 and 3 are both siblings of 0 but not adjacent: orienting
@@ -765,7 +877,7 @@ class TestOnePassForms:
             if not res.validation.is_valid:
                 continue
             valid += 1
-            members = _class_parent_masks(g, 12, 25000)
+            members = class_parent_masks(g, 12, 25000)
             assert extend_to_dag(g) is extend_to_dag(g)
             assert extend_to_dag(g)._pa in members
             twin = PDGraph._from_masks(g._pa, g._ch, g._sib)

@@ -3,6 +3,7 @@ and the replicated evaluation loop."""
 
 import dataclasses
 import io
+import re
 import statistics
 import types
 
@@ -233,8 +234,9 @@ class TestPopulationEffects:
     def test_global_rejects_a_non_covariate(self):
         # The response itself and a vertex past the last one.
         w = chain3()
-        for i in (2, w.n):
-            with pytest.raises(ValueError, match=f"{i} is not a covariate of response 2"):
+        for i, message in ((2, "covariate and response must differ"),
+                           (w.n, "covariate 3 is not a vertex of the graph (0..2)")):
+            with pytest.raises(ValueError, match=re.escape(message)):
                 population_effects(w, i, 2, "global")
 
     def test_mods_are_forwarded(self):
@@ -314,7 +316,7 @@ class TestRunScenario:
         # replicates repeat graphs: each distinct graph is listed once per
         # call, and a second call lists them all again.
         listed = []
-        list_class = effects._class_parent_masks
+        list_class = effects._class_components
 
         def counted(g, max_component_edges, max_dags):
             listed.append(g)
@@ -322,8 +324,9 @@ class TestRunScenario:
 
         scenario = SimScenario(5, 3.5, 1000, 20, seed=8424)
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(effects, "_class_parent_masks", counted)
+            mp.setattr(effects, "_class_components", counted)
             recs = run_scenario(scenario)
+            assert listed
             assert len(listed) == len(set(listed)) < 2 * scenario.n_reps
             assert strip_runtime(run_scenario(scenario)) == strip_runtime(recs)
         assert listed[: len(listed) // 2] == listed[len(listed) // 2 :]
