@@ -295,7 +295,9 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     res = pc_cpdag(d, CITestConfig(args.alpha))
     names = list(d.names)
     g, repair_info = res.graph, None
-    if args.method == "global" and not res.validation.is_valid:
+    # The plan asks the class under the global route and under zero_path.
+    asks_class = args.method == "global" or effects.MOD_ZERO_PATH in args.mods
+    if asks_class and not res.validation.is_valid:
         rep = repair_cpdag(res, seed=args.seed)
         g, repair_info = rep.graph, {"stage": rep.stage, "detail": rep.detail}
     plan = effects._route_plan(args.method, g, d.covariates, d.response, args.mods,

@@ -566,18 +566,28 @@ def repair_cpdag(result: PcResult, seed: int = 0) -> RepairResult:
     them, and when that cap is used up without a valid graph it drops the
     first k candidates for k = 1, 2, ... in turn.  Stage 3 orients the
     skeleton along a seeded random vertex order and returns that DAG's
-    CPDAG, which always validates.
+    CPDAG, which always validates.  A rebuild whose oriented graph an
+    earlier rebuild already rejected is rejected without closing it again.
     """
     if result.validation.is_valid:
         return RepairResult(result.graph, 0, "estimate already valid")
     skeleton = result.graph.skeleton()
     adj = skeleton._adjacency()
     triples = _collider_triples(skeleton, result.sepsets)
+    # A rebuild is a function of its oriented graph, and many drop sets
+    # orient alike: each oriented graph is closed and validated once.
+    rejected: set[PDGraph] = set()
 
     def rebuild(dropped: Iterable[tuple[int, int, int]]) -> PDGraph | None:
         dropped = set(dropped)
-        g = meek_closure(_orient_colliders(adj, [t for t in triples if t not in dropped]))
-        return g if validate_cpdag(g).is_valid else None
+        oriented = _orient_colliders(adj, [t for t in triples if t not in dropped])
+        if oriented in rejected:
+            return None
+        g = meek_closure(oriented)
+        if validate_cpdag(g).is_valid:
+            return g
+        rejected.add(oriented)
+        return None
 
     # stage 1: re-decide conflicted edges
     conflicted = list(

@@ -23,6 +23,7 @@ from .effects import _solved
 from .errors import CausalSpanError, DegenerateDataError, ResourceCapError
 from .gauss import CITestConfig, CovMatrix, Dataset, _covariance_values, structural_covariance
 from .graphs import DEFAULT_MAX_COMPONENT_EDGES, DEFAULT_MAX_DAGS, PDGraph, cpdag_from_dag
+from .graphs import _bits, _dag_of, _topological_order
 from .pc import _batch_size, _pc_batch, _pc_result, repair_cpdag
 
 
@@ -56,6 +57,36 @@ class WeightedDag:
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "_order", tuple(order))
+
+    @classmethod
+    def _batch(cls, edges: np.ndarray, weights: np.ndarray) -> list["WeightedDag"]:
+        """One model per matrix of the (m, p, p) stacks: edges[k, i, j]
+        marks the edge j -> i of model k and weights[k] is its weight
+        matrix.  `__post_init__`'s checks run once over the stacks (each
+        graph acyclic, every weight finite and nonzero exactly on the
+        edges); the weights stack is made read-only and each model's
+        weights are a view of it."""
+        m, p = edges.shape[:2]
+        pas = [[0] * p for _ in range(m)]
+        for k, i, j in zip(*(a.tolist() for a in np.nonzero(edges))):
+            pas[k][i] |= 1 << j
+        orders = [_topological_order(pa) for pa in pas]
+        if None in orders:
+            raise ValueError("WeightedDag requires a DAG")
+        if not np.all(np.isfinite(weights)):
+            raise ValueError("weights must be finite")
+        wrong = ((weights != 0) != edges).any(axis=2)
+        if wrong.any():
+            raise ValueError(f"weights for vertex {np.argwhere(wrong)[0, 1]} do not match its parents")
+        weights.setflags(write=False)
+        out = []
+        for pa, w, order in zip(pas, weights, orders):
+            d = object.__new__(cls)
+            object.__setattr__(d, "graph", _dag_of(pa))
+            object.__setattr__(d, "weights", w)
+            object.__setattr__(d, "_order", tuple(order))
+            out.append(d)
+        return out
 
     @property
     def order(self) -> tuple[int, ...]:
@@ -119,21 +150,27 @@ def random_weighted_dag(
     blocks: int | None = None,
 ) -> WeightedDag:
     """Draw a random weighted DAG as described in the module docstring."""
-    if blocks is not None:
-        block_size = n_vertices // blocks
-        prob = min(1.0, en / (block_size - 1))
-    else:
-        block_size = n_vertices
-        prob = min(1.0, en / (n_vertices - 1))
     coin = rng.random((n_vertices, n_vertices))
     magnitude = rng.uniform(1.0, 2.0, size=(n_vertices, n_vertices))
+    return _weighted_dags(n_vertices, en, coin[None], magnitude[None], blocks)[0]
+
+
+def _weighted_dags(
+    n_vertices: int,
+    en: float,
+    coins: np.ndarray,
+    magnitudes: np.ndarray,
+    blocks: int | None,
+) -> list[WeightedDag]:
+    """The models of stacked (m, p, p) uniform coin and [1, 2] magnitude
+    draws: j -> i, j < i, is an edge where coins[k, j, i] falls under the
+    edge probability and j, i share a block, with weight magnitudes[k, j, i]."""
+    block_size = n_vertices // blocks if blocks is not None else n_vertices
+    prob = min(1.0, en / (block_size - 1))
     block = _block_of(np.arange(n_vertices), block_size)
-    # Row-major order lists the edges j -> i by j, then i.
-    js, is_ = np.nonzero(np.triu(coin < prob, 1) & (block[:, None] == block))
-    weights = np.zeros((n_vertices, n_vertices))
-    weights[is_, js] = magnitude[js, is_]
-    edges = list(zip(js.tolist(), is_.tolist()))
-    return WeightedDag(PDGraph(n_vertices, directed=edges), weights)
+    edges = (np.triu(coins < prob, 1) & (block[:, None] == block)).transpose(0, 2, 1)
+    weights = np.where(edges, magnitudes.transpose(0, 2, 1), 0.0)
+    return WeightedDag._batch(edges, weights)
 
 
 def generate_data(
@@ -144,20 +181,28 @@ def generate_data(
     names: Sequence[str] | None = None,
 ) -> Dataset:
     """Sample n rows of the linear system X = W X + e with standard normal
-    noise, visiting vertices in topological order."""
+    noise (`_sample_values`)."""
     rng = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
-    eps = rng.standard_normal((n, w.n))
-    values = np.zeros((n, w.n))
-    for i in w.order:
-        pa = np.nonzero(w.weights[i, :])[0]
-        values[:, i] = eps[:, i]
-        if pa.size:
-            values[:, i] += values[:, pa] @ w.weights[i, pa]
+    values = _sample_values(w, n, rng)
     if names is None:
         names = tuple(f"X{i + 1}" for i in range(w.n))
     if response is None:
         response = w.n - 1
     return Dataset(values, tuple(names), response)
+
+
+def _sample_values(w: WeightedDag, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n rows of X = W X + e: the noise e, standard normal, to which each
+    vertex's parent terms are added in place, in topological order."""
+    values = rng.standard_normal((n, w.n))
+    pa = w.graph._pa
+    for i in w.order:
+        if pa[i]:
+            idx = list(_bits(pa[i]))
+            values[:, i] += values[:, idx] @ w.weights[i, idx]
+    if not np.all(np.isfinite(values)):
+        raise ValueError("values must be finite")
+    return values
 
 
 def population_covariance(w: WeightedDag) -> CovMatrix:
@@ -214,11 +259,13 @@ def run_scenario(
     (`graphs._class_components`) of a graph already listed.
 
     The replicates run in batches of `pc._batch_size(p)`, each in four
-    passes.  The first draws the batch's replicates in turn and reduces
-    each one's values at once to its unchecked sample covariance, so no
-    n x p array outlives its replicate.  The second runs the batch's PC
-    skeletons in one `pc._pc_batch` call, which also makes and checks
-    their sample matrices, and (with the truth) checks the batch's
+    passes.  The first (`_draws`) makes each replicate's random calls in
+    stream order, builds the batch's models from them at once with one run
+    of `WeightedDag`'s checks, then samples each replicate's values in turn
+    (`_sample_values`) and reduces them at once to their unchecked sample
+    covariance, so no n x p array outlives its replicate.  The second runs
+    the batch's PC skeletons in one `pc._pc_batch` call, which also makes
+    and checks their sample matrices, and (with the truth) checks the batch's
     population covariances in one `CovMatrix._stack` pass.  A draw that
     fails ends the first pass: the second runs on the replicates drawn
     before it, so their check errors come first, and then the draw's
@@ -246,14 +293,7 @@ def run_scenario(
     records: list[SimRecord] = []
     classes: dict = {}
     for start in range(0, scenario.n_reps, size):
-        draws: list[_Draw] = []
-        failure = None
-        for child in children[start : start + size]:
-            try:
-                draws.append(_draw(scenario, child))
-            except Exception as e:
-                failure = e
-                break
+        draws, failure = _draws(scenario, children[start : start + size])
         if not draws:
             raise failure
         t0 = time.perf_counter()
@@ -339,23 +379,39 @@ class _Draw(NamedTuple):
     seconds: float
 
 
-def _draw(scenario: SimScenario, child: np.random.SeedSequence) -> _Draw:
-    """One replicate, drawn from its own stream, with its values reduced
-    at once to their covariance (`gauss._covariance_values`)."""
-    rng = np.random.default_rng(child)
-    block_size = scenario.n_vertices // (scenario.blocks or 1)
-    w = random_weighted_dag(scenario.n_vertices, scenario.en, rng, scenario.blocks)
-    y = int(rng.integers(scenario.n_vertices))
-    same_block = [
-        v
-        for v in range(scenario.n_vertices)
-        if v != y and _block_of(v, block_size) == _block_of(y, block_size)
-    ]
-    x = int(rng.choice(same_block))
-    data = generate_data(w, scenario.n, rng, response=y)
-    t0 = time.perf_counter()
-    covariance = _covariance_values(data.values)
-    return _Draw(w, x, y, data.names, covariance, time.perf_counter() - t0)
+def _draws(
+    scenario: SimScenario, children: Sequence[np.random.SeedSequence]
+) -> tuple[list[_Draw], Exception | None]:
+    """A batch of replicates, each drawn from its own stream: its model's
+    coins and magnitudes, y, x from y's block and then its noise.  The
+    batch's models are built at once (`_weighted_dags`); each replicate's
+    values (`_sample_values`) are reduced at once to their covariance
+    (`gauss._covariance_values`).  A replicate whose values fail ends the
+    batch: the replicates drawn before it come back with its error."""
+    p = scenario.n_vertices
+    block_size = p // (scenario.blocks or 1)
+    rngs, coins, magnitudes, picks = [], [], [], []
+    for child in children:
+        rng = np.random.default_rng(child)
+        coins.append(rng.random((p, p)))
+        magnitudes.append(rng.uniform(1.0, 2.0, size=(p, p)))
+        y = int(rng.integers(p))
+        first = _block_of(y, block_size) * block_size
+        picks.append((int(rng.choice([v for v in range(first, first + block_size) if v != y])), y))
+        rngs.append(rng)
+    models = _weighted_dags(p, scenario.en, np.stack(coins), np.stack(magnitudes), scenario.blocks)
+    names = tuple(f"X{i + 1}" for i in range(p))
+    draws: list[_Draw] = []
+    for w, rng, (x, y) in zip(models, rngs, picks):
+        try:
+            values = _sample_values(w, scenario.n, rng)
+            t0 = time.perf_counter()
+            covariance = _covariance_values(values)
+        except Exception as e:
+            return draws, e
+        draws.append(_Draw(w, x, y, names, covariance, time.perf_counter() - t0))
+        del values  # freed before the next replicate's values are drawn
+    return draws, None
 
 
 CSV_COLUMNS = ("rep", "method", "e2_ave", "e2_min", "runtime_s", "status")

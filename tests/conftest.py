@@ -715,6 +715,56 @@ def reference_streamed_blocks(
 
 
 # ---------------------------------------------------------------------------
+# simulation draws
+
+
+def reference_weighted_dag(p: int, en: float, rng: np.random.Generator, blocks=None):
+    """A random model drawn matrix by matrix: uniform edge coins, then
+    [1, 2] magnitudes, each p x p; j -> i, j < i, is an edge where the
+    coin falls under en / (block size - 1), capped at 1, and j, i share a
+    block.  Returns the weights (weights[i, j] for j -> i), the sorted
+    edges and the topological order."""
+    block_size = p // blocks if blocks is not None else p
+    prob = min(1.0, en / (block_size - 1))
+    coin = rng.random((p, p))
+    magnitude = rng.uniform(1.0, 2.0, size=(p, p))
+    block = np.arange(p) // block_size
+    js, is_ = np.nonzero(np.triu(coin < prob, 1) & (block[:, None] == block))
+    weights = np.zeros((p, p))
+    weights[is_, js] = magnitude[js, is_]
+    edges = sorted(zip(js.tolist(), is_.tolist()))
+    return weights, edges, reference_topological_order(PDGraph(p, directed=edges))
+
+
+def reference_values(weights: np.ndarray, order, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n rows of X = W X + e: the standard normal noise drawn whole, then a
+    fresh matrix filled column by column in topological order."""
+    eps = rng.standard_normal((n, len(weights)))
+    values = np.zeros((n, len(weights)))
+    for i in order:
+        pa = np.nonzero(weights[i, :])[0]
+        values[:, i] = eps[:, i]
+        if pa.size:
+            values[:, i] += values[:, pa] @ weights[i, pa]
+    return values
+
+
+def reference_draw(p: int, en: float, n: int, rng: np.random.Generator, blocks=None):
+    """One simulation replicate drawn alone from its stream: the model, the
+    response y, a covariate x from y's block by `rng.choice`, the values
+    and their sample covariance.  Returns the weights, the sorted edges,
+    the order, x, y, the column names and the covariance."""
+    weights, edges, order = reference_weighted_dag(p, en, rng, blocks)
+    block_size = p // blocks if blocks is not None else p
+    y = int(rng.integers(p))
+    x = int(rng.choice([v for v in range(p) if v != y and v // block_size == y // block_size]))
+    values = reference_values(weights, order, n, rng)
+    v = values - values.mean(axis=0)
+    names = tuple(f"X{i + 1}" for i in range(p))
+    return weights, edges, order, x, y, names, v.T @ v / (n - 1)
+
+
+# ---------------------------------------------------------------------------
 # model fixtures
 
 

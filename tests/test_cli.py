@@ -69,6 +69,19 @@ def identified_csv(tmp_path_factory):
     return str(path)
 
 
+@pytest.fixture(scope="module")
+def wide_csv(tmp_path_factory):
+    """40 columns X0..X39 from a random linear model with edge probability
+    0.1 at n = 500, whose PC estimate does not validate as a CPDAG."""
+    rng = np.random.default_rng(1)
+    p = 40
+    b = np.tril(rng.uniform(0.5, 1.0, (p, p)) * (rng.uniform(size=(p, p)) < 0.1), -1)
+    x = rng.standard_normal((500, p)) @ np.linalg.inv(np.eye(p) - b).T
+    path = tmp_path_factory.mktemp("wide") / "wide.csv"
+    write_csv(path, x, [f"X{i}" for i in range(p)])
+    return str(path)
+
+
 class TestEstimate:
     def test_recovers_hub_structure_and_effects(self, hub_csv, tmp_path):
         out = tmp_path / "report.json"
@@ -186,6 +199,31 @@ class TestEstimate:
             env_extra={"CAUSALSPAN_BOOTSTRAP": "0"},
         )
         assert r.returncode == 0, r.stderr
+
+
+    def test_zero_path_repairs_an_invalid_estimate_on_either_route(self, wide_csv, tmp_path):
+        # --mod-zero-path asks the class whether a directed path reaches the
+        # response, so the local route repairs the estimate as the global
+        # route does; without it the local route leaves the graph alone.
+        reports = {}
+        for label, flags in {
+            "local+zp": ["--method", "local", "--mod-zero-path"],
+            "global": ["--method", "global"],
+            "local": ["--method", "local"],
+        }.items():
+            out = tmp_path / f"{label}.json"
+            r = run_cli(["estimate", "--input", wide_csv, "--response", "X39", *flags,
+                         "--out", str(out)], cwd=tmp_path)
+            assert r.returncode == 0, r.stderr
+            reports[label] = json.loads(out.read_text())
+        repaired = reports["local+zp"]
+        assert repaired["diagnostics"]["valid_cpdag"] is False
+        assert repaired["repair"] == {"stage": 2, "detail": "dropped 1 collider triples"}
+        assert repaired["repair"] == reports["global"]["repair"]
+        assert repaired["graph"] == reports["global"]["graph"]
+        assert repaired["mods"] == ["zero_path"] and len(repaired["effects"]) == 39
+        assert reports["local"]["repair"] is None
+        assert reports["local"]["graph"] != repaired["graph"]
 
 
 class TestScore:

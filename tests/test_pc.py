@@ -686,16 +686,16 @@ class TestSampleMatrices:
     def test_each_truth_gets_its_population_matrix(self, seed, p, en, reps):
         # With no methods the truths' plans are the only ones, so the
         # sources that run_scenario solves are its population pass.
-        draws, sources = [], []
-        draw, finish = sim._draw, sim._finish_plans
+        models, sources = [], []
+        sample, finish = sim._sample_values, sim._finish_plans
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(sim, "_draw", lambda *a: draws.append(draw(*a)) or draws[-1])
+            mp.setattr(sim, "_sample_values", lambda w, *a: models.append(w) or sample(w, *a))
             mp.setattr(sim, "_finish_plans",
                        lambda plans: sources.extend(s for s, _ in plans) or finish(plans))
             sim.run_scenario(sim.SimScenario(p, en, 50, reps, seed=seed), methods=())
-        assert len(sources) == len(draws) == reps
-        for d, got in zip(draws, sources):
-            assert self.bits(got) == self.bits(sim.population_covariance(d.w))
+        assert len(sources) == len(models) == reps
+        for w, got in zip(models, sources):
+            assert self.bits(got) == self.bits(sim.population_covariance(w))
 
     @staticmethod
     def bits(c: CovMatrix) -> tuple:

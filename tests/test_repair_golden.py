@@ -83,6 +83,27 @@ def test_wide_repairs_match_golden(cap, monkeypatch):
     check("repair_golden_wide.json", cap, monkeypatch)
 
 
+@pytest.mark.parametrize("cap", CAPS)
+def test_each_oriented_graph_is_closed_once(cap, monkeypatch):
+    # Many drop sets orient the same graph; a repair closes each distinct
+    # oriented graph once and still picks the golden graph.
+    golden = json.loads(Path(__file__).with_name("repair_golden_wide.json").read_text())
+    p_min, p_count, _ = RECIPES["repair_golden_wide.json"]
+    monkeypatch.setattr(pc, "_REPAIR_SEARCH_CAP", cap)
+    orient, close = pc._orient_colliders, pc.meek_closure
+    repeated = 0
+    for seed, row in golden.items():
+        res = estimate(int(seed), p_min, p_count)
+        oriented, closed = [], []
+        with monkeypatch.context() as mp:
+            mp.setattr(pc, "_orient_colliders", lambda *a: oriented.append(orient(*a)) or oriented[-1])
+            mp.setattr(pc, "meek_closure", lambda g: closed.append(g) or close(g))
+            assert outcome(res) == row[str(cap)], f"seed {seed}"
+        assert len(closed) == len(set(oriented)), f"seed {seed}"
+        repeated += len(oriented) - len(closed)
+    assert repeated > 0
+
+
 if __name__ == "__main__":
     for name, (p_min, p_count, seeds) in RECIPES.items():
         golden = {}

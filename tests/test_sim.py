@@ -9,9 +9,10 @@ import types
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalspan import (
-    Dataset,
     EffectEntry,
     EffectMultiset,
     PDGraph,
@@ -30,7 +31,14 @@ from causalspan import (
 )
 from causalspan.sim import write_records_csv, summarize_records
 
-from conftest import _weighted
+from conftest import (
+    _weighted,
+    brute_force_class,
+    reference_cpdag_from_dag,
+    reference_draw,
+    reference_values,
+    reference_weighted_dag,
+)
 
 
 def chain3() -> WeightedDag:
@@ -91,6 +99,97 @@ class TestWeightedDag:
         assert w.n == 3
         with pytest.raises(ValueError):
             w.weights[0, 0] = 5.0
+
+
+class TestWeightedDagBatch:
+    """`WeightedDag._batch` runs the constructor's checks once over a stack
+    of models and raises what the constructor raises on a bad model."""
+
+    @staticmethod
+    def stacks(models: list[dict[tuple[int, int], float]], p: int):
+        """Edge and weight stacks; each model maps (i, j), j -> i, to a weight."""
+        edges = np.zeros((len(models), p, p), dtype=bool)
+        weights = np.zeros((len(models), p, p))
+        for k, model in enumerate(models):
+            for (i, j), value in model.items():
+                edges[k, i, j] = True
+                weights[k, i, j] = value
+        return edges, weights
+
+    def test_builds_each_model_as_the_constructor_does(self):
+        models = [{}, {(2, 0): 1.5, (1, 0): 1.25}, {(2, 1): 2.0}]
+        got = WeightedDag._batch(*self.stacks(models, 3))
+        for w, model in zip(got, models):
+            alone = _weighted(3, model)
+            assert w.graph == alone.graph
+            assert w.weights.tobytes() == alone.weights.tobytes()
+            assert w.order == alone.order
+            with pytest.raises(ValueError):
+                w.weights[0, 0] = 5.0
+
+    @pytest.mark.parametrize("fault", ["cycle", "inf", "missing", "extra"])
+    def test_a_bad_model_raises_the_constructor_error(self, fault):
+        bad = {(1, 0): 1.5, (2, 1): 1.5}
+        edges, weights = self.stacks([{(2, 0): 1.0}, bad], 3)
+        if fault == "cycle":
+            edges[1, 0, 2] = True
+            weights[1, 0, 2] = 1.0
+        elif fault == "inf":
+            weights[1, 2, 1] = np.inf
+        elif fault == "missing":
+            weights[1, 2, 1] = 0.0
+        else:
+            weights[1, 0, 1] = 2.0
+        graph = PDGraph(3, directed=[(int(j), int(i)) for i, j in zip(*np.nonzero(edges[1]))])
+        with pytest.raises(ValueError) as alone:
+            WeightedDag(graph, weights[1])
+        with pytest.raises(ValueError) as batch:
+            WeightedDag._batch(edges, weights)
+        assert str(batch.value) == str(alone.value)
+
+
+class TestDraws:
+    """`sim._draws` builds a batch's models at once and samples each
+    replicate with the one sampler; every replicate must get the bits it
+    got when drawn alone (`conftest.reference_draw`)."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(data=st.data())
+    def test_a_batch_matches_one_replicate_at_a_time(self, data):
+        p = data.draw(st.integers(2, 12), label="p")
+        blocks = data.draw(st.sampled_from(
+            [None] + [b for b in range(1, p + 1) if p % b == 0 and p // b >= 2]
+        ), label="blocks")
+        en = data.draw(st.floats(0.0, p, exclude_min=True, exclude_max=True), label="en")
+        n = data.draw(st.integers(2, 40), label="n")
+        reps = data.draw(st.integers(1, 60), label="reps")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        children = np.random.SeedSequence(seed).spawn(reps)
+        draws, failure = sim._draws(SimScenario(p, en, n, reps, blocks, seed), children)
+        assert failure is None and len(draws) == reps
+        for child, d in zip(children, draws):
+            weights, edges, order, x, y, names, cov = reference_draw(
+                p, en, n, np.random.default_rng(child), blocks
+            )
+            assert d.w.weights.tobytes() == weights.tobytes()
+            assert sorted(d.w.graph.directed_edges()) == edges
+            assert list(d.w.order) == order
+            assert (d.x, d.y, d.names) == (x, y, names)
+            assert d.covariance.tobytes() == cov.tobytes()
+        # A model and its data alone take the same two helpers.
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        w = random_weighted_dag(p, en, rng, blocks)
+        weights, edges, order = reference_weighted_dag(p, en, ref, blocks)
+        assert w.weights.tobytes() == weights.tobytes()
+        assert sorted(w.graph.directed_edges()) == edges and list(w.order) == order
+        assert generate_data(w, n, rng).values.tobytes() == reference_values(
+            weights, order, n, ref
+        ).tobytes()
+
+    def test_values_that_overflow_are_refused(self):
+        w = _weighted(3, {(1, 0): 1e200, (2, 1): 1e200})
+        with pytest.raises(ValueError, match="^values must be finite$"), np.errstate(all="ignore"):
+            generate_data(w, 5, 0)
 
 
 class TestRandomWeightedDag:
@@ -302,6 +401,24 @@ class TestRunScenario:
             if r.status == "ok":
                 assert r.e2_ave is None and r.e2_min is None
 
+    def test_a_truth_over_the_class_cap_marks_the_local_rows(self):
+        # At max_dags=1 the truth's plan fails on every class of more than
+        # one member, and a local row whose estimate succeeded says so.
+        scenario = SimScenario(5, 2.0, 300, 8, seed=3)
+        recs = run_scenario(scenario, methods=("local",), max_dags=1)
+        children = np.random.SeedSequence(scenario.seed).spawn(scenario.n_reps)
+        statuses = []
+        for r, child in zip(recs, children):
+            _, edges, *_ = reference_draw(5, 2.0, 300, np.random.default_rng(child))
+            truth = reference_cpdag_from_dag(PDGraph(5, directed=edges))
+            capped = len(brute_force_class(truth)) > 1
+            if r.status.startswith("failed:"):
+                continue
+            assert r.status == ("truth_resource_error" if capped else "ok")
+            assert (r.e2_ave is None) == capped
+            statuses.append(r.status)
+        assert "truth_resource_error" in statuses
+
     def test_single_method_selection(self):
         recs = run_scenario(self.small(), methods=("local",))
         assert {r.method for r in recs} == {"local"}
@@ -386,23 +503,22 @@ class TestBatchErrors:
         fails), "constant+inf" makes column X1 constant too, "raise" fails
         the draw itself.  Returns the records or the error's message."""
         made = []
-        draw = sim.generate_data
+        draw = sim._sample_values
 
-        def spoiled(w, n, rng, response=None, names=None):
-            d = draw(w, n, rng, response=response, names=names)
+        def spoiled(w, n, rng):
+            v = draw(w, n, rng)
             fault = faults.get(len(made))
-            made.append(d)
+            made.append(v)
             if fault == "raise":
                 raise ValueError("draw failed")
-            v = d.values.copy()
             if fault is not None:
                 v[0, 1] = 1e200
             if fault == "constant+inf":
                 v[:, 0] = 1.0
-            return Dataset(v, d.names, d.response)
+            return v
 
         with pytest.MonkeyPatch.context() as mp, np.errstate(all="ignore"):
-            mp.setattr(sim, "generate_data", spoiled)
+            mp.setattr(sim, "_sample_values", spoiled)
             try:
                 return run_scenario(SimScenario(5, 2.0, 50, 4, seed=1))
             except ValueError as e:
