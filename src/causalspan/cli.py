@@ -44,7 +44,7 @@ from .errors import (
 )
 from .gauss import CITestConfig, Dataset
 from .graphs import DEFAULT_MAX_COMPONENT_EDGES, DEFAULT_MAX_DAGS
-from .pc import bic_select_alpha, pc_cpdag, repair_cpdag
+from .pc import bic_select_alpha, pc_cpdag
 
 ENV_PREFIX = "CAUSALSPAN_"
 
@@ -294,12 +294,8 @@ def cmd_estimate(args: argparse.Namespace) -> int:
     d = _prepared_dataset(args)
     res = pc_cpdag(d, CITestConfig(args.alpha))
     names = list(d.names)
-    g, repair_info = res.graph, None
-    # The plan asks the class under the global route and under zero_path.
-    asks_class = args.method == "global" or effects.MOD_ZERO_PATH in args.mods
-    if asks_class and not res.validation.is_valid:
-        rep = repair_cpdag(res, seed=args.seed)
-        g, repair_info = rep.graph, {"stage": rep.stage, "detail": rep.detail}
+    g, rep = effects._planned_graph(res, args.method, args.mods, args.seed)
+    repair_info = None if rep is None else {"stage": rep.stage, "detail": rep.detail}
     plan = effects._route_plan(args.method, g, d.covariates, d.response, args.mods,
                                args.max_sib, args.max_enum, DEFAULT_MAX_DAGS)
     multisets = effects._solved(d, plan)

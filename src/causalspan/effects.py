@@ -51,7 +51,7 @@ from .graphs import (
     _reach,
     allows_directed_path,
 )
-from .pc import _batch_size, _pc_batch, _pc_result
+from .pc import PcResult, RepairResult, _batch_size, _pc_batch, _pc_result, repair_cpdag
 
 MOD_ZERO_PATH = "zero_path"
 MOD_PRUNE_Y = "prune_y"
@@ -381,8 +381,8 @@ def _local_plan(
     """The local route's plan for g: each covariate's entries, one per
     adjustment set with multiplicity 1, or the package error it would
     raise while planning (a sibling cap, or a cap on the class that
-    `zero_path` asks).  g's adjacency masks and y's component are built
-    once."""
+    `zero_path` asks).  g's adjacency masks, y's component and, under
+    `zero_path`, g's class (`allows_directed_path`) are built once."""
     mods = _check_mods(mods)
     _check_vertex(g, y, "response")
     adj = g._adjacency()
@@ -444,6 +444,19 @@ def _route_plan(
         return _theta_plan(g, covariates, y, mods, max_component_edges, max_dags, classes)
     except CausalSpanError as e:
         return _Plan(covariates, y, "global", frozenset(mods), [e] * len(covariates))
+
+
+def _planned_graph(
+    res: PcResult, method: str, mods: frozenset[str], seed: int
+) -> tuple[PDGraph, RepairResult | None]:
+    """The graph a route's plan reads from a PC estimate, and its repair:
+    `pc.repair_cpdag(res, seed)` when res is not a valid CPDAG and the
+    plan asks the class (the global route, and the local one under
+    `zero_path`), else res's own graph and None."""
+    if (method == "global" or MOD_ZERO_PATH in mods) and not res.validation.is_valid:
+        rep = repair_cpdag(res, seed=seed)
+        return rep.graph, rep
+    return res.graph, None
 
 
 def _solved(source: Dataset | CovMatrix, plan: _Plan) -> list[EffectMultiset]:
@@ -578,9 +591,10 @@ def bootstrap_scores(
     (`gauss._finite_covariance`, which raises as it reduces a sample whose
     variance overflows), so no resample's rows outlive it.  A group's PC
     skeletons run in one `pc._pc_batch` call, and the local route's plans
-    of all its graphs are solved in one `_betas` call, each reading its
-    sample through its covariance.  Other errors are raised in the order
-    full data then resamples.
+    of all its graphs (repaired with seed where `_planned_graph` says) are
+    solved in one `_betas` call, each reading its sample through its
+    covariance.  Other errors are raised in the order full data then
+    resamples.
     """
     if b < 1:
         raise ValueError("need at least one bootstrap replicate")
@@ -595,8 +609,9 @@ def bootstrap_scores(
             if isinstance(result, CausalSpanError):
                 raise result
             cov, skeleton = result
-            plan = _route_plan("local", _pc_result(*skeleton).graph, d.covariates, d.response,
-                               mods, max_siblings, max_component_edges, DEFAULT_MAX_DAGS)
+            g, _ = _planned_graph(_pc_result(*skeleton), "local", mods, seed)
+            plan = _route_plan("local", g, d.covariates, d.response, mods, max_siblings,
+                               max_component_edges, DEFAULT_MAX_DAGS)
             plans.append((cov, plan))
         results += _finish_plans(plans)
     # One multiset or package error per covariate, for the full data and

@@ -35,6 +35,7 @@ cardinality search (Tarjan & Yannakakis 1984).
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from dataclasses import dataclass
@@ -612,7 +613,7 @@ def allows_directed_path(
     directed path means yes (directed edges of g appear in every such DAG).
     Otherwise the members of the equivalence class are listed, under the
     same caps as enumerate_dags, and each member's ancestors of y are read
-    off its parent masks.
+    off its parent masks (`_class_ancestors`).
     """
     _check_vertex(g, i, "covariate")
     _check_vertex(g, y, "response")
@@ -620,8 +621,15 @@ def allows_directed_path(
         return False
     if _reach(g._ch, 1 << i) >> y & 1:
         return True
+    return bool(_class_ancestors(g, y, max_component_edges, max_dags) >> i & 1)
+
+
+@functools.lru_cache(maxsize=1)
+def _class_ancestors(g: PDGraph, y: int, max_component_edges: int, max_dags: int) -> int:
+    """The vertices that are ancestors of y in some member of g's class.
+    The last answer is kept, so one plan's covariates list the class once."""
     members = _class_members(g, _class_components(g, max_component_edges, max_dags))
-    return any(_reach(pa, 1 << y) >> i & 1 for pa in members)
+    return functools.reduce(operator.or_, [_reach(pa, 1 << y) for pa in members], 0)
 
 
 # -- local validity -----------------------------------------------------------

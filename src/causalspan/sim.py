@@ -39,33 +39,23 @@ class WeightedDag:
     weights: np.ndarray
 
     def __post_init__(self):
-        order = self.graph.topological_order()
-        if order is None or not self.graph.is_fully_directed():
+        if not self.graph.is_fully_directed():
             raise ValueError("WeightedDag requires a DAG")
-        w = np.asarray(self.weights, dtype=float)
-        if w.shape != (self.graph.n, self.graph.n):
-            raise ValueError("weight matrix shape must match the graph")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        edges = np.array(list(self.graph.directed_edges()), dtype=np.intp).reshape(-1, 2)
-        parents = np.zeros(w.shape, dtype=bool)
-        parents[edges[:, 1], edges[:, 0]] = True
-        wrong = ((w != 0) != parents).any(axis=1)
-        if wrong.any():
-            raise ValueError(f"weights for vertex {wrong.argmax()} do not match its parents")
-        w = w.copy()
-        w.setflags(write=False)
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "_order", tuple(order))
+        edges = [[pa >> j & 1 for j in range(self.graph.n)] for pa in self.graph._pa]
+        (d,) = self._batch(np.array([edges], dtype=bool), [self.weights])
+        object.__setattr__(self, "weights", d.weights)
+        object.__setattr__(self, "_order", d._order)
 
     @classmethod
-    def _batch(cls, edges: np.ndarray, weights: np.ndarray) -> list["WeightedDag"]:
+    def _batch(cls, edges: np.ndarray, weights: np.ndarray | list) -> list["WeightedDag"]:
         """One model per matrix of the (m, p, p) stacks: edges[k, i, j]
         marks the edge j -> i of model k and weights[k] is its weight
-        matrix.  `__post_init__`'s checks run once over the stacks (each
-        graph acyclic, every weight finite and nonzero exactly on the
-        edges); the weights stack is made read-only and each model's
-        weights are a view of it."""
+        matrix.  These are the model checks, run once over the stacks and
+        in this order: each graph acyclic, the weights stack shaped as the
+        edges stack, every weight finite, and every weight nonzero exactly
+        on the edges.  A model built by the constructor is a batch of one.
+        The weights stack is made read-only (a float array is not copied)
+        and each model's weights are a view of it."""
         m, p = edges.shape[:2]
         pas = [[0] * p for _ in range(m)]
         for k, i, j in zip(*(a.tolist() for a in np.nonzero(edges))):
@@ -73,6 +63,9 @@ class WeightedDag:
         orders = [_topological_order(pa) for pa in pas]
         if None in orders:
             raise ValueError("WeightedDag requires a DAG")
+        weights = np.asarray(weights, dtype=float)
+        if weights.shape != edges.shape:
+            raise ValueError("weight matrix shape must match the graph")
         if not np.all(np.isfinite(weights)):
             raise ValueError("weights must be finite")
         wrong = ((weights != 0) != edges).any(axis=2)
@@ -139,10 +132,6 @@ class SimRecord:
     y: int
 
 
-def _block_of(v: int, block_size: int) -> int:
-    return v // block_size
-
-
 def random_weighted_dag(
     n_vertices: int,
     en: float,
@@ -150,24 +139,21 @@ def random_weighted_dag(
     blocks: int | None = None,
 ) -> WeightedDag:
     """Draw a random weighted DAG as described in the module docstring."""
-    coin = rng.random((n_vertices, n_vertices))
-    magnitude = rng.uniform(1.0, 2.0, size=(n_vertices, n_vertices))
-    return _weighted_dags(n_vertices, en, coin[None], magnitude[None], blocks)[0]
+    return _weighted_dags(n_vertices, en, [rng], blocks)[0]
 
 
 def _weighted_dags(
-    n_vertices: int,
-    en: float,
-    coins: np.ndarray,
-    magnitudes: np.ndarray,
-    blocks: int | None,
+    p: int, en: float, rngs: Sequence[np.random.Generator], blocks: int | None
 ) -> list[WeightedDag]:
-    """The models of stacked (m, p, p) uniform coin and [1, 2] magnitude
-    draws: j -> i, j < i, is an edge where coins[k, j, i] falls under the
-    edge probability and j, i share a block, with weight magnitudes[k, j, i]."""
-    block_size = n_vertices // blocks if blocks is not None else n_vertices
+    """One model per generator, built at once from each one's (p, p)
+    uniform coins and then its [1, 2] magnitudes: j -> i, j < i, is an
+    edge where coins[j, i] falls under the edge probability and j, i share
+    a block, with weight magnitudes[j, i]."""
+    drawn = [(rng.random((p, p)), rng.uniform(1.0, 2.0, size=(p, p))) for rng in rngs]
+    coins, magnitudes = (np.stack(a) for a in zip(*drawn))
+    block_size = p // blocks if blocks is not None else p
     prob = min(1.0, en / (block_size - 1))
-    block = _block_of(np.arange(n_vertices), block_size)
+    block = np.arange(p) // block_size
     edges = (np.triu(coins < prob, 1) & (block[:, None] == block)).transpose(0, 2, 1)
     weights = np.where(edges, magnitudes.transpose(0, 2, 1), 0.0)
     return WeightedDag._batch(edges, weights)
@@ -270,11 +256,12 @@ def run_scenario(
     fails ends the first pass: the second runs on the replicates drawn
     before it, so their check errors come first, and then the draw's
     error is raised.  The third orients and repairs each replicate's
-    estimate and appends one plan for its truth and one per method: an
-    `effects._route_plan`, or, when the estimate failed, a plan whose one
-    covariate's entry is that error.  The fourth solves them all in one
-    `_finish_plans` call, which builds every multiset, before it scores
-    each replicate; the routes read the data only through the sample
+    estimate and appends, replicate by replicate, one plan for its truth
+    (with the truth) and one per method: an `effects._route_plan`, or,
+    when the estimate failed, a plan whose one covariate's entry is that
+    error.  The fourth solves them all in one `_finish_plans` call, which
+    builds every multiset, and scores each replicate, reading the plans
+    back in that order; the routes read the data only through the sample
     covariance.  A replicate's `runtime_s` leaves out the truth's work, as
     it did when each replicate ran alone.  It is its own reduction,
     orientation and repair time; when its matrices were made, its share of
@@ -309,12 +296,10 @@ def run_scenario(
                 if isinstance(c, ValueError):
                     raise c
         plans: list = []
-        planned = []
+        runtimes = []
         for k, (draw, result) in enumerate(zip(draws, batch)):
             xs, y = (draw.x,), draw.y
-            truth = None
             if compute_truth:
-                truth = len(plans)
                 true_graph = cpdag_from_dag(draw.w.graph)
                 plan = _route_plan("global", true_graph, xs, y, (), *caps, classes)
                 plans.append((pops[k], plan))
@@ -327,40 +312,37 @@ def run_scenario(
                 graph = repair_cpdag(_pc_result(*skeleton), seed=scenario.seed).graph
             own = draw.seconds + share if made[k] else draw.seconds
             structure_time = own + time.perf_counter() - t0
-            estimates = []
             for method in methods:
                 t1 = time.perf_counter()
                 source, plan = None, _Plan(xs, y, method, frozenset(), [result])
                 if not failed:
                     source, plan = cov, _route_plan(method, graph, xs, y, (), *caps, classes)
-                estimates.append((method, len(plans), structure_time + time.perf_counter() - t1))
+                runtimes.append(structure_time + time.perf_counter() - t1)
                 plans.append((source, plan))
-            planned.append((start + k, draw, truth, estimates))
         # The solve's time split evenly over the requests: each method's
         # row gets its own plan's part, and the truth's part is left out.
         asked = [len(plan.requests()) for _, plan in plans]
         t0 = time.perf_counter()
         done = _finish_plans(plans)
         per_request = (time.perf_counter() - t0) / max(sum(asked), 1)
-        for k, draw, truth, estimates in planned:
-            truth_status = "ok"
-            if truth is not None:
-                (truth,) = done[truth]
+        solved, times = iter(zip(done, asked)), iter(runtimes)
+        for k, draw in enumerate(draws, start):
+            truth, truth_status = None, "ok"
+            if compute_truth:
+                (truth,), _ = next(solved)
                 if isinstance(truth, ResourceCapError):
                     truth_status = "truth_resource_error"
                 elif isinstance(truth, CausalSpanError):
                     truth_status = "truth_error"
-            for method, index, runtime in estimates:
-                (estimate,) = done[index]
-                runtime += asked[index] * per_request
+            for method in methods:
+                (estimate,), n_asked = next(solved)
+                runtime = next(times) + n_asked * per_request
                 e2_ave = e2_min = None
-                status = "ok"
+                status = truth_status
                 if isinstance(estimate, CausalSpanError):
                     status = f"failed:{type(estimate).__name__}"
-                elif truth is not None and truth_status == "ok":
+                elif truth is not None and status == "ok":
                     e2_ave, e2_min = error_measures(estimate, truth)
-                elif compute_truth:
-                    status = truth_status
                 records.append(SimRecord(
                     k, method, e2_ave, e2_min, runtime, status, draw.x, draw.y
                 ))
@@ -390,16 +372,13 @@ def _draws(
     batch: the replicates drawn before it come back with its error."""
     p = scenario.n_vertices
     block_size = p // (scenario.blocks or 1)
-    rngs, coins, magnitudes, picks = [], [], [], []
-    for child in children:
-        rng = np.random.default_rng(child)
-        coins.append(rng.random((p, p)))
-        magnitudes.append(rng.uniform(1.0, 2.0, size=(p, p)))
+    rngs = [np.random.default_rng(child) for child in children]
+    models = _weighted_dags(p, scenario.en, rngs, scenario.blocks)
+    picks = []
+    for rng in rngs:
         y = int(rng.integers(p))
-        first = _block_of(y, block_size) * block_size
+        first = y // block_size * block_size
         picks.append((int(rng.choice([v for v in range(first, first + block_size) if v != y])), y))
-        rngs.append(rng)
-    models = _weighted_dags(p, scenario.en, np.stack(coins), np.stack(magnitudes), scenario.blocks)
     names = tuple(f"X{i + 1}" for i in range(p))
     draws: list[_Draw] = []
     for w, rng, (x, y) in zip(models, rngs, picks):

@@ -259,6 +259,23 @@ class TestScore:
         assert [row[0] for row in rows] == ["A", "B"]
         assert all(row[3] == "3" for row in rows), "every replicate hits the cap"
 
+    def test_zero_path_repairs_as_estimate_does(self, wide_csv, tmp_path):
+        # --mod-zero-path asks the class, so score repairs each invalid
+        # estimate with the command's seed, as estimate does.
+        common = ["--input", wide_csv, "--response", "X39", "--mod-zero-path", "--seed", "1"]
+        report, scores = tmp_path / "report.json", tmp_path / "scores.csv"
+        for args in (["estimate", "--method", "local", "--out", str(report)],
+                     ["score", "--bootstrap", "3", "--out", str(scores)]):
+            r = run_cli([*args, *common], cwd=tmp_path)
+            assert r.returncode == 0, r.stderr
+        report = json.loads(report.read_text())
+        assert report["repair"] is not None
+        rows = [ln.split(",") for ln in scores.read_text().splitlines()[1:]]
+        assert {row[0]: row[2] for row in rows} == {
+            m["covariate"]: str(m["ambiguity"]) for m in report["effects"]
+        }
+        assert all(row[3] == "0" for row in rows), "no replicate fails"
+
 
 class TestTune:
     def test_reports_scores_and_selection(self, chain_csv, tmp_path):

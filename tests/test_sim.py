@@ -49,8 +49,10 @@ def chain3() -> WeightedDag:
 class TestWeightedDag:
     def test_rejects_graphs_with_undirected_edges(self):
         g = PDGraph(2, undirected=[(0, 1)])
-        with pytest.raises(ValueError, match="DAG"):
-            WeightedDag(g, np.zeros((2, 2)))
+        # Before the weights are looked at.
+        for weights in (np.zeros((2, 2)), np.full((3, 3), np.inf)):
+            with pytest.raises(ValueError, match="WeightedDag requires a DAG"):
+                WeightedDag(g, weights)
 
     def test_rejects_shape_mismatch(self):
         g = PDGraph(3, directed=[(0, 1)])
@@ -127,15 +129,21 @@ class TestWeightedDagBatch:
             with pytest.raises(ValueError):
                 w.weights[0, 0] = 5.0
 
-    @pytest.mark.parametrize("fault", ["cycle", "inf", "missing", "extra"])
+    @pytest.mark.parametrize("fault", ["cycle", "inf", "missing", "extra",
+                                       "cycle_and_shape", "inf_off_the_edges"])
     def test_a_bad_model_raises_the_constructor_error(self, fault):
+        # The checks run in order: acyclic, shape, finite, then the edges.
         bad = {(1, 0): 1.5, (2, 1): 1.5}
         edges, weights = self.stacks([{(2, 0): 1.0}, bad], 3)
-        if fault == "cycle":
+        if fault.startswith("cycle"):
             edges[1, 0, 2] = True
             weights[1, 0, 2] = 1.0
+            if fault == "cycle_and_shape":
+                weights = weights[:, :, :2]
         elif fault == "inf":
             weights[1, 2, 1] = np.inf
+        elif fault == "inf_off_the_edges":
+            weights[1, 0, 2] = np.inf
         elif fault == "missing":
             weights[1, 2, 1] = 0.0
         else:
@@ -146,6 +154,14 @@ class TestWeightedDagBatch:
         with pytest.raises(ValueError) as batch:
             WeightedDag._batch(edges, weights)
         assert str(batch.value) == str(alone.value)
+        assert str(alone.value) == {
+            "cycle": "WeightedDag requires a DAG",
+            "cycle_and_shape": "WeightedDag requires a DAG",
+            "inf": "weights must be finite",
+            "inf_off_the_edges": "weights must be finite",
+            "missing": "weights for vertex 2 do not match its parents",
+            "extra": "weights for vertex 0 do not match its parents",
+        }[fault]
 
 
 class TestDraws:
